@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from . import ingest as ingest_mod
@@ -25,38 +24,34 @@ EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one invocation."""
-
-    subcommand: str
-    corpus_path: str | None = None
-    pub_year: int | None = None
-    sources: frozenset | None = None
-    early_offset: int = 1
-    future_offset: int = 4
-    T: int = model_mod.DEFAULT_T
-    min_venue_size: int = model_mod.DEFAULT_MIN_VENUE_SIZE
-    reference_venue: str | None = None
-    output_format: str = "csv"
-    out_path: str | None = None
-    strict: bool = True
-
-    def __post_init__(self):
-        if self.early_offset < 1 or self.future_offset < 1:
-            raise ValueError("offsets must be >= 1")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.min_venue_size < 1:
-            raise ValueError("min venue size must be >= 1")
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_years(text: str) -> list[int]:
-    """"2016..2023" or "2016,2017,2020"."""
+    """argparse type: "2016..2023" (inclusive, ascending) or "2016,2017,2020"."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(
+                f"year range {text!r} is reversed or empty")
+        return list(range(lo, hi + 1))
     return [int(y) for y in text.split(",")]
+
+
+def _parse_rate(text: str) -> ingest_mod.RateBudget:
+    """argparse type: a request budget "N/SECONDS", e.g. 100/300."""
+    try:
+        n, window = text.split("/")
+        return ingest_mod.RateBudget(int(n), float(window))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected N/SECONDS with N >= 1 and SECONDS > 0, got {text!r}"
+        ) from None
 
 
 def _parse_sources(text: str | None):
@@ -82,7 +77,7 @@ def _load_cohort(args) -> corpus_mod.Cohort:
                                     _parse_sources(args.sources))
 
 
-def _add_cohort_flags(parser, with_model_params=False):
+def _add_cohort_flags(parser, offsets=False, model_params=False):
     parser.add_argument("--corpus", required=True, help="corpus JSONL file")
     parser.add_argument("--pub-year", type=int, required=True)
     parser.add_argument("--sources", default=None,
@@ -93,11 +88,14 @@ def _add_cohort_flags(parser, with_model_params=False):
                         help="ignore unknown corpus keys instead of rejecting")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    if with_model_params:
-        parser.add_argument("--early-offset", type=int, default=1)
-        parser.add_argument("--future-offset", type=int, default=4)
-        parser.add_argument("--T", type=int, default=model_mod.DEFAULT_T)
-        parser.add_argument("--min-venue-size", type=int,
+    if offsets or model_params:
+        parser.add_argument("--early-offset", type=_positive_int,
+                            default=metrics_mod.DEFAULT_EARLY_OFFSET)
+        parser.add_argument("--future-offset", type=_positive_int,
+                            default=metrics_mod.DEFAULT_FUTURE_OFFSET)
+    if model_params:
+        parser.add_argument("--T", type=_positive_int, default=model_mod.DEFAULT_T)
+        parser.add_argument("--min-venue-size", type=_positive_int,
                             default=model_mod.DEFAULT_MIN_VENUE_SIZE)
         parser.add_argument("--reference-venue", default=None)
 
@@ -114,10 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus JSONL to write")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--base-url", default=ingest_mod.ClientConfig.base_url)
-    p.add_argument("--page-size", type=int, default=ingest_mod.DEFAULT_PAGE_SIZE)
-    p.add_argument("--rate", default=None,
+    p.add_argument("--page-size", type=_positive_int,
+                   default=ingest_mod.DEFAULT_PAGE_SIZE)
+    p.add_argument("--rate", type=_parse_rate, default=None,
                    help="budget as REQUESTS/SECONDS, e.g. 100/300")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=_positive_int, default=4)
 
     p = sub.add_parser("import", help="import a pre-aggregated count table")
     p.add_argument("--table", required=True, help="CSV: id,venue,source,pub_year,<years...>")
@@ -125,25 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corr", help="year x year citation correlation table")
     _add_cohort_flags(p)
-    p.add_argument("--years", required=True, help="e.g. 2016..2023")
+    p.add_argument("--years", type=_parse_years, required=True,
+                   help="e.g. 2016..2023")
 
     p = sub.add_parser("venuecorr", help="venue-indicator correlation table")
     _add_cohort_flags(p)
-    p.add_argument("--years", required=True)
+    p.add_argument("--years", type=_parse_years, required=True)
     p.add_argument("--venues", required=True, help="comma-separated venue names")
 
     p = sub.add_parser("groupstats", help="h/median/mu/sigma/N per group")
-    _add_cohort_flags(p)
+    _add_cohort_flags(p, offsets=True)
     p.add_argument("--by", choices=["early", "venue"], default="early")
     p.add_argument("--thresholds", default="1,2,3,10,20",
                    help="early-citation thresholds (by=early)")
-    p.add_argument("--early-offset", type=int, default=1)
-    p.add_argument("--future-offset", type=int, default=4)
-    p.add_argument("--min-size", type=int, default=1,
+    p.add_argument("--min-size", type=_positive_int, default=1,
                    help="venues below this pool into 'All other venues' (by=venue)")
 
     p = sub.add_parser("fit", help="fit the percentile regression for one year")
-    _add_cohort_flags(p, with_model_params=True)
+    _add_cohort_flags(p, model_params=True)
     p.add_argument("--model-out", default=None, help="save fitted model JSON here")
 
     p = sub.add_parser("predict", help="predict a percentile from a saved model")
@@ -152,21 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early", type=int, required=True)
 
     p = sub.add_parser("anova", help="variance attribution for a fitted year")
-    _add_cohort_flags(p, with_model_params=True)
+    _add_cohort_flags(p, model_params=True)
 
     p = sub.add_parser("boxplot", help="five-number summaries of predictions")
-    _add_cohort_flags(p, with_model_params=True)
+    _add_cohort_flags(p, model_params=True)
     p.set_defaults(T=30)  # wider early factor for the prediction plots
     p.add_argument("--by", choices=["early", "venue"], default="early")
 
     p = sub.add_parser("triage", help="rank papers by early returns")
-    _add_cohort_flags(p)
-    p.add_argument("--early-offset", type=int, default=1)
-    p.add_argument("--future-offset", type=int, default=4)
+    _add_cohort_flags(p, offsets=True)
     p.add_argument("--model", default=None, help="optional fitted model JSON")
     p.add_argument("--thresholds", default=None,
                    help="also emit threshold-vs-venue comparison rows")
-    p.add_argument("--min-venue-size", type=int, default=1)
+    p.add_argument("--min-venue-size", type=_positive_int, default=1)
 
     p = sub.add_parser("ledger", help="nomination/review accounting")
     p.add_argument("--file", required=True, help="append-only event JSONL")
@@ -192,13 +188,9 @@ def _fit_from_args(args):
 def _cmd_ingest(args) -> int:
     with open(args.ids_file, encoding="utf-8") as handle:
         ids = [line.strip() for line in handle if line.strip()]
-    budget = None
-    if args.rate:
-        n, window = args.rate.split("/")
-        budget = ingest_mod.RateBudget(int(n), float(window))
     config = ingest_mod.ClientConfig(base_url=args.base_url,
                                      page_size=args.page_size,
-                                     rate_budget=budget)
+                                     rate_budget=args.rate)
     client = ingest_mod.ApiClient(config)
     report = ingest_mod.build_corpus(ids, args.out, args.checkpoint, client,
                                      workers=args.workers)
@@ -219,7 +211,7 @@ def _cmd_import(args) -> int:
 
 def _cmd_corr(args) -> int:
     cohort = _load_cohort(args)
-    table = metrics_mod.year_correlation_matrix(cohort, _parse_years(args.years))
+    table = metrics_mod.year_correlation_matrix(cohort, args.years)
     text = (report_mod.correlation_json(table) if args.format == "json"
             else report_mod.correlation_csv(table))
     _emit(text, args.out)
@@ -229,7 +221,7 @@ def _cmd_corr(args) -> int:
 def _cmd_venuecorr(args) -> int:
     cohort = _load_cohort(args)
     table = metrics_mod.venue_correlation_table(
-        cohort, args.venues.split(","), _parse_years(args.years))
+        cohort, args.venues.split(","), args.years)
     text = (report_mod.correlation_json(table) if args.format == "json"
             else report_mod.correlation_csv(table))
     _emit(text, args.out)

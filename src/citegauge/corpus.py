@@ -9,9 +9,8 @@ year.  Records are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (

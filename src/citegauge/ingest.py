@@ -18,7 +18,6 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import requests
 
@@ -50,7 +49,7 @@ class RateBudget:
     """
 
     def __init__(self, max_requests: int, window_seconds: float):
-        if max_requests < 1 or window_seconds <= 0:
+        if max_requests < 1 or not window_seconds > 0:
             raise ValueError("budget needs max_requests >= 1 and a positive window")
         self.max_requests = max_requests
         self.window_seconds = window_seconds

@@ -1,22 +1,33 @@
 """Percentile-regression forecaster.
 
 Pipeline: rank-based percentile transform of future-year counts, clipping
-of early-citation counts to T factor levels, dummy-coded design matrix
-(venue + early-level factors), QR least-squares fit, sequential ANOVA
-variance attribution, and boxplot aggregation of predictions.
+of early-citation counts to T factor levels, dummy-coded design (venue +
+early-level factors), QR least-squares fit, sequential ANOVA variance
+attribution, and boxplot aggregation of predictions.
+
+The design has two one-hot factors, so rows in the same (venue level,
+early level) cell are identical.  The fit, the ANOVA and the predictions
+therefore work on the cell table: one 0/1 design row per populated cell,
+its row count n_c and the mean of y in it.  Least squares on rows equals
+weighted least squares on the cell means with weights n_c, which is exact
+(the same coefficients, not an approximation); QR on the sqrt(n_c)-scaled
+cell design has the same |diag R| as QR on the rows, so rank deficiency
+is detected by the same rule.  Residual sums of squares are summed over
+the row residuals y - fitted[cell] rather than derived from cell sums,
+which would lose precision to cancellation.  The dense n x k design is
+built only on request, through ``DesignMatrix.X``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.stats import rankdata
 
-from .corpus import Cohort, PaperRecord
+from .corpus import Cohort
 from .errors import (
     DimensionMismatch,
     EmptyCohort,
@@ -47,9 +58,14 @@ class DesignMatrix:
     Reference levels carry no column: one venue (default the most populous)
     and early level 0.  Early levels with no member rows also get no column
     (same treatment as a venue with no papers that year).
+
+    The design is held as its cell table, derived from the row levels on
+    construction: ``cell_X`` has one 0/1 row per populated (venue, early)
+    cell, ``cell_counts`` the rows in each cell, ``row_cell`` the cell of
+    each row, and ``cell_venue`` / ``cell_early`` each cell's factor codes
+    (0 for the reference level, otherwise 1 + the level's index).
     """
 
-    X: np.ndarray
     column_names: tuple[str, ...]
     venue_levels: tuple[str, ...]       # levels with a column (reference excluded)
     reference_venue: str
@@ -58,10 +74,51 @@ class DesignMatrix:
     row_venues: tuple[str, ...]         # resolved venue level per row
     row_early: tuple[int, ...]          # clipped early level per row
     paper_ids: tuple[str, ...]
+    row_cell: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_X: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_venue: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_early: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        venue_code = {v: 1 + i for i, v in enumerate(self.venue_levels)}
+        venue_code[self.reference_venue] = 0
+        unknown = set(self.row_venues) - venue_code.keys()
+        if unknown:
+            raise ValueError(f"row venues {sorted(unknown)} are not levels "
+                             f"of the design")
+        row_early = np.asarray(self.row_early, dtype=np.intp)
+        if not np.isin(row_early, (0, *self.early_levels)).all():
+            raise ValueError("row early levels are not levels of the design")
+        early_code = np.zeros(self.T + 1, dtype=np.intp)
+        early_code[list(self.early_levels)] = 1 + np.arange(len(self.early_levels))
+        row_e = early_code[row_early]
+        row_v = np.fromiter(map(venue_code.__getitem__, self.row_venues),
+                            dtype=np.intp, count=len(self.row_venues))
+
+        n_early = 1 + len(self.early_levels)
+        cells, row_cell, counts = np.unique(row_v * n_early + row_e,
+                                            return_inverse=True,
+                                            return_counts=True)
+        cell_v, cell_e = np.divmod(cells, n_early)
+        cell_X = np.zeros((len(cells), len(self.column_names)))
+        cell_X[:, 0] = 1.0
+        has_v, has_e = np.flatnonzero(cell_v), np.flatnonzero(cell_e)
+        cell_X[has_v, cell_v[has_v]] = 1.0
+        cell_X[has_e, len(self.venue_levels) + cell_e[has_e]] = 1.0
+        for name, value in (("row_cell", row_cell),
+                            ("cell_counts", counts), ("cell_X", cell_X),
+                            ("cell_venue", cell_v), ("cell_early", cell_e)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_rows(self) -> int:
-        return self.X.shape[0]
+        return len(self.row_early)
+
+    @property
+    def X(self) -> np.ndarray:
+        """The dense n x k design, expanded from the cell table."""
+        return self.cell_X[self.row_cell]
 
 
 @dataclass(frozen=True)
@@ -161,14 +218,17 @@ def percentile_transform(cohort: Cohort,
         raise EmptyCohort("cannot compute percentiles of an empty cohort")
     if future_year is None:
         future_year = cohort.pub_year + DEFAULT_FUTURE_OFFSET
-    counts = np.array([p.citations_in(future_year) for p in cohort], dtype=float)
-    ranks = rankdata(counts, method="average")
+    counts = np.array([p.citations_in(future_year) for p in cohort], dtype=np.int64)
+    # average rank of a tie group: its last 1-based position minus
+    # (size - 1) / 2; exact in float64 for any realistic cohort size
+    _, group, size = np.unique(counts, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(size) - (size - 1) / 2.0)[group]
     percentiles = 100.0 * (ranks - 0.5) / len(counts)
     return PercentileFrame(
         pub_year=cohort.pub_year,
         future_year=future_year,
         paper_ids=tuple(p.id for p in cohort),
-        percentiles=tuple(float(v) for v in percentiles),
+        percentiles=tuple(percentiles.tolist()),
     )
 
 
@@ -193,19 +253,16 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot build a design matrix for an empty cohort")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     early_year = cohort.pub_year + early_offset
 
-    venue_sizes: dict[str, int] = {}
-    for p in cohort:
-        venue_sizes[p.venue] = venue_sizes.get(p.venue, 0) + 1
-    keep = {v for v, n in venue_sizes.items() if n >= min_venue_size}
-
+    venue_sizes = Counter(p.venue for p in cohort)
     row_venues = tuple(
-        p.venue if p.venue in keep else MISC_VENUE for p in cohort
+        p.venue if venue_sizes[p.venue] >= min_venue_size else MISC_VENUE
+        for p in cohort
     )
-    level_sizes: dict[str, int] = {}
-    for v in row_venues:
-        level_sizes[v] = level_sizes.get(v, 0) + 1
+    level_sizes = Counter(row_venues)
 
     if reference_venue is None:
         # most populous level; name breaks ties deterministically
@@ -215,8 +272,11 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
                          f"of this cohort (levels: {sorted(level_sizes)})")
 
     venue_levels = tuple(sorted(v for v in level_sizes if v != reference_venue))
-    row_early = tuple(clip_early(p.citations_in(early_year), T) for p in cohort)
-    early_levels = tuple(sorted({lvl for lvl in row_early if lvl > 0}))
+    early = np.array([p.citations_in(early_year) for p in cohort], dtype=np.int64)
+    if np.any(early < 0):
+        raise ValueError("count must be non-negative")
+    row_early = np.minimum(early, T)
+    early_levels = tuple(np.unique(row_early[row_early > 0]).tolist())
 
     columns = ["intercept"]
     columns += [f"venue:{v}" for v in venue_levels]
@@ -225,26 +285,14 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
     if n < k:
         raise TooFewRows(f"{n} rows < {k} columns")
 
-    X = np.zeros((n, k))
-    X[:, 0] = 1.0
-    venue_col = {v: 1 + i for i, v in enumerate(venue_levels)}
-    early_col = {lvl: 1 + len(venue_levels) + i
-                 for i, lvl in enumerate(early_levels)}
-    for i in range(n):
-        if row_venues[i] != reference_venue:
-            X[i, venue_col[row_venues[i]]] = 1.0
-        if row_early[i] > 0:
-            X[i, early_col[row_early[i]]] = 1.0
-
     return DesignMatrix(
-        X=X,
         column_names=tuple(columns),
         venue_levels=venue_levels,
         reference_venue=reference_venue,
         T=T,
         early_levels=early_levels,
         row_venues=row_venues,
-        row_early=row_early,
+        row_early=tuple(row_early.tolist()),
         paper_ids=tuple(p.id for p in cohort),
     )
 
@@ -254,27 +302,46 @@ _RANK_TOL = 1e-10
 
 def _qr_solve(X: np.ndarray, y: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
     """Least squares via Householder QR; raises RankDeficient with the
-    offending columns."""
+    offending columns.
+
+    X may have fewer rows than columns (fewer cells than columns); the
+    columns past the last row then have r_jj = 0, as they would in the
+    QR of the rows.
+    """
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
+    diag = np.zeros(X.shape[1])
+    diag[:min(X.shape)] = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
     bad = [column_names[j] for j in range(len(diag)) if diag[j] <= _RANK_TOL * scale]
     if bad or scale == 0.0:
         raise RankDeficient(bad or list(column_names))
-    return solve_triangular(r, q.T @ y, lower=False)
+    return np.linalg.solve(r, q.T @ y)
 
 
-def fit_ols(design: DesignMatrix, frame: PercentileFrame) -> FittedModel:
-    """Fit percentiles on the design matrix by QR least squares."""
+def _cell_means(design: DesignMatrix, frame: PercentileFrame):
+    """(y, weights sqrt(n_c), mean of y per cell), after the length check."""
     y = np.asarray(frame.percentiles, dtype=float)
     if y.shape[0] != design.n_rows:
         raise DimensionMismatch(
             f"{design.n_rows} design rows vs {y.shape[0]} percentiles")
-    beta = _qr_solve(design.X, y, design.column_names)
+    sums = np.bincount(design.row_cell, weights=y,
+                       minlength=len(design.cell_counts))
+    return y, np.sqrt(design.cell_counts), sums / design.cell_counts
 
-    fitted = design.X @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
+
+def _row_rss(y: np.ndarray, fitted: np.ndarray, row_group: np.ndarray) -> float:
+    """Sum of squared row residuals y - fitted[group of the row]."""
+    resid = y - fitted[row_group]
+    return float(resid @ resid)
+
+
+def fit_ols(design: DesignMatrix, frame: PercentileFrame) -> FittedModel:
+    """Fit percentiles on the design by QR least squares on the
+    sqrt(n_c)-weighted cell means (exactly the row least-squares fit)."""
+    y, w, means = _cell_means(design, frame)
+    beta = _qr_solve(design.cell_X * w[:, None], w * means, design.column_names)
+
+    rss = _row_rss(y, design.cell_X @ beta, design.row_cell)
     tss = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - rss / tss if tss > 0 else 1.0
 
@@ -294,31 +361,26 @@ def fit_ols(design: DesignMatrix, frame: PercentileFrame) -> FittedModel:
     )
 
 
-def _rss_of(X: np.ndarray, y: np.ndarray) -> float:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    return float(resid @ resid)
+def _one_way_rss(y: np.ndarray, row_group: np.ndarray) -> float:
+    """RSS of intercept + one factor: residuals from the group means."""
+    counts = np.bincount(row_group)
+    means = np.bincount(row_group, weights=y) / np.maximum(counts, 1)
+    return _row_rss(y, means, row_group)
 
 
 def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
     """Sequential (Type I) sums of squares for venue-first and early-first
     orderings, with eta^2 = SS / SS_total per factor."""
-    y = np.asarray(frame.percentiles, dtype=float)
-    if y.shape[0] != design.n_rows:
-        raise DimensionMismatch(
-            f"{design.n_rows} design rows vs {y.shape[0]} percentiles")
-    n_venue = len(design.venue_levels)
-    intercept = design.X[:, :1]
-    venue_block = design.X[:, 1:1 + n_venue]
-    early_block = design.X[:, 1 + n_venue:]
-
+    y, w, means = _cell_means(design, frame)
     ss_total = float(np.sum((y - y.mean()) ** 2))
-    rss_null = _rss_of(intercept, y)
-    rss_full = _rss_of(design.X, y)
+    # lstsq rather than _qr_solve: a rank-deficient design still has a
+    # well-defined projection, hence a full-model RSS
+    beta, *_ = np.linalg.lstsq(design.cell_X * w[:, None], w * means, rcond=None)
+    rss_full = _row_rss(y, design.cell_X @ beta, design.row_cell)
 
-    def ordering(first_block, first_name, second_name):
-        rss_first = _rss_of(np.hstack([intercept, first_block]), y)
-        ss_first = rss_null - rss_first
+    def ordering(first_cells, first_name, second_name):
+        rss_first = _one_way_rss(y, first_cells[design.row_cell])
+        ss_first = ss_total - rss_first
         ss_second = rss_first - rss_full
         rows = (
             AnovaRow(first_name, ss_first, ss_first / ss_total if ss_total else 0.0),
@@ -327,22 +389,21 @@ def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
         )
         return rows
 
-    venue_first = ordering(venue_block, "venue", "early")
-    early_first = ordering(early_block, "early", "venue")
+    venue_first = ordering(design.cell_venue, "venue", "early")
+    early_first = ordering(design.cell_early, "early", "venue")
     return AnovaTable(ss_total=ss_total, venue_first=venue_first,
                       early_first=early_first)
 
 
 def predict_cohort(model: FittedModel, design: DesignMatrix) -> np.ndarray:
-    """Model predictions for every design row."""
-    return np.array([
-        model.predict(
-            design.row_venues[i] if design.row_venues[i] != design.reference_venue
-            else model.reference_venue,
-            design.row_early[i],
-        )
-        for i in range(design.n_rows)
+    """Model predictions for every design row, computed once per cell."""
+    venues = (model.reference_venue,) + design.venue_levels
+    early = (0,) + design.early_levels
+    per_cell = np.array([
+        model.predict(venues[v], early[e])
+        for v, e in zip(design.cell_venue.tolist(), design.cell_early.tolist())
     ])
+    return per_cell[design.row_cell]
 
 
 def boxplot_aggregate(values: Sequence[float], groups: Sequence,

@@ -8,7 +8,7 @@ The ledger is an append-only JSONL event file; a nominator's balance is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Cohort

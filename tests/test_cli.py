@@ -31,6 +31,43 @@ class TestUsage:
         assert code == EXIT_DATA_ERROR
         assert "corr" in err and "error" in err
 
+    @pytest.mark.parametrize("args", [
+        ["fit", "--early-offset", "-1"],
+        ["fit", "--future-offset", "0"],
+        ["fit", "--min-venue-size", "0"],
+        ["fit", "--T", "0"],
+        ["anova", "--T", "0"],
+        ["boxplot", "--early-offset", "0"],
+        ["groupstats", "--future-offset", "-3"],
+        ["groupstats", "--by", "venue", "--min-size", "0"],
+        ["triage", "--early-offset", "0"],
+        ["triage", "--min-venue-size", "0"],
+        ["corr", "--years", "2020..2016"],
+        ["corr", "--years", "2016,,2017"],
+        ["venuecorr", "--venues", "TopJournal", "--years", "2017..2016"],
+    ], ids=lambda a: "-".join(a))
+    def test_bad_cohort_flag_exit_2(self, args, fixture_args, capsys):
+        code, out, err = run([args[0], *fixture_args, *args[1:]], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert args[-2] in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rate", "abc"), ("--rate", "100"), ("--rate", "1/2/3"),
+        ("--rate", "0/300"), ("--rate", "10/0"), ("--rate", "10/nan"),
+        ("--rate", "x/300"), ("--page-size", "0"), ("--workers", "0"),
+    ])
+    def test_bad_ingest_flag_exit_2(self, flag, value, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("p1\n")
+        code, _, err = run(["ingest", "--ids-file", str(ids),
+                            "--out", str(tmp_path / "c.jsonl"),
+                            "--checkpoint", str(tmp_path / "ck.json"),
+                            flag, value], capsys)
+        assert code == EXIT_USAGE
+        assert flag in err
+        assert not (tmp_path / "c.jsonl").exists()
+
 
 class TestImportAndCorr:
     def test_import_then_corr_table_shape(self, table1_path, tmp_path, capsys):

@@ -212,10 +212,9 @@ class TestFitOls:
         assert np.allclose(got, beta, atol=1e-8)
 
     def test_rank_deficient_names_columns(self):
-        X = np.ones((10, 2))
         from citegauge.model import DesignMatrix
         design = DesignMatrix(
-            X=X, column_names=("intercept", "venue:dup"),
+            column_names=("intercept", "venue:dup"),
             venue_levels=("dup",), reference_venue="A", T=1,
             early_levels=(),
             row_venues=tuple("dup" for _ in range(10)),
@@ -263,7 +262,7 @@ class TestFitOls:
         rng.shuffle(perm)
         from citegauge.model import DesignMatrix
         shuffled = DesignMatrix(
-            X=design.X[perm], column_names=design.column_names,
+            column_names=design.column_names,
             venue_levels=design.venue_levels,
             reference_venue=design.reference_venue, T=design.T,
             early_levels=design.early_levels,
