@@ -32,6 +32,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers, each >= 1, e.g. "1,2,3,10,20"."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(_positive_int(item))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"item {item!r} is not an integer >= 1") from None
+    return values
+
+
 def _parse_years(text: str) -> list[int]:
     """argparse type: "2016..2023" (inclusive, ascending) or "2016,2017,2020"."""
     if ".." in text:
@@ -135,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groupstats", help="h/median/mu/sigma/N per group")
     _add_cohort_flags(p, offsets=True)
     p.add_argument("--by", choices=["early", "venue"], default="early")
-    p.add_argument("--thresholds", default="1,2,3,10,20",
-                   help="early-citation thresholds (by=early)")
+    p.add_argument("--thresholds", type=_positive_int_list,
+                   default="1,2,3,10,20",
+                   help="early-citation thresholds, each >= 1 (by=early)")
     p.add_argument("--min-size", type=_positive_int, default=1,
                    help="venues below this pool into 'All other venues' (by=venue)")
 
@@ -160,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triage", help="rank papers by early returns")
     _add_cohort_flags(p, offsets=True)
     p.add_argument("--model", default=None, help="optional fitted model JSON")
-    p.add_argument("--thresholds", default=None,
+    p.add_argument("--thresholds", type=_positive_int_list, default=None,
                    help="also emit threshold-vs-venue comparison rows")
     p.add_argument("--min-venue-size", type=_positive_int, default=1)
 
@@ -231,13 +244,12 @@ def _cmd_venuecorr(args) -> int:
 def _cmd_groupstats(args) -> int:
     cohort = _load_cohort(args)
     if args.by == "early":
-        thresholds = [int(t) for t in args.thresholds.split(",")]
         stats = metrics_mod.group_by_early_threshold(
-            cohort, thresholds, early_offset=args.early_offset,
+            cohort, args.thresholds, early_offset=args.early_offset,
             future_offset=args.future_offset)
-        emitted = {s.label for s in stats}
-        for t in thresholds:
-            if f"{t}+ citations" not in emitted:
+        emitted = {s.threshold for s in stats}
+        for t in args.thresholds:
+            if t not in emitted:
                 print(f"note: threshold {t}+ group is empty, row omitted",
                       file=sys.stderr)
     else:
@@ -291,12 +303,9 @@ def _cmd_triage(args) -> int:
                                   model=fitted)
     comparisons = None
     if args.thresholds:
-        thresholds = [int(t) for t in args.thresholds.split(",")]
-        threshold_stats = metrics_mod.group_by_early_threshold(
-            cohort, thresholds, early_offset=args.early_offset,
-            future_offset=args.future_offset)
-        threshold_stats = [s for s in threshold_stats
-                           if s.label != "0 citations"]
+        threshold_stats = [s for s in metrics_mod.group_by_early_threshold(
+            cohort, args.thresholds, early_offset=args.early_offset,
+            future_offset=args.future_offset) if s.threshold != 0]
         venue_stats = [s for s in metrics_mod.group_by_venue(
             cohort, min_size=args.min_venue_size,
             future_offset=args.future_offset)

@@ -36,10 +36,16 @@ class Source(str, Enum):
 
     @classmethod
     def parse(cls, value: str) -> "Source":
-        for member in cls:
-            if member.value.lower() == str(value).lower():
-                return member
-        raise ValueError(f"unknown source: {value!r}")
+        member = _SOURCES.get(str(value).lower())
+        if member is None:
+            raise ValueError(f"unknown source: {value!r}")
+        return member
+
+
+#: Lookup tables for the validator's accept path: a canonical year key and a
+#: lowercased source name each cost one dict lookup.
+_YEARS = {str(y): y for y in range(YEAR_MIN, YEAR_MAX + 1)}
+_SOURCES = {member.value.lower(): member for member in Source}
 
 
 @dataclass(frozen=True)
@@ -82,20 +88,47 @@ def _check_year(value, what: str, line=None) -> int:
     return value
 
 
+def _check_count(key, value, pub_year: int, line=None) -> tuple[int, int]:
+    """The full checks of one counts entry, in order; the reject path."""
+    try:
+        year = int(key)
+    except (TypeError, ValueError):
+        raise ParseError(f"counts key {key!r} is not a year", line=line) from None
+    _check_year(year, f"counts key {key!r}", line=line)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise NegativeCount(
+            f"counts[{year}] must be a non-negative integer, got {value!r}",
+            line=line,
+        )
+    if year < pub_year:
+        raise CitationBeforePublication(
+            f"counts[{year}] precedes publication year {pub_year}", line=line
+        )
+    return year, value
+
+
 def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
     """Validate one parsed corpus line into a PaperRecord.
 
     In strict mode unknown keys are rejected; with strict=False they are
     ignored.  Every failure names the offending field and line number.
+
+    A valid record costs only table lookups and exact type tests: count keys
+    are looked up in a table of canonical year strings and the source (in
+    Source.parse) in a table of lowercased names.  Anything the lookups and
+    type tests do not accept at once (a key such as " 2016" or "02016", an
+    int subclass, a bool) goes through the full checks, so every record is
+    accepted or rejected exactly as the full checks alone would, with the
+    same exception and message.
     """
     if not isinstance(raw, dict):
         raise ParseError(f"record must be an object, got {type(raw).__name__}", line=line)
-    missing = CORPUS_KEYS - raw.keys()
-    if missing:
-        raise MissingField(f"missing field(s): {sorted(missing)}", line=line)
-    if strict:
-        unknown = raw.keys() - CORPUS_KEYS
-        if unknown:
+    if raw.keys() != CORPUS_KEYS:
+        missing = CORPUS_KEYS - raw.keys()
+        if missing:
+            raise MissingField(f"missing field(s): {sorted(missing)}", line=line)
+        if strict:
+            unknown = raw.keys() - CORPUS_KEYS
             raise ParseError(f"unknown key(s): {sorted(unknown)}", line=line)
 
     paper_id = raw["id"]
@@ -118,20 +151,10 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
         raise ParseError("field 'counts' must be an object", line=line)
     counts: dict[int, int] = {}
     for key, value in raw_counts.items():
-        try:
-            year = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"counts key {key!r} is not a year", line=line) from None
-        _check_year(year, f"counts key {key!r}", line=line)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise NegativeCount(
-                f"counts[{year}] must be a non-negative integer, got {value!r}",
-                line=line,
-            )
-        if year < pub_year:
-            raise CitationBeforePublication(
-                f"counts[{year}] precedes publication year {pub_year}", line=line
-            )
+        year = _YEARS.get(key)
+        if (year is None or type(value) is not int or value < 0
+                or year < pub_year):
+            year, value = _check_count(key, value, pub_year, line)
         counts[year] = value
 
     return PaperRecord(id=paper_id, source=source, venue=venue,

@@ -45,6 +45,16 @@ class ParseError(CorpusError):
     pass
 
 
+# --- nomination ledger ---
+
+class LedgerError(CiteGaugeError):
+    """A nomination ledger line is unreadable."""
+
+    def __init__(self, message, line):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
 # --- ingest ---
 
 class IngestError(CiteGaugeError):

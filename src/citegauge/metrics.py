@@ -26,7 +26,11 @@ DEFAULT_FUTURE_OFFSET = 4
 
 @dataclass(frozen=True)
 class GroupStats:
-    """h-index, median, impact (mean), std dev and size of one paper group."""
+    """h-index, median, impact (mean), std dev and size of one paper group.
+
+    threshold is 0 for the exact "0 citations" group, t for a "t+ citations"
+    group and None for a venue group.
+    """
 
     label: str
     h: int
@@ -34,6 +38,7 @@ class GroupStats:
     mu: float
     sigma: float
     n: int
+    threshold: int | None = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ def _future_counts(group: Sequence[PaperRecord], future_year: int) -> np.ndarray
 
 
 def group_stats(group: Sequence[PaperRecord], future_year: int,
-                label: str = "") -> GroupStats:
+                label: str = "", threshold: int | None = None) -> GroupStats:
     """Summary statistics of the group's counts at future_year.
 
     mu is the arithmetic mean, sigma the population (divide-by-N) standard
@@ -79,6 +84,7 @@ def group_stats(group: Sequence[PaperRecord], future_year: int,
     counts = _future_counts(group, future_year)
     return GroupStats(
         label=label,
+        threshold=threshold,
         h=h_index([int(c) for c in counts]),
         median=float(np.median(counts)),
         mu=float(np.mean(counts)),
@@ -104,12 +110,14 @@ def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
     rows = []
     zero_group = [p for p in cohort if p.citations_in(early_year) == 0]
     if zero_group:
-        rows.append(group_stats(zero_group, future_year, label="0 citations"))
+        rows.append(group_stats(zero_group, future_year, label="0 citations",
+                                threshold=0))
     for t in thresholds:
         members = [p for p in cohort if p.citations_in(early_year) >= t]
         if not members:
             continue
-        rows.append(group_stats(members, future_year, label=f"{t}+ citations"))
+        rows.append(group_stats(members, future_year, label=f"{t}+ citations",
+                                threshold=t))
     return rows
 
 

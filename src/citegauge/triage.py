@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Cohort
-from .errors import EmptyCohort, EmptyGroup
+from .errors import EmptyCohort, EmptyGroup, LedgerError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
 from .model import FittedModel
 
@@ -62,7 +62,9 @@ def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
 
 def rule_of_thumb(threshold_stats: Sequence[GroupStats],
                   venue_stats: Sequence[GroupStats]) -> list[ThresholdComparison]:
-    """For each threshold group, the fraction of venues it beats on mu and h."""
+    """For each threshold group, the fraction of venues it beats on mu and h.
+
+    Every threshold group must carry its threshold (GroupStats.threshold)."""
     if not venue_stats:
         raise EmptyGroup("no venue statistics to compare against")
     if not threshold_stats:
@@ -70,22 +72,18 @@ def rule_of_thumb(threshold_stats: Sequence[GroupStats],
     out = []
     n_venues = len(venue_stats)
     for group in threshold_stats:
+        if group.threshold is None:
+            raise ValueError(f"group {group.label!r} has no threshold")
         below_mu = sum(1 for v in venue_stats if v.mu < group.mu)
         below_h = sum(1 for v in venue_stats if v.h < group.h)
-        threshold = _parse_threshold_label(group.label)
         out.append(ThresholdComparison(
-            threshold=threshold,
+            threshold=group.threshold,
             group_mu=group.mu,
             group_h=group.h,
             frac_venues_below_mu=below_mu / n_venues,
             frac_venues_below_h=below_h / n_venues,
         ))
     return out
-
-
-def _parse_threshold_label(label: str) -> int:
-    head = label.split()[0]
-    return int(head.rstrip("+"))
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,28 @@ class NominationLedger:
         if path is not None:
             try:
                 with open(path, encoding="utf-8") as handle:
-                    for line in handle:
+                    for line_num, line in enumerate(handle, 1):
                         line = line.strip()
                         if line:
-                            self._apply(json.loads(line), persist=False)
+                            self._load_line(line, line_num)
             except FileNotFoundError:
                 pass
+
+    def _load_line(self, line: str, line_num: int) -> None:
+        """Apply one ledger file line; a bad line raises LedgerError."""
+        try:
+            event = json.loads(line)
+            if not isinstance(event, dict):
+                raise TypeError(
+                    f"event must be an object, got {type(event).__name__}")
+            self._apply(event, persist=False)
+        except json.JSONDecodeError as exc:
+            raise LedgerError(f"invalid JSON: {exc.msg}", line=line_num) from None
+        except KeyError as exc:
+            raise LedgerError(f"missing field {exc.args[0]!r}",
+                              line=line_num) from None
+        except (ValueError, TypeError) as exc:
+            raise LedgerError(str(exc), line=line_num) from None
 
     def _apply(self, event: dict, persist: bool) -> None:
         nominator = event["nominator"]

@@ -52,6 +52,18 @@ class TestUsage:
         assert out == ""
         assert args[-2] in err
 
+    @pytest.mark.parametrize("subcommand", ["groupstats", "triage"])
+    @pytest.mark.parametrize("value,bad_item", [
+        ("1,x", "x"), ("-2,0", "-2"), ("0", "0"), ("1,,2", ""), ("3,1.5", "1.5"),
+    ])
+    def test_bad_thresholds_exit_2(self, subcommand, value, bad_item,
+                                   fixture_args, capsys):
+        code, out, err = run([subcommand, *fixture_args,
+                              f"--thresholds={value}"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--thresholds" in err and f"item {bad_item!r}" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--rate", "abc"), ("--rate", "100"), ("--rate", "1/2/3"),
         ("--rate", "0/300"), ("--rate", "10/0"), ("--rate", "10/nan"),
@@ -195,6 +207,25 @@ class TestTriageAndLedger:
         assert code == EXIT_OK and "balance=3" in out
         code, out, _ = run(["ledger", "--file", str(path), "show"], capsys)
         assert code == EXIT_OK and "alice" in out
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"kind": "review", "paper": "p9"}',    # no nominator
+        '{"kind": "nomination", "nomin',        # torn last line
+    ])
+    def test_ledger_bad_line_exit_1_names_line(self, bad_line, tmp_path,
+                                               capsys):
+        path = tmp_path / "ledger.jsonl"
+        run(["ledger", "--file", str(path), "nominate",
+             "--nominator", "alice", "--paper", "p1"], capsys)
+        run(["ledger", "--file", str(path), "review",
+             "--nominator", "alice", "--paper", "p2"], capsys)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(bad_line + "\n")
+        code, out, err = run(["ledger", "--file", str(path), "show"], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert "citegauge ledger: error: line 3: " in err
+        assert "Traceback" not in err
 
     def test_ledger_missing_flags_usage_error(self, tmp_path, capsys):
         code, _, _ = run(["ledger", "--file", str(tmp_path / "l.jsonl"),

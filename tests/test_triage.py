@@ -3,10 +3,18 @@ import random
 import pytest
 
 from citegauge import errors
+from citegauge.corpus import filter_cohort, load_corpus
 from citegauge.metrics import GroupStats
-from citegauge.model import MISC_VENUE, FittedModel
+from citegauge.model import (
+    MISC_VENUE,
+    FittedModel,
+    build_design_matrix,
+    fit_ols,
+    percentile_transform,
+)
 from citegauge.triage import (
     NominationLedger,
+    RankedPaper,
     ddi_rank,
     rule_of_thumb,
 )
@@ -59,14 +67,30 @@ class TestDdiRank:
         assert [r.paper_id for r in again] == [r.paper_id for r in ranking]
 
 
-def gs(label, mu, h, n=10):
-    return GroupStats(label=label, h=h, median=mu, mu=mu, sigma=1.0, n=n)
+    @pytest.mark.parametrize("min_venue_size", [1, 55])
+    def test_model_ranking_matches_per_paper_predict(self, fixture_corpus_path,
+                                                     min_venue_size):
+        cohort = filter_cohort(load_corpus(fixture_corpus_path), 2016)
+        design = build_design_matrix(cohort, min_venue_size=min_venue_size)
+        model = fit_ols(design, percentile_transform(cohort, 2020))
+        # with min_venue_size=55 the 50-paper NLPConf folds into misc
+        assert (MISC_VENUE in model.venue_coefs) == (min_venue_size == 55)
+        expected = [RankedPaper(p.id, p.citations_in(2017), p.venue,
+                                model.predict(p.venue, p.citations_in(2017)))
+                    for p in cohort]
+        expected.sort(key=lambda r: (-r.early_count, -r.predicted_percentile,
+                                     r.paper_id))
+        assert ddi_rank(cohort, model=model) == expected
+
+def gs(label, mu, h, n=10, threshold=None):
+    return GroupStats(label=label, h=h, median=mu, mu=mu, sigma=1.0, n=n,
+                      threshold=threshold)
 
 
 class TestRuleOfThumb:
     def test_fraction_of_venues_beaten(self):
-        thresholds = [gs("1+ citations", mu=6.8, h=292),
-                      gs("20+ citations", mu=56.4, h=288)]
+        thresholds = [gs("1+ citations", mu=6.8, h=292, threshold=1),
+                      gs("20+ citations", mu=56.4, h=288, threshold=20)]
         venues = [gs(f"v{i}", mu=float(m), h=hh)
                   for i, (m, hh) in enumerate(
                       [(3, 20), (5, 30), (8, 40), (30, 100), (60, 300)])]
@@ -77,13 +101,15 @@ class TestRuleOfThumb:
         assert rows[1].frac_venues_below_h == pytest.approx(4 / 5)
 
     def test_single_venue_above_everything(self):
-        thresholds = [gs("1+ citations", 5.0, 10), gs("20+ citations", 9.0, 12)]
+        thresholds = [gs("1+ citations", 5.0, 10, threshold=1),
+                      gs("20+ citations", 9.0, 12, threshold=20)]
         venues = [gs("big", 100.0, 500)]
         rows = rule_of_thumb(thresholds, venues)
         assert all(r.frac_venues_below_mu == 0.0 for r in rows)
 
     def test_fractions_bounded_and_monotone_when_premise_holds(self):
-        thresholds = [gs(f"{t}+ citations", mu=float(t * 3), h=t * 2)
+        thresholds = [gs(f"{t}+ citations", mu=float(t * 3), h=t * 2,
+                         threshold=t)
                       for t in [1, 2, 3, 10]]
         venues = [gs(f"v{i}", mu=float(i), h=i) for i in range(1, 40)]
         rows = rule_of_thumb(thresholds, venues)
@@ -95,7 +121,7 @@ class TestRuleOfThumb:
         with pytest.raises(errors.EmptyGroup):
             rule_of_thumb([], [gs("v", 1.0, 1)])
         with pytest.raises(errors.EmptyGroup):
-            rule_of_thumb([gs("1+ citations", 1.0, 1)], [])
+            rule_of_thumb([gs("1+ citations", 1.0, 1, threshold=1)], [])
 
 
 class TestNominationLedger:
@@ -143,6 +169,23 @@ class TestNominationLedger:
         assert reloaded.balances() == {"alice": 3, "bob": -1}
         # file is append-only JSONL, one event per line
         assert len(path.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("bad_line,message", [
+        ('{"kind": "review", "paper": "p2"}', "missing field 'nominator'"),
+        ('{"kind": "nomination", "nominator": "al', "invalid JSON"),
+        ('{"kind": "vote", "nominator": "alice", "paper": "p2"}',
+         "unknown event kind: 'vote'"),
+        ('["nomination", "alice"]', "must be an object"),
+    ])
+    def test_bad_line_names_its_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "ledger.jsonl"
+        good = '{"kind": "nomination", "nominator": "alice", "paper": "p1"}'
+        path.write_text(f"{good}\n\n{good}\n{bad_line}\n")
+        with pytest.raises(errors.LedgerError) as info:
+            NominationLedger(path)
+        assert info.value.line == 4
+        assert str(info.value).startswith("line 4: ")
+        assert message in str(info.value)
 
     def test_empty_nominator_rejected(self):
         ledger = NominationLedger()
