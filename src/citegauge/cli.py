@@ -32,6 +32,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_int_list(text: str) -> list[int]:
     """argparse type: comma-separated integers, each >= 1, e.g. "1,2,3,10,20"."""
     values = []
@@ -66,10 +74,20 @@ def _parse_rate(text: str) -> ingest_mod.RateBudget:
         ) from None
 
 
-def _parse_sources(text: str | None):
+def _source_set(text: str) -> frozenset[corpus_mod.Source] | None:
+    """argparse type: comma-separated source names, e.g. "ACL,ArXiv";
+    empty means all sources."""
     if not text:
         return None
-    return frozenset(corpus_mod.Source.parse(s) for s in text.split(","))
+    sources = set()
+    for item in text.split(","):
+        try:
+            sources.add(corpus_mod.Source.parse(item))
+        except ValueError:
+            names = ", ".join(s.value for s in corpus_mod.Source)
+            raise argparse.ArgumentTypeError(
+                f"item {item!r} is not a source ({names})") from None
+    return frozenset(sources)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -85,14 +103,13 @@ def _load_cohort(args) -> corpus_mod.Cohort:
     if getattr(args, "aliases", None):
         aliases = corpus_mod.load_venue_aliases(args.aliases)
         records = corpus_mod.apply_venue_aliases(records, aliases)
-    return corpus_mod.filter_cohort(records, args.pub_year,
-                                    _parse_sources(args.sources))
+    return corpus_mod.filter_cohort(records, args.pub_year, args.sources)
 
 
 def _add_cohort_flags(parser, offsets=False, model_params=False):
     parser.add_argument("--corpus", required=True, help="corpus JSONL file")
     parser.add_argument("--pub-year", type=int, required=True)
-    parser.add_argument("--sources", default=None,
+    parser.add_argument("--sources", type=_source_set, default=None,
                         help="comma-separated: ACL,ArXiv,PubMed,Other (default all)")
     parser.add_argument("--aliases", default=None,
                         help="optional JSON file mapping raw venue -> canonical name")
@@ -160,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict a percentile from a saved model")
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.add_argument("--venue", required=True)
-    p.add_argument("--early", type=int, required=True)
+    p.add_argument("--early", type=_non_negative_int, required=True)
 
     p = sub.add_parser("anova", help="variance attribution for a fitted year")
     _add_cohort_flags(p, model_params=True)

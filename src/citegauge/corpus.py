@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import (
     CitationBeforePublication,
     DuplicateId,
@@ -35,7 +37,9 @@ class Source(str, Enum):
     OTHER = "Other"
 
     @classmethod
-    def parse(cls, value: str) -> "Source":
+    def parse(cls, value: "str | Source") -> "Source":
+        if isinstance(value, cls):
+            return value
         member = _SOURCES.get(str(value).lower())
         if member is None:
             raise ValueError(f"unknown source: {value!r}")
@@ -65,7 +69,12 @@ class PaperRecord:
 
 @dataclass(frozen=True)
 class Cohort:
-    """Papers sharing a publication year (and a source set), sorted by id."""
+    """Papers sharing a publication year (and a source set), sorted by id.
+
+    The statistics read the cohort as columns, each in cohort (id) order:
+    ``ids``, ``venues`` and ``counts_in(year)``.  Each call builds its
+    column afresh; nothing is cached.
+    """
 
     pub_year: int
     sources: frozenset[Source]
@@ -76,6 +85,23 @@ class Cohort:
 
     def __iter__(self) -> Iterator[PaperRecord]:
         return iter(self.papers)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(p.id for p in self.papers)
+
+    @property
+    def venues(self) -> tuple[str, ...]:
+        return tuple(p.venue for p in self.papers)
+
+    def counts_in(self, year: int) -> np.ndarray:
+        """Citations in a calendar year as an int64 vector; absent years are zero."""
+        try:
+            return np.array([p.counts.get(year, 0) for p in self.papers],
+                            dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"a citation count in {year} does not fit in "
+                             f"64 bits") from None
 
 
 def _check_year(value, what: str, line=None) -> int:
@@ -161,8 +187,19 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
                        pub_year=pub_year, counts=counts)
 
 
+#: Decodes one JSON value at the start of a string and returns it with the
+#: index where it ends.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
-    """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
+    """Load a JSONL corpus file; rejects duplicate ids and invalid lines.
+
+    A stripped line that holds exactly one JSON value costs one raw_decode;
+    json.loads, which is raw_decode behind a BOM check and two whitespace
+    scans, runs only on a line raw_decode does not consume whole, and
+    raises the error the line has always raised.
+    """
     records: list[PaperRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
@@ -171,9 +208,15 @@ def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_num) from None
+                raw, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}",
+                                     line=line_num) from None
             record = validate_record(raw, line=line_num, strict=strict)
             if record.id in seen:
                 raise DuplicateId(f"duplicate id {record.id!r}", line=line_num)

@@ -320,6 +320,19 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
 TABLE_META_COLUMNS = ["id", "venue", "source", "pub_year"]
 
 
+def _table_int(cell: str, row_num: int, col_name: str) -> int:
+    """A stripped decimal cell, one leading "+" allowed, as an int; any
+    other cell raises NonIntegerCount naming the row and the column.
+
+    str.isdecimal accepts exactly the digits int() reads; isdigit also
+    accepts characters such as "²" that int() rejects.
+    """
+    digits = cell[1:] if cell.startswith("+") else cell
+    if not digits.isdecimal():
+        raise NonIntegerCount(row_num, col_name, cell)
+    return int(digits)
+
+
 def import_table(path, delimiter: str = ",") -> list[PaperRecord]:
     """Import a pre-aggregated count table.
 
@@ -337,7 +350,7 @@ def import_table(path, delimiter: str = ",") -> list[PaperRecord]:
                 f"expected leading columns {TABLE_META_COLUMNS}, got {header[:4]}")
         year_cols = []
         for col in header[4:]:
-            if not (len(col) == 4 and col.isdigit()):
+            if not (len(col) == 4 and col.isdecimal()):
                 raise HeaderMismatch(f"year column {col!r} is not a 4-digit year")
             year_cols.append(int(col))
         if not year_cols:
@@ -355,14 +368,12 @@ def import_table(path, delimiter: str = ",") -> list[PaperRecord]:
                 cell = cell.strip()
                 if not cell:
                     continue
-                if not cell.lstrip("+").isdigit():
-                    raise NonIntegerCount(row_num, col_name, cell)
-                counts[str(year)] = int(cell)
+                counts[str(year)] = _table_int(cell, row_num, col_name)
             raw = {
                 "id": row[0].strip(),
                 "venue": row[1].strip(),
                 "source": row[2].strip(),
-                "year": int(row[3]),
+                "year": _table_int(row[3].strip(), row_num, header[3]),
                 "counts": counts,
             }
             records.append(validate_record(raw, line=row_num))

@@ -56,19 +56,50 @@ class CorrelationTable:
 
 
 def h_index(counts: Sequence[int]) -> int:
-    """Largest h such that at least h of the counts are >= h."""
-    ordered = sorted(counts, reverse=True)
-    h = 0
-    for i, c in enumerate(ordered, 1):
-        if c >= i:
-            h = i
-        else:
-            break
-    return h
+    """Largest h such that at least h of the counts are >= h.
+
+    Sorted descending, c_i - i falls strictly with the 1-based rank i, so
+    c_i >= i holds on a prefix whose length is h.
+    """
+    ordered = np.sort(np.asarray(counts))[::-1]
+    return int(np.count_nonzero(ordered >= np.arange(1, len(ordered) + 1)))
 
 
-def _future_counts(group: Sequence[PaperRecord], future_year: int) -> np.ndarray:
-    return np.array([p.citations_in(future_year) for p in group], dtype=float)
+def factorize(values: Sequence) -> tuple[dict, np.ndarray]:
+    """The distinct values, in first-appearance order, each mapped to its
+    code 0, 1, ..., and the code of every value.
+
+    Values are told apart as dict keys are.  np.unique would sort strings
+    as fixed-width arrays, which drop trailing NUL characters.
+    """
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return index, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                              count=len(values))
+
+
+def split_by_code(values: np.ndarray, codes: np.ndarray,
+                  n_levels: int) -> list[np.ndarray]:
+    """values split into one array per code 0..n_levels-1, each in the
+    order the values come in."""
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=n_levels))
+    return np.split(values[order], ends[:-1])
+
+
+def _count_stats(counts: np.ndarray, label: str,
+                 threshold: int | None = None) -> GroupStats:
+    # float64 before the reductions, as the counts have always been: a sum
+    # cast from int64 chunk by chunk rounds differently past 2**53
+    values = counts.astype(np.float64)
+    return GroupStats(
+        label=label,
+        threshold=threshold,
+        h=h_index(counts),
+        median=float(np.median(values)),
+        mu=float(np.mean(values)),
+        sigma=float(np.std(values)),
+        n=len(counts),
+    )
 
 
 def group_stats(group: Sequence[PaperRecord], future_year: int,
@@ -81,16 +112,9 @@ def group_stats(group: Sequence[PaperRecord], future_year: int,
     """
     if len(group) == 0:
         raise EmptyGroup(f"group {label!r} is empty")
-    counts = _future_counts(group, future_year)
-    return GroupStats(
-        label=label,
-        threshold=threshold,
-        h=h_index([int(c) for c in counts]),
-        median=float(np.median(counts)),
-        mu=float(np.mean(counts)),
-        sigma=float(np.std(counts)),
-        n=len(group),
-    )
+    counts = np.array([p.citations_in(future_year) for p in group],
+                      dtype=np.int64)
+    return _count_stats(counts, label, threshold)
 
 
 def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
@@ -105,20 +129,12 @@ def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot group an empty cohort")
-    early_year = cohort.pub_year + early_offset
-    future_year = cohort.pub_year + future_offset
-    rows = []
-    zero_group = [p for p in cohort if p.citations_in(early_year) == 0]
-    if zero_group:
-        rows.append(group_stats(zero_group, future_year, label="0 citations",
-                                threshold=0))
-    for t in thresholds:
-        members = [p for p in cohort if p.citations_in(early_year) >= t]
-        if not members:
-            continue
-        rows.append(group_stats(members, future_year, label=f"{t}+ citations",
-                                threshold=t))
-    return rows
+    early = cohort.counts_in(cohort.pub_year + early_offset)
+    future = cohort.counts_in(cohort.pub_year + future_offset)
+    groups = [("0 citations", 0, early == 0)]
+    groups += [(f"{t}+ citations", t, early >= t) for t in thresholds]
+    return [_count_stats(future[members], label, threshold)
+            for label, threshold, members in groups if members.any()]
 
 
 OTHER_VENUES_LABEL = "All other venues"
@@ -127,22 +143,24 @@ OTHER_VENUES_LABEL = "All other venues"
 def group_by_venue(cohort: Cohort, min_size: int = 1,
                    future_offset: int = DEFAULT_FUTURE_OFFSET) -> list[GroupStats]:
     """One stats row per venue with >= min_size members, sorted by mu descending;
-    smaller venues pool into a final "All other venues" row."""
+    smaller venues pool into a final "All other venues" row.
+
+    The pooled counts come venue by venue in order of first appearance, and
+    in id order within a venue.
+    """
     if len(cohort) == 0:
         raise EmptyCohort("cannot group an empty cohort")
-    future_year = cohort.pub_year + future_offset
-    by_venue: dict[str, list[PaperRecord]] = {}
-    for p in cohort:
-        by_venue.setdefault(p.venue, []).append(p)
-    named, other = [], []
-    for venue, members in by_venue.items():
-        (named if len(members) >= min_size else other).append((venue, members))
-    rows = [group_stats(members, future_year, label=venue)
-            for venue, members in named]
+    future = cohort.counts_in(cohort.pub_year + future_offset)
+    venues, codes = factorize(cohort.venues)
+    rows, other = [], []
+    for venue, counts in zip(venues, split_by_code(future, codes, len(venues))):
+        if len(counts) >= min_size:
+            rows.append(_count_stats(counts, venue))
+        else:
+            other.append(counts)
     rows.sort(key=lambda r: (-r.mu, r.label))
     if other:
-        pooled = [p for _, members in other for p in members]
-        rows.append(group_stats(pooled, future_year, label=OTHER_VENUES_LABEL))
+        rows.append(_count_stats(np.concatenate(other), OTHER_VENUES_LABEL))
     return rows
 
 
@@ -168,7 +186,7 @@ def year_correlation_matrix(cohort: Cohort, years: Sequence[int]) -> Correlation
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     if not years:
         raise ValueError("years must be non-empty")
-    vectors = {y: _future_counts(cohort.papers, y) for y in years}
+    vectors = {y: cohort.counts_in(y) for y in years}
     n = len(years)
     grid = [[None] * n for _ in range(n)]
     for i, a in enumerate(years):
@@ -190,24 +208,21 @@ def indicator_correlation(cohort: Cohort,
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     indicator = np.array([1.0 if venue_predicate(p) else 0.0 for p in cohort])
-    counts = _future_counts(cohort.papers, year)
-    return pearson(indicator, counts)
+    return pearson(indicator, cohort.counts_in(year))
 
 
 def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],
-                            years: Sequence[int],
-                            membership: Callable[[PaperRecord, str], bool] | None = None,
-                            ) -> CorrelationTable:
-    """Venue x year table of indicator correlations.
-
-    membership defaults to exact venue-string equality.
-    """
-    if membership is None:
-        membership = lambda p, v: p.venue == v
+                            years: Sequence[int]) -> CorrelationTable:
+    """Venue x year table of venue-indicator correlations (exact venue-string
+    equality)."""
+    if len(cohort) < 2:
+        raise EmptyCohort("correlation needs a cohort of size >= 2")
+    vectors = {y: cohort.counts_in(y) for y in years}
+    venues, codes = factorize(cohort.venues)
     entries = []
     for venue in venue_names:
-        pred = lambda p, v=venue: membership(p, v)
-        entries.append(tuple(indicator_correlation(cohort, pred, y) for y in years))
+        indicator = (codes == venues.get(venue, -1)).astype(np.float64)
+        entries.append(tuple(pearson(indicator, vectors[y]) for y in years))
     return CorrelationTable(
         row_labels=tuple(venue_names),
         col_labels=tuple(years),

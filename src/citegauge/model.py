@@ -34,7 +34,12 @@ from .errors import (
     RankDeficient,
     TooFewRows,
 )
-from .metrics import DEFAULT_EARLY_OFFSET, DEFAULT_FUTURE_OFFSET
+from .metrics import (
+    DEFAULT_EARLY_OFFSET,
+    DEFAULT_FUTURE_OFFSET,
+    factorize,
+    split_by_code,
+)
 
 MISC_VENUE = "misc"
 DEFAULT_MIN_VENUE_SIZE = 40
@@ -218,7 +223,7 @@ def percentile_transform(cohort: Cohort,
         raise EmptyCohort("cannot compute percentiles of an empty cohort")
     if future_year is None:
         future_year = cohort.pub_year + DEFAULT_FUTURE_OFFSET
-    counts = np.array([p.citations_in(future_year) for p in cohort], dtype=np.int64)
+    counts = cohort.counts_in(future_year)
     # average rank of a tie group: its last 1-based position minus
     # (size - 1) / 2; exact in float64 for any realistic cohort size
     _, group, size = np.unique(counts, return_inverse=True, return_counts=True)
@@ -227,7 +232,7 @@ def percentile_transform(cohort: Cohort,
     return PercentileFrame(
         pub_year=cohort.pub_year,
         future_year=future_year,
-        paper_ids=tuple(p.id for p in cohort),
+        paper_ids=cohort.ids,
         percentiles=tuple(percentiles.tolist()),
     )
 
@@ -257,12 +262,14 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
         raise ValueError("T must be >= 1")
     early_year = cohort.pub_year + early_offset
 
-    venue_sizes = Counter(p.venue for p in cohort)
-    row_venues = tuple(
-        p.venue if venue_sizes[p.venue] >= min_venue_size else MISC_VENUE
-        for p in cohort
-    )
-    level_sizes = Counter(row_venues)
+    venues, codes = factorize(cohort.venues)
+    sizes = np.bincount(codes, minlength=len(venues)).tolist()
+    level_of = [v if size >= min_venue_size else MISC_VENUE
+                for v, size in zip(venues, sizes)]
+    row_venues = tuple(map(level_of.__getitem__, codes.tolist()))
+    level_sizes = Counter()
+    for level, size in zip(level_of, sizes):
+        level_sizes[level] += size
 
     if reference_venue is None:
         # most populous level; name breaks ties deterministically
@@ -272,7 +279,7 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
                          f"of this cohort (levels: {sorted(level_sizes)})")
 
     venue_levels = tuple(sorted(v for v in level_sizes if v != reference_venue))
-    early = np.array([p.citations_in(early_year) for p in cohort], dtype=np.int64)
+    early = cohort.counts_in(early_year)
     if np.any(early < 0):
         raise ValueError("count must be non-negative")
     row_early = np.minimum(early, T)
@@ -293,7 +300,7 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
         early_levels=early_levels,
         row_venues=row_venues,
         row_early=tuple(row_early.tolist()),
-        paper_ids=tuple(p.id for p in cohort),
+        paper_ids=cohort.ids,
     )
 
 
@@ -417,12 +424,11 @@ def boxplot_aggregate(values: Sequence[float], groups: Sequence,
         raise ValueError("no values to aggregate")
     if len(values) != len(groups):
         raise DimensionMismatch("values and groups differ in length")
-    buckets: dict = {}
-    for v, g in zip(values, groups):
-        buckets.setdefault(g, []).append(float(v))
+    keys, codes = factorize(groups)
+    buckets = split_by_code(np.asarray(values, dtype=np.float64), codes,
+                            len(keys))
     rows = []
-    for key in sorted(buckets, key=str):
-        data = np.array(buckets[key])
+    for key, data in sorted(zip(keys, buckets), key=lambda kb: str(kb[0])):
         q1, med, q3 = np.percentile(data, [25, 50, 75])
         rows.append(BoxplotRow(
             label=str(key),

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import Cohort
 from .errors import EmptyCohort, EmptyGroup, LedgerError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
@@ -43,21 +45,24 @@ class ThresholdComparison:
 def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
              model: FittedModel | None = None) -> list[RankedPaper]:
     """Rank papers by descending early count; ties break by descending
-    predicted percentile (when a model is supplied), then ascending id."""
+    predicted percentile (when a model is supplied), then ascending id.
+
+    The last tie-break is the cohort's own (id) order, kept by the stable
+    sort.
+    """
     if len(cohort) == 0:
         raise EmptyCohort("cannot rank an empty cohort")
-    early_year = cohort.pub_year + early_offset
-    rows = []
-    for p in cohort:
-        early = p.citations_in(early_year)
-        predicted = model.predict(p.venue, early) if model is not None else None
-        rows.append(RankedPaper(p.id, early, p.venue, predicted))
-    rows.sort(key=lambda r: (
-        -r.early_count,
-        -(r.predicted_percentile if r.predicted_percentile is not None else 0.0),
-        r.paper_id,
-    ))
-    return rows
+    ids, venues = cohort.ids, cohort.venues
+    early = cohort.counts_in(cohort.pub_year + early_offset)
+    counts = early.tolist()
+    if model is None:
+        predicted = [None] * len(counts)
+        order = np.argsort(-early, kind="stable")
+    else:
+        predicted = [model.predict(v, e) for v, e in zip(venues, counts)]
+        order = np.lexsort((-np.array(predicted), -early))
+    return [RankedPaper(ids[i], counts[i], venues[i], predicted[i])
+            for i in order.tolist()]
 
 
 def rule_of_thumb(threshold_stats: Sequence[GroupStats],

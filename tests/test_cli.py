@@ -64,6 +64,34 @@ class TestUsage:
         assert out == ""
         assert "--thresholds" in err and f"item {bad_item!r}" in err
 
+    @pytest.mark.parametrize("value,bad_item", [
+        ("Foo", "Foo"), ("ACL,Twitter", "Twitter"), ("ACL,,PubMed", ""),
+    ])
+    def test_bad_sources_exit_2(self, value, bad_item, fixture_args, capsys):
+        code, out, err = run(["groupstats", *fixture_args,
+                              f"--sources={value}"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--sources" in err and f"item {bad_item!r}" in err
+
+    def test_sources_parsed_case_insensitively(self, fixture_args, capsys):
+        code, all_out, _ = run(["groupstats", *fixture_args], capsys)
+        assert code == EXIT_OK
+        code, out, _ = run(["groupstats", *fixture_args,
+                            "--sources", "acl,ARXIV,PubMed,other"], capsys)
+        assert code == EXIT_OK
+        assert out == all_out
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_bad_predict_early_exit_2(self, value, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("{}")
+        code, out, err = run(["predict", "--model", str(model_path),
+                              "--venue", "V", f"--early={value}"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--early" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--rate", "abc"), ("--rate", "100"), ("--rate", "1/2/3"),
         ("--rate", "0/300"), ("--rate", "10/0"), ("--rate", "10/nan"),
@@ -143,6 +171,20 @@ class TestGroupStats:
         rows = json.loads(out)
         assert all({"group", "h", "median", "mu", "sigma", "N"} <= set(r)
                    for r in rows)
+
+    @pytest.mark.parametrize("args", [
+        ["groupstats"], ["corr", "--years", "2016..2020"], ["fit"]])
+    def test_count_past_int64_exit_1(self, args, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"p{i}", "source": "ACL", "venue": "V",
+                        "year": 2016, "counts": {"2020": 2 ** 64 if i else 1}})
+            + "\n" for i in range(3)))
+        code, out, err = run([args[0], "--corpus", str(corpus),
+                              "--pub-year", "2016", *args[1:]], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert "citation count in 2020 does not fit in 64 bits" in err
 
 
 class TestFitPredictAnovaBoxplot:

@@ -81,6 +81,21 @@ class TestValidateRecord:
             validate_record(raw_record(source="Twitter"))
 
 
+class TestSourceParse:
+    @pytest.mark.parametrize("member", list(Source))
+    def test_member_passes_through(self, member):
+        assert Source.parse(member) is member
+
+    @pytest.mark.parametrize("name", ["ACL", "acl", "ArXiv", "PUBMED", "other"])
+    def test_name_any_case(self, name):
+        assert Source.parse(name).value.lower() == name.lower()
+
+    @pytest.mark.parametrize("value", ["Twitter", "", " ACL", None, 1])
+    def test_unknown(self, value):
+        with pytest.raises(ValueError, match="unknown source"):
+            Source.parse(value)
+
+
 class TestLoadCorpus:
     def test_two_valid_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"

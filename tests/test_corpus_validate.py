@@ -36,10 +36,14 @@ from citegauge.errors import (
 # --- oracle: the full-check validator ---------------------------------------
 
 class Source:
-    """Source.parse as it was: a linear scan over the real members."""
+    """Source.parse as it was, a linear scan over the real members, with
+    one change it has since had: a member passes through as itself (before,
+    str() of a member never matched a name)."""
 
     @staticmethod
     def parse(value: str) -> "corpus.Source":
+        if isinstance(value, corpus.Source):
+            return value
         for member in corpus.Source:
             if member.value.lower() == str(value).lower():
                 return member

@@ -270,6 +270,38 @@ class TestImportTable:
         with pytest.raises(errors.NonIntegerCount):
             import_table(path)
 
+    @pytest.mark.parametrize("row,column,cell", [
+        ("a,V,ACL,20x6,1", "pub_year", "20x6"),
+        ("a,V,ACL,,1", "pub_year", ""),
+        ("a,V,ACL,2016,++5", "2016", "++5"),
+        ("a,V,ACL,2016,\u00b2", "2016", "\u00b2"),
+        ("a,V,ACL,2016,-3", "2016", "-3"),
+        ("a,V,ACL,2016,1_000", "2016", "1_000"),
+    ])
+    def test_bad_numeric_cell_names_row_and_column(self, tmp_path, row,
+                                                   column, cell):
+        path = tmp_path / "t.csv"
+        path.write_text("id,venue,source,pub_year,2016\n"
+                        "b,V,ACL,2016,2\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(errors.NonIntegerCount) as info:
+            import_table(path)
+        assert (info.value.row, info.value.col) == (3, column)
+        assert str(info.value) == (f"row 3, column {column!r}: not a "
+                                   f"non-negative integer: {cell!r}")
+
+    def test_signed_and_non_ascii_decimal_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,venue,source,pub_year,2016,2017\n"
+                        "a,V,ACL, +2016 ,+4,\u0663\n", encoding="utf-8")
+        assert import_table(path)[0].counts == {2016: 4, 2017: 3}
+
+    def test_superscript_year_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,venue,source,pub_year,\u00b2\u2070\u00b9\u2076\n"
+                        "a,V,ACL,2016,1\n", encoding="utf-8")
+        with pytest.raises(errors.HeaderMismatch):
+            import_table(path)
+
     def test_import_write_load_round_trip(self, table1_path, tmp_path):
         records = import_table(table1_path)
         out = tmp_path / "c.jsonl"
