@@ -6,9 +6,7 @@ from .metrics import (
     GroupStats,
     group_by_early_threshold,
     group_by_venue,
-    group_stats,
     h_index,
-    indicator_correlation,
     year_correlation_matrix,
 )
 from .model import (

@@ -115,7 +115,6 @@ def _add_cohort_flags(parser, offsets=False, model_params=False):
                         help="optional JSON file mapping raw venue -> canonical name")
     parser.add_argument("--lenient", action="store_true",
                         help="ignore unknown corpus keys instead of rejecting")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if offsets or model_params:
         parser.add_argument("--early-offset", type=_positive_int,
@@ -153,16 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corr", help="year x year citation correlation table")
     _add_cohort_flags(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--years", type=_parse_years, required=True,
                    help="e.g. 2016..2023")
 
     p = sub.add_parser("venuecorr", help="venue-indicator correlation table")
     _add_cohort_flags(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--years", type=_parse_years, required=True)
     p.add_argument("--venues", required=True, help="comma-separated venue names")
 
     p = sub.add_parser("groupstats", help="h/median/mu/sigma/N per group")
     _add_cohort_flags(p, offsets=True)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--by", choices=["early", "venue"], default="early")
     p.add_argument("--thresholds", type=_positive_int_list,
                    default="1,2,3,10,20",

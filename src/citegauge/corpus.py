@@ -69,7 +69,7 @@ class PaperRecord:
 
 @dataclass(frozen=True)
 class Cohort:
-    """Papers sharing a publication year (and a source set), sorted by id.
+    """Papers sharing a publication year, sorted by id.
 
     The statistics read the cohort as columns, each in cohort (id) order:
     ``ids``, ``venues`` and ``counts_in(year)``.  Each call builds its
@@ -77,7 +77,6 @@ class Cohort:
     """
 
     pub_year: int
-    sources: frozenset[Source]
     papers: tuple[PaperRecord, ...]
 
     def __len__(self) -> int:
@@ -259,7 +258,7 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
         (r for r in records if r.pub_year == pub_year and r.source in source_set),
         key=lambda r: r.id,
     )
-    return Cohort(pub_year=pub_year, sources=source_set, papers=tuple(members))
+    return Cohort(pub_year=pub_year, papers=tuple(members))
 
 
 def load_venue_aliases(path) -> dict[str, str]:

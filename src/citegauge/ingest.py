@@ -18,6 +18,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import requests
 
@@ -125,7 +126,9 @@ class ApiClient:
         self.sleep = sleep
         self.rng = rng or random.Random()
 
-    def _call(self, fn, *args):
+    def _call(self, fn, paper_id: str, *args):
+        """fn(paper_id, *args) under the rate budget, retried on 429 and
+        connection errors; a 404 becomes NotFound(paper_id)."""
         budget = self.config.rate_budget
         attempt = 0
         while True:
@@ -136,11 +139,11 @@ class ApiClient:
                         break
                     self.sleep(wait)
             try:
-                return fn(*args)
+                return fn(paper_id, *args)
             except (HttpError, ConnectionError) as exc:
                 status = getattr(exc, "status", None)
                 if status == 404:
-                    raise
+                    raise NotFound(paper_id) from None
                 retryable = status == 429 or isinstance(exc, ConnectionError)
                 if not retryable:
                     raise
@@ -154,12 +157,7 @@ class ApiClient:
                 attempt += 1
 
     def fetch_paper_meta(self, paper_id: str) -> dict:
-        try:
-            return self._call(self.transport.get_paper, paper_id)
-        except HttpError as exc:
-            if exc.status == 404:
-                raise NotFound(paper_id) from None
-            raise
+        return self._call(self.transport.get_paper, paper_id)
 
     def fetch_citation_years(self, paper_id: str) -> dict:
         """Bucket citing papers by publication year.
@@ -172,13 +170,8 @@ class ApiClient:
         offset = 0
         limit = self.config.page_size
         while True:
-            try:
-                page = self._call(self.transport.get_citations, paper_id,
-                                  offset, limit)
-            except HttpError as exc:
-                if exc.status == 404:
-                    raise NotFound(paper_id) from None
-                raise
+            page = self._call(self.transport.get_citations, paper_id,
+                              offset, limit)
             data = page.get("data", [])
             for entry in data:
                 year = entry.get("year")
@@ -216,8 +209,16 @@ class FetchCheckpoint:
 
     @classmethod
     def load(cls, path) -> "FetchCheckpoint":
+        """Read a checkpoint; an unreadable one raises IngestError naming
+        the path."""
         with open(path, encoding="utf-8") as handle:
-            return cls(**json.load(handle))
+            try:
+                return cls(**json.load(handle))
+            except json.JSONDecodeError as exc:
+                raise IngestError(
+                    f"checkpoint {path}: invalid JSON: {exc}") from None
+            except TypeError as exc:  # not an object, or unknown/missing keys
+                raise IngestError(f"checkpoint {path}: {exc}") from None
 
 
 @dataclass
@@ -231,7 +232,7 @@ class IngestReport:
 
 def _record_from_fetch(paper_id: str, meta: dict, counts: dict) -> tuple[PaperRecord, int]:
     pub_year = meta.get("year")
-    unknown = counts.pop(UNKNOWN_YEAR, 0) if UNKNOWN_YEAR in counts else 0
+    unknown = counts.pop(UNKNOWN_YEAR, 0)
     # counts below the publication year cannot satisfy record invariants;
     # fold them into the unknown bucket rather than dropping silently
     clean = {}
@@ -257,9 +258,13 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
 
     Resumable: with an existing checkpoint, ids up to and including
     last_completed_paper_id are skipped and the corpus file is appended to.
-    Records complete in submission order so the checkpoint always sits on a
-    record boundary.  Per-id fetch failures go into the report, not fatal.
+    `workers` threads fetch, at most `workers` ids ahead of the one writer,
+    which commits records and checkpoints in id order, so the checkpoint
+    always sits on a record boundary and a restart loses at most `workers`
+    fetches.  Per-id fetch failures go into the report, not fatal.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not paper_ids:
         raise EmptyInput("no paper ids given")
     if len(set(paper_ids)) != len(paper_ids):
@@ -288,32 +293,29 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
         except Exception as exc:  # recorded per-id, never fatal
             return paper_id, None, f"{type(exc).__name__}: {exc}"
 
-    def commit(paper_id, result, error, handle):
-        if error is not None:
-            report.failures[paper_id] = error
-        else:
-            record, unknown = result
-            handle.write(record_to_json(record) + "\n")
-            handle.flush()
-            report.written += 1
-            report.unknown_year_citations += unknown
-        FetchCheckpoint(
-            corpus_path=str(out_path),
-            last_completed_paper_id=paper_id,
-            page_offset=0,
-            timestamp=timestamp(),
-        ).save(checkpoint_path)
-
-    with open(out_path, "a", encoding="utf-8") as handle:
-        if workers <= 1:
-            for paper_id in remaining:
-                commit(*fetch_one(paper_id), handle)
-        else:
-            # executor.map preserves submission order, so the single writer
-            # below commits records and checkpoints in order
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for paper_id, result, error in pool.map(fetch_one, remaining):
-                    commit(paper_id, result, error, handle)
+    todo = iter(remaining)
+    with open(out_path, "a", encoding="utf-8") as handle, \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque(pool.submit(fetch_one, next_id)
+                      for next_id in islice(todo, workers))
+        while ahead:
+            paper_id, result, error = ahead.popleft().result()
+            ahead.extend(pool.submit(fetch_one, next_id)
+                         for next_id in islice(todo, 1))
+            if error is not None:
+                report.failures[paper_id] = error
+            else:
+                record, unknown = result
+                handle.write(record_to_json(record) + "\n")
+                handle.flush()
+                report.written += 1
+                report.unknown_year_citations += unknown
+            FetchCheckpoint(
+                corpus_path=str(out_path),
+                last_completed_paper_id=paper_id,
+                page_offset=0,
+                timestamp=timestamp(),
+            ).save(checkpoint_path)
     return report
 
 
@@ -333,14 +335,14 @@ def _table_int(cell: str, row_num: int, col_name: str) -> int:
     return int(digits)
 
 
-def import_table(path, delimiter: str = ",") -> list[PaperRecord]:
+def import_table(path) -> list[PaperRecord]:
     """Import a pre-aggregated count table.
 
     Expected header: id, venue, source, pub_year, then one 4-digit-year
     column per citation year.  Blank count cells mean zero (entry absent).
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

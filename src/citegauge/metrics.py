@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Cohort, PaperRecord
-from .errors import EmptyCohort, EmptyGroup
+from .corpus import Cohort
+from .errors import EmptyCohort
 
 #: Marker for correlations undefined because a variable has zero variance.
 DEGENERATE = "degenerate"
@@ -28,8 +28,10 @@ DEFAULT_FUTURE_OFFSET = 4
 class GroupStats:
     """h-index, median, impact (mean), std dev and size of one paper group.
 
-    threshold is 0 for the exact "0 citations" group, t for a "t+ citations"
-    group and None for a venue group.
+    mu is the arithmetic mean, sigma the population (divide-by-N) standard
+    deviation, and the median of an even-sized group averages the two
+    middle values.  threshold is 0 for the exact "0 citations" group, t
+    for a "t+ citations" group and None for a venue group.
     """
 
     label: str
@@ -100,21 +102,6 @@ def _count_stats(counts: np.ndarray, label: str,
         sigma=float(np.std(values)),
         n=len(counts),
     )
-
-
-def group_stats(group: Sequence[PaperRecord], future_year: int,
-                label: str = "", threshold: int | None = None) -> GroupStats:
-    """Summary statistics of the group's counts at future_year.
-
-    mu is the arithmetic mean, sigma the population (divide-by-N) standard
-    deviation, and the median of an even-sized group averages the two
-    middle values.
-    """
-    if len(group) == 0:
-        raise EmptyGroup(f"group {label!r} is empty")
-    counts = np.array([p.citations_in(future_year) for p in group],
-                      dtype=np.int64)
-    return _count_stats(counts, label, threshold)
 
 
 def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
@@ -199,16 +186,6 @@ def year_correlation_matrix(cohort: Cohort, years: Sequence[int]) -> Correlation
         col_labels=tuple(years),
         entries=tuple(tuple(row) for row in grid),
     )
-
-
-def indicator_correlation(cohort: Cohort,
-                          venue_predicate: Callable[[PaperRecord], bool],
-                          year: int):
-    """Point-biserial correlation between venue membership (0/1) and counts at year."""
-    if len(cohort) < 2:
-        raise EmptyCohort("correlation needs a cohort of size >= 2")
-    indicator = np.array([1.0 if venue_predicate(p) else 0.0 for p in cohort])
-    return pearson(indicator, cohort.counts_in(year))
 
 
 def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],

@@ -78,7 +78,6 @@ class DesignMatrix:
     early_levels: tuple[int, ...]       # populated levels 1..T with a column
     row_venues: tuple[str, ...]         # resolved venue level per row
     row_early: tuple[int, ...]          # clipped early level per row
-    paper_ids: tuple[str, ...]
     row_cell: np.ndarray = field(init=False, repr=False, compare=False)
     cell_counts: np.ndarray = field(init=False, repr=False, compare=False)
     cell_X: np.ndarray = field(init=False, repr=False, compare=False)
@@ -300,7 +299,6 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
         early_levels=early_levels,
         row_venues=row_venues,
         row_early=tuple(row_early.tolist()),
-        paper_ids=cohort.ids,
     )
 
 

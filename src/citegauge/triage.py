@@ -18,10 +18,6 @@ from .errors import EmptyCohort, EmptyGroup, LedgerError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
 from .model import FittedModel
 
-#: Anchor for "impressive early citations": papers at this clipped level are
-#: predicted around the 75th percentile or better in the reference fits.
-DEFAULT_IMPRESSIVE_THRESHOLD = 10
-
 REVIEWS_PER_NOMINATION = 4
 
 

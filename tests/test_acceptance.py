@@ -29,7 +29,7 @@ from citegauge.metrics import (
     group_by_early_threshold,
     group_by_venue,
     h_index,
-    indicator_correlation,
+    venue_correlation_table,
     year_correlation_matrix,
 )
 from citegauge.model import (
@@ -92,7 +92,7 @@ def test_criterion_2_pearson_oracle():
                     assert abs(got - expected) <= 1e-12
                     assert -1.0 <= got <= 1.0
         pred = lambda p: p.venue == "A"
-        got = indicator_correlation(cohort, pred, 2017)
+        got = venue_correlation_table(cohort, ["A"], [2017]).at("A", 2017)
         expected = pearson_oracle(
             [1 if pred(p) else 0 for p in cohort],
             [p.citations_in(2017) for p in cohort])
@@ -123,7 +123,7 @@ def _linear_cohort(rng, n, beta_venue, beta_early, intercept, T, noise):
     if noise:
         y = y + np.array([rng.gauss(0, noise) for _ in range(n)])
     frame = PercentileFrame(pub_year=2016, future_year=2020,
-                            paper_ids=design.paper_ids,
+                            paper_ids=cohort.ids,
                             percentiles=tuple(y))
     return design, frame, np.array(beta)
 

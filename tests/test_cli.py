@@ -108,6 +108,40 @@ class TestUsage:
         assert flag in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("subcommand", ["fit", "anova", "boxplot",
+                                            "triage"])
+    def test_format_only_where_json_is_rendered(self, subcommand,
+                                                fixture_args, capsys):
+        code, out, err = run([subcommand, *fixture_args, "--format", "json"],
+                             capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--format" in err
+
+
+class TestIngestCheckpoint:
+    @pytest.mark.parametrize("text", [
+        '{"last_completed_paper_id": "a", "corpus_bytes": 10}',
+        "[1]",
+        '{"corpus_path": ',
+    ], ids=["unknown-key", "not-an-object", "invalid-json"])
+    def test_malformed_checkpoint_exit_1_names_file(self, text, tmp_path,
+                                                    capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("p1\n")
+        checkpoint = tmp_path / "ck.json"
+        checkpoint.write_text(text)
+        # the checkpoint is read before any request; a closed local port
+        # keeps a regression from reaching the network
+        code, out, err = run(["ingest", "--ids-file", str(ids),
+                              "--out", str(tmp_path / "c.jsonl"),
+                              "--checkpoint", str(checkpoint),
+                              "--base-url", "http://127.0.0.1:9"], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert f"checkpoint {checkpoint}" in err
+        assert "Traceback" not in err
+
 
 class TestImportAndCorr:
     def test_import_then_corr_table_shape(self, table1_path, tmp_path, capsys):
@@ -163,6 +197,43 @@ class TestGroupStats:
                               "--thresholds", "5000"], capsys)
         assert code == EXIT_OK
         assert "5000+" in err and "empty" in err
+
+    def test_aliases_merge_venues(self, fixture_args, tmp_path, capsys):
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text('{"NLPConf": "TopJournal"}')
+        code, plain, _ = run(["groupstats", *fixture_args, "--by", "venue"],
+                             capsys)
+        assert code == EXIT_OK
+        code, merged, _ = run(["groupstats", *fixture_args, "--by", "venue",
+                               "--aliases", str(aliases)], capsys)
+        assert code == EXIT_OK
+        rows = {line.split(",")[0]: line
+                for line in merged.splitlines()[1:]}
+        assert "NLPConf" not in rows
+        assert rows["TopJournal"].split(",")[5] == "110"
+        unmapped = [line for line in plain.splitlines()[1:]
+                    if line.split(",")[0] not in ("TopJournal", "NLPConf")]
+        assert unmapped and all(rows[line.split(",")[0]] == line
+                                for line in unmapped)
+
+    @pytest.mark.parametrize("text", ['["NLPConf"]', '{"NLPConf": 1}',
+                                      '{"NLPConf": '])
+    def test_bad_alias_file_exit_1(self, text, fixture_args, tmp_path, capsys):
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text(text)
+        code, out, err = run(["groupstats", *fixture_args,
+                              "--aliases", str(aliases)], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert "citegauge groupstats: error:" in err
+
+    def test_missing_alias_file_exit_1(self, fixture_args, tmp_path, capsys):
+        missing = tmp_path / "no-such-aliases.json"
+        code, out, err = run(["groupstats", *fixture_args,
+                              "--aliases", str(missing)], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert str(missing) in err
 
     def test_json_format(self, fixture_args, capsys):
         code, out, _ = run(["groupstats", *fixture_args, "--format", "json"],

@@ -225,7 +225,6 @@ def old_build_design_matrix(cohort, T=DEFAULT_T, early_offset=DEFAULT_EARLY_OFFS
         early_levels=early_levels,
         row_venues=row_venues,
         row_early=tuple(row_early.tolist()),
-        paper_ids=tuple(p.id for p in cohort),
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -180,6 +181,71 @@ class TestBuildCorpus:
                               workers=4)
         assert report.written == 12
         assert [r.id for r in load_corpus(out)] == ids
+
+
+class RestartOnPaper(MockTransport):
+    """Raises Restart on the first request for one id, after logging it."""
+
+    def __init__(self, papers, restart_id):
+        super().__init__(papers)
+        self.restart_id = restart_id
+
+    def _maybe_fail(self, kind, paper_id):
+        super()._maybe_fail(kind, paper_id)
+        if paper_id == self.restart_id:
+            self.restart_id = None
+            raise Restart(paper_id)
+
+
+class TestFetchWindow:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("k", [0, 5, 11])
+    def test_restart_loses_at_most_workers_fetches(self, k, workers,
+                                                   tmp_path):
+        papers = make_papers(12)
+        ids = sorted(papers)
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        transport, clock = RestartOnPaper(papers, ids[k]), VirtualClock()
+        client = ApiClient(ClientConfig(), transport=transport, clock=clock,
+                           sleep=clock.sleep, rng=random.Random(0))
+        with pytest.raises(Restart):
+            build_corpus(ids, out, ckpt, client, workers=workers)
+        fetched = {pid for _, kind, pid in transport.request_log
+                   if kind == "paper"}
+        assert fetched <= set(ids[:k + workers])
+        assert [r.id for r in load_corpus(out)] == ids[:k]
+
+        client2, transport2, _ = make_client(papers)
+        report = build_corpus(ids, out, ckpt, client2, workers=workers)
+        assert (report.skipped, report.written) == (k, len(ids) - k)
+        assert sorted(pid for _, kind, pid in transport2.request_log
+                      if kind == "paper") == ids[k:]
+        assert [r.id for r in load_corpus(out)] == ids
+
+    def test_corpus_bytes_do_not_depend_on_workers(self, tmp_path):
+        papers = make_papers(30)
+        ids = sorted(papers)
+        corpora = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            for workers in (1, 2, 4):
+                client, _, _ = make_client(papers)
+                out = tmp_path / f"c{workers}.jsonl"
+                build_corpus(ids, out, tmp_path / f"ckpt{workers}.json",
+                             client, workers=workers)
+                corpora.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert corpora[0] and corpora[1] == corpora[0] and corpora[2] == corpora[0]
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        client, transport, _ = make_client(make_papers(2))
+        with pytest.raises(ValueError):
+            build_corpus(["id000", "id001"], tmp_path / "c.jsonl",
+                         tmp_path / "ckpt.json", client, workers=0)
+        assert transport.request_log == []
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 def run_randomized_schedule(seed, tmp_path, n_papers=8):

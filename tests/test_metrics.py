@@ -11,14 +11,13 @@ from citegauge.metrics import (
     DEGENERATE,
     group_by_early_threshold,
     group_by_venue,
-    group_stats,
     h_index,
-    indicator_correlation,
     pearson,
+    venue_correlation_table,
     year_correlation_matrix,
 )
 
-from conftest import make_cohort, make_record, random_cohort
+from conftest import make_cohort, random_cohort
 
 
 def h_index_oracle(counts):
@@ -70,27 +69,31 @@ class TestHIndex:
         assert h_index(counts[:i] + counts[i + 1:]) <= h_index(counts)
 
 
+def one_group_stats(count_rows):
+    """The statistics of a one-venue cohort's counts at 2020 (the default
+    future year of a 2016 cohort): its single venue row."""
+    (row,) = group_by_venue(make_cohort(count_rows))
+    return row
+
+
 class TestGroupStats:
     def test_uniform_counts(self):
-        group = [make_record(i, counts={2020: 2}) for i in range(3)]
-        s = group_stats(group, 2020, "g")
+        s = one_group_stats([{2020: 2}] * 3)
         assert (s.h, s.median, s.mu, s.sigma, s.n) == (2, 2.0, 2.0, 0.0, 3)
 
     def test_empty_group(self):
-        with pytest.raises(errors.EmptyGroup):
-            group_stats([], 2020)
+        with pytest.raises(errors.EmptyCohort):
+            one_group_stats([])
 
     def test_even_median_averages_middle_two(self):
-        group = [make_record(i, counts={2020: c}) for i, c in enumerate([1, 2, 4, 10])]
-        assert group_stats(group, 2020).median == 3.0
+        assert one_group_stats([{2020: c} for c in [1, 2, 4, 10]]).median == 3.0
 
     def test_sigma_is_population(self):
-        group = [make_record(i, counts={2020: c}) for i, c in enumerate([0, 4])]
-        assert group_stats(group, 2020).sigma == 2.0  # sample std would be ~2.83
+        # sample std would be ~2.83
+        assert one_group_stats([{2020: 0}, {2020: 4}]).sigma == 2.0
 
     def test_missing_year_counts_as_zero(self):
-        group = [make_record("a", counts={}), make_record("b", counts={2020: 4})]
-        assert group_stats(group, 2020).mu == 2.0
+        assert one_group_stats([{}, {2020: 4}]).mu == 2.0
 
 
 class TestGroupByEarlyThreshold:
@@ -222,24 +225,27 @@ class TestYearCorrelationMatrix:
             year_correlation_matrix(make_cohort([{2016: 1}]), [2016])
 
 
+def venue_indicator_r(cohort, venue, year):
+    return venue_correlation_table(cohort, [venue], [year]).at(venue, year)
+
+
 class TestIndicatorCorrelation:
     def test_two_point_sign(self):
         # indicator [1,0] vs counts [5,1]: two-point Pearson is +1
         cohort = make_cohort([{2016: 5}, {2016: 1}], venues=["X", "Y"])
-        r = indicator_correlation(cohort, lambda p: p.venue == "X", 2016)
+        r = venue_indicator_r(cohort, "X", 2016)
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_when_all_members(self):
         cohort = make_cohort([{2016: 5}, {2016: 1}], venues=["X", "X"])
-        assert indicator_correlation(cohort, lambda p: p.venue == "X",
-                                     2016) is DEGENERATE
+        assert venue_indicator_r(cohort, "X", 2016) is DEGENERATE
 
     def test_matches_oracle(self):
         rng = random.Random(5)
         for _ in range(20):
             cohort = random_cohort(rng, rng.randint(4, 60))
             pred = lambda p: p.venue == "A"
-            got = indicator_correlation(cohort, pred, 2017)
+            got = venue_indicator_r(cohort, "A", 2017)
             x = [1 if pred(p) else 0 for p in cohort]
             y = [p.citations_in(2017) for p in cohort]
             expected = pearson_oracle(x, y)

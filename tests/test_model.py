@@ -218,8 +218,7 @@ class TestFitOls:
             venue_levels=("dup",), reference_venue="A", T=1,
             early_levels=(),
             row_venues=tuple("dup" for _ in range(10)),
-            row_early=tuple(0 for _ in range(10)),
-            paper_ids=tuple(str(i) for i in range(10)))
+            row_early=tuple(0 for _ in range(10)))
         frame_cls = percentile_transform(make_cohort([{2020: i} for i in range(10)]),
                                          2020)
         with pytest.raises(errors.RankDeficient) as excinfo:
@@ -267,8 +266,7 @@ class TestFitOls:
             reference_venue=design.reference_venue, T=design.T,
             early_levels=design.early_levels,
             row_venues=tuple(design.row_venues[i] for i in perm),
-            row_early=tuple(design.row_early[i] for i in perm),
-            paper_ids=tuple(design.paper_ids[i] for i in perm))
+            row_early=tuple(design.row_early[i] for i in perm))
         shuffled_frame = frame.__class__(
             pub_year=frame.pub_year, future_year=frame.future_year,
             paper_ids=tuple(frame.paper_ids[i] for i in perm),

@@ -229,7 +229,7 @@ class TestErrors:
             DesignMatrix(column_names=("intercept", "venue:B", "early:1"),
                          venue_levels=("B",), reference_venue="A", T=2,
                          early_levels=(1,), row_venues=venues,
-                         row_early=early, paper_ids=("p0", "p1"))
+                         row_early=early)
 
     @pytest.mark.parametrize("fn", [fit_ols, anova_decompose])
     def test_dimension_mismatch(self, fn):
