@@ -55,12 +55,21 @@ def _positive_int_list(text: str) -> list[int]:
 def _parse_years(text: str) -> list[int]:
     """argparse type: "2016..2023" (inclusive, ascending) or "2016,2017,2020"."""
     if ".." in text:
-        lo, hi = (int(part) for part in text.split("..", 1))
+        lo, hi = (_year(part) for part in text.split("..", 1))
         if lo > hi:
             raise argparse.ArgumentTypeError(
                 f"year range {text!r} is reversed or empty")
         return list(range(lo, hi + 1))
-    return [int(y) for y in text.split(",")]
+    return [_year(y) for y in text.split(",")]
+
+
+def _year(text: str) -> int:
+    """One year of --years, inside the corpus's year bounds."""
+    year = int(text)
+    if not corpus_mod.YEAR_MIN <= year <= corpus_mod.YEAR_MAX:
+        raise argparse.ArgumentTypeError(
+            f"year {year} outside [{corpus_mod.YEAR_MIN}, {corpus_mod.YEAR_MAX}]")
+    return year
 
 
 def _parse_rate(text: str) -> ingest_mod.RateBudget:
@@ -306,7 +315,7 @@ def _cmd_boxplot(args) -> int:
     _, _, design, fitted = _fit_from_args(args)
     predictions = model_mod.predict_cohort(fitted, design)
     if args.by == "early":
-        groups = [f"{lvl:02d}" for lvl in design.row_early]
+        groups = [f"{lvl:02d}" for lvl in design.row_early.tolist()]
         rows = model_mod.boxplot_aggregate(predictions, groups)
     else:
         rows = model_mod.boxplot_aggregate(predictions, design.row_venues,

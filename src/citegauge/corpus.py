@@ -264,11 +264,15 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
 def load_venue_aliases(path) -> dict[str, str]:
     """Optional alias file: JSON object mapping raw venue string -> canonical name."""
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"alias file {path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
     ):
-        raise ParseError("alias file must be a JSON object of string -> string")
+        raise ParseError(
+            f"alias file {path} must be a JSON object of string -> string")
     return raw
 
 

@@ -118,3 +118,7 @@ class RankDeficient(StatsError):
 
 class DimensionMismatch(StatsError):
     pass
+
+
+class ModelFileError(CiteGaugeError):
+    """A fitted-model file is unreadable or lacks a well-typed field."""

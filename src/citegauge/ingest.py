@@ -257,7 +257,9 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
     """Fetch each id once and append valid records to the corpus file.
 
     Resumable: with an existing checkpoint, ids up to and including
-    last_completed_paper_id are skipped and the corpus file is appended to.
+    last_completed_paper_id are skipped and the corpus file is appended to;
+    a checkpoint whose id is null or not in paper_ids raises IngestError
+    before the corpus is opened.
     `workers` threads fetch, at most `workers` ids ahead of the one writer,
     which commits records and checkpoints in id order, so the checkpoint
     always sits on a record boundary and a restart loses at most `workers`
@@ -271,14 +273,12 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
         raise IngestError("duplicate paper ids in input")
 
     skipped = 0
-    remaining = list(paper_ids)
     if os.path.exists(checkpoint_path):
-        ckpt = FetchCheckpoint.load(checkpoint_path)
-        last = ckpt.last_completed_paper_id
-        if last is not None and last in paper_ids:
-            cut = paper_ids.index(last) + 1
-            skipped = cut
-            remaining = paper_ids[cut:]
+        last = FetchCheckpoint.load(checkpoint_path).last_completed_paper_id
+        if last not in paper_ids:
+            raise IngestError(f"checkpoint {checkpoint_path}: last completed "
+                              f"id {last!r} is not among the ids to fetch")
+        skipped = paper_ids.index(last) + 1
     else:
         # fresh run starts a fresh corpus
         open(out_path, "w", encoding="utf-8").close()
@@ -293,7 +293,7 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
         except Exception as exc:  # recorded per-id, never fatal
             return paper_id, None, f"{type(exc).__name__}: {exc}"
 
-    todo = iter(remaining)
+    todo = iter(paper_ids[skipped:])
     with open(out_path, "a", encoding="utf-8") as handle, \
             ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = deque(pool.submit(fetch_one, next_id)

@@ -14,15 +14,17 @@ weighted least squares on the cell means with weights n_c, which is exact
 cell design has the same |diag R| as QR on the rows, so rank deficiency
 is detected by the same rule.  Residual sums of squares are summed over
 the row residuals y - fitted[cell] rather than derived from cell sums,
-which would lose precision to cancellation.  The dense n x k design is
-built only on request, through ``DesignMatrix.X``.
+which would lose precision to cancellation.  ``DesignMatrix`` stores only
+the cell table and each row's cell; the per-row venue and early levels and
+the dense n x k design are expanded on request (``row_venues``,
+``row_early``, ``X``).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ from .corpus import Cohort
 from .errors import (
     DimensionMismatch,
     EmptyCohort,
+    ModelFileError,
     RankDeficient,
     TooFewRows,
 )
@@ -46,17 +49,17 @@ DEFAULT_MIN_VENUE_SIZE = 40
 DEFAULT_T = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PercentileFrame:
-    """Per-paper percentile (Hazen, tie-averaged) of future-year counts."""
+    """Per-paper percentile (Hazen, tie-averaged) of future-year counts,
+    a float64 vector in cohort order."""
 
     pub_year: int
     future_year: int
-    paper_ids: tuple[str, ...]
-    percentiles: tuple[float, ...]
+    percentiles: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Dummy-coded design: intercept + venue levels + early levels up to T.
 
@@ -64,11 +67,12 @@ class DesignMatrix:
     and early level 0.  Early levels with no member rows also get no column
     (same treatment as a venue with no papers that year).
 
-    The design is held as its cell table, derived from the row levels on
-    construction: ``cell_X`` has one 0/1 row per populated (venue, early)
-    cell, ``cell_counts`` the rows in each cell, ``row_cell`` the cell of
-    each row, and ``cell_venue`` / ``cell_early`` each cell's factor codes
-    (0 for the reference level, otherwise 1 + the level's index).
+    The design is stored as its cell table: ``cell_X`` has one 0/1 row per
+    populated (venue, early) cell, ``cell_counts`` the rows in each cell,
+    ``cell_venue`` / ``cell_early`` each cell's factor codes (0 for the
+    reference level, otherwise 1 + the level's index) and ``row_cell`` the
+    cell of each row.  ``row_venues``, ``row_early`` and the dense ``X``
+    are expanded from it on request.
     """
 
     column_names: tuple[str, ...]
@@ -76,52 +80,30 @@ class DesignMatrix:
     reference_venue: str
     T: int
     early_levels: tuple[int, ...]       # populated levels 1..T with a column
-    row_venues: tuple[str, ...]         # resolved venue level per row
-    row_early: tuple[int, ...]          # clipped early level per row
-    row_cell: np.ndarray = field(init=False, repr=False, compare=False)
-    cell_counts: np.ndarray = field(init=False, repr=False, compare=False)
-    cell_X: np.ndarray = field(init=False, repr=False, compare=False)
-    cell_venue: np.ndarray = field(init=False, repr=False, compare=False)
-    cell_early: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        venue_code = {v: 1 + i for i, v in enumerate(self.venue_levels)}
-        venue_code[self.reference_venue] = 0
-        unknown = set(self.row_venues) - venue_code.keys()
-        if unknown:
-            raise ValueError(f"row venues {sorted(unknown)} are not levels "
-                             f"of the design")
-        row_early = np.asarray(self.row_early, dtype=np.intp)
-        if not np.isin(row_early, (0, *self.early_levels)).all():
-            raise ValueError("row early levels are not levels of the design")
-        early_code = np.zeros(self.T + 1, dtype=np.intp)
-        early_code[list(self.early_levels)] = 1 + np.arange(len(self.early_levels))
-        row_e = early_code[row_early]
-        row_v = np.fromiter(map(venue_code.__getitem__, self.row_venues),
-                            dtype=np.intp, count=len(self.row_venues))
-
-        n_early = 1 + len(self.early_levels)
-        cells, row_cell, counts = np.unique(row_v * n_early + row_e,
-                                            return_inverse=True,
-                                            return_counts=True)
-        cell_v, cell_e = np.divmod(cells, n_early)
-        cell_X = np.zeros((len(cells), len(self.column_names)))
-        cell_X[:, 0] = 1.0
-        has_v, has_e = np.flatnonzero(cell_v), np.flatnonzero(cell_e)
-        cell_X[has_v, cell_v[has_v]] = 1.0
-        cell_X[has_e, len(self.venue_levels) + cell_e[has_e]] = 1.0
-        for name, value in (("row_cell", row_cell),
-                            ("cell_counts", counts), ("cell_X", cell_X),
-                            ("cell_venue", cell_v), ("cell_early", cell_e)):
-            object.__setattr__(self, name, value)
+    row_cell: np.ndarray
+    cell_counts: np.ndarray
+    cell_venue: np.ndarray
+    cell_early: np.ndarray
+    cell_X: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_early)
+        return len(self.row_cell)
+
+    @property
+    def row_venues(self) -> np.ndarray:
+        """The venue level of each row (an object array of names)."""
+        names = np.array((self.reference_venue, *self.venue_levels), dtype=object)
+        return names[self.cell_venue[self.row_cell]]
+
+    @property
+    def row_early(self) -> np.ndarray:
+        """The clipped early level of each row."""
+        return np.array((0, *self.early_levels))[self.cell_early[self.row_cell]]
 
     @property
     def X(self) -> np.ndarray:
-        """The dense n x k design, expanded from the cell table."""
+        """The dense n x k design."""
         return self.cell_X[self.row_cell]
 
 
@@ -162,29 +144,48 @@ class FittedModel:
         return value
 
     def to_dict(self) -> dict:
-        return {
-            "pub_year": self.pub_year,
-            "T": self.T,
-            "reference_venue": self.reference_venue,
-            "intercept": self.intercept,
-            "venue_coefs": dict(self.venue_coefs),
-            "early_coefs": {str(k): v for k, v in self.early_coefs.items()},
-            "rss": self.rss,
-            "r_squared": self.r_squared,
-        }
+        return asdict(self) | {
+            "early_coefs": {str(k): v for k, v in self.early_coefs.items()}}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FittedModel":
-        return cls(
-            pub_year=d["pub_year"],
-            T=d["T"],
-            reference_venue=d["reference_venue"],
-            intercept=d["intercept"],
-            venue_coefs=dict(d["venue_coefs"]),
-            early_coefs={int(k): v for k, v in d["early_coefs"].items()},
-            rss=d["rss"],
-            r_squared=d["r_squared"],
-        )
+    def from_dict(cls, d) -> "FittedModel":
+        """Inverse of to_dict; a missing field or a value of the wrong type
+        raises ModelFileError naming the field."""
+        if not isinstance(d, dict):
+            raise ModelFileError(
+                f"expected a JSON object, got {type(d).__name__}")
+        for name, (ok, what) in _MODEL_FIELDS.items():
+            if name not in d:
+                raise ModelFileError(f"missing field {name!r}")
+            if not ok(d[name]):
+                raise ModelFileError(
+                    f"field {name!r} must be {what}, got {d[name]!r}")
+        return cls(**{name: d[name] for name in _MODEL_FIELDS} | {
+            "venue_coefs": dict(d["venue_coefs"]),
+            "early_coefs": {int(k): v for k, v in d["early_coefs"].items()}})
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_coefs(value, key_ok=lambda key: True) -> bool:
+    return (isinstance(value, dict) and all(map(key_ok, value))
+            and all(map(_is_number, value.values())))
+
+
+#: Each field of a model file: its check and what the check accepts.
+_MODEL_FIELDS = {
+    "pub_year": (lambda v: _is_number(v, int), "an integer"),
+    "T": (lambda v: _is_number(v, int) and v >= 1, "an integer >= 1"),
+    "reference_venue": (lambda v: isinstance(v, str), "a string"),
+    "intercept": (_is_number, "a number"),
+    "venue_coefs": (_is_coefs, "an object of numbers"),
+    "early_coefs": (lambda v: _is_coefs(v, str.isdecimal),
+                    "an object of numbers keyed by early level"),
+    "rss": (_is_number, "a number"),
+    "r_squared": (_is_number, "a number"),
+}
 
 
 @dataclass(frozen=True)
@@ -228,12 +229,7 @@ def percentile_transform(cohort: Cohort,
     _, group, size = np.unique(counts, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(size) - (size - 1) / 2.0)[group]
     percentiles = 100.0 * (ranks - 0.5) / len(counts)
-    return PercentileFrame(
-        pub_year=cohort.pub_year,
-        future_year=future_year,
-        paper_ids=cohort.ids,
-        percentiles=tuple(percentiles.tolist()),
-    )
+    return PercentileFrame(cohort.pub_year, future_year, percentiles)
 
 
 def clip_early(count: int, T: int) -> int:
@@ -265,7 +261,6 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
     sizes = np.bincount(codes, minlength=len(venues)).tolist()
     level_of = [v if size >= min_venue_size else MISC_VENUE
                 for v, size in zip(venues, sizes)]
-    row_venues = tuple(map(level_of.__getitem__, codes.tolist()))
     level_sizes = Counter()
     for level, size in zip(level_of, sizes):
         level_sizes[level] += size
@@ -278,11 +273,17 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
                          f"of this cohort (levels: {sorted(level_sizes)})")
 
     venue_levels = tuple(sorted(v for v in level_sizes if v != reference_venue))
+    venue_code = {v: i for i, v in enumerate((reference_venue, *venue_levels))}
+    row_v = np.array([venue_code[level] for level in level_of],
+                     dtype=np.intp)[codes]
     early = cohort.counts_in(early_year)
     if np.any(early < 0):
         raise ValueError("count must be non-negative")
-    row_early = np.minimum(early, T)
-    early_levels = tuple(np.unique(row_early[row_early > 0]).tolist())
+    # early code: 0 for level 0, 1 + i for the i-th populated level 1..T
+    levels, row_e = np.unique(np.minimum(early, T), return_inverse=True)
+    if levels[0] != 0:
+        row_e += 1
+    early_levels = tuple(levels[levels > 0].tolist())
 
     columns = ["intercept"]
     columns += [f"venue:{v}" for v in venue_levels]
@@ -291,14 +292,26 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
     if n < k:
         raise TooFewRows(f"{n} rows < {k} columns")
 
+    n_early = 1 + len(early_levels)
+    cells, row_cell, cell_counts = np.unique(
+        row_v * n_early + row_e, return_inverse=True, return_counts=True)
+    cell_venue, cell_early = np.divmod(cells, n_early)
+    cell_X = np.zeros((len(cells), k))
+    cell_X[:, 0] = 1.0
+    has_v, has_e = np.flatnonzero(cell_venue), np.flatnonzero(cell_early)
+    cell_X[has_v, cell_venue[has_v]] = 1.0
+    cell_X[has_e, len(venue_levels) + cell_early[has_e]] = 1.0
     return DesignMatrix(
         column_names=tuple(columns),
         venue_levels=venue_levels,
         reference_venue=reference_venue,
         T=T,
         early_levels=early_levels,
-        row_venues=row_venues,
-        row_early=tuple(row_early.tolist()),
+        row_cell=row_cell,
+        cell_counts=cell_counts,
+        cell_venue=cell_venue,
+        cell_early=cell_early,
+        cell_X=cell_X,
     )
 
 
@@ -449,5 +462,13 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
+    """Read a save_model file; a malformed one raises ModelFileError
+    naming the file and the field."""
     with open(path, encoding="utf-8") as handle:
-        return FittedModel.from_dict(json.load(handle))
+        try:
+            return FittedModel.from_dict(json.load(handle))
+        except json.JSONDecodeError as exc:
+            raise ModelFileError(
+                f"model file {path}: invalid JSON: {exc}") from None
+        except ModelFileError as exc:
+            raise ModelFileError(f"model file {path}: {exc}") from None

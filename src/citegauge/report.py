@@ -14,7 +14,7 @@ import json
 
 from .metrics import DEGENERATE, CorrelationTable, GroupStats
 from .model import AnovaTable, BoxplotRow, FittedModel
-from .triage import RankedPaper, ThresholdComparison
+from .triage import Ranking, ThresholdComparison
 
 
 def fmt_corr(value) -> str:
@@ -109,13 +109,16 @@ def boxplot_csv(rows_in: list[BoxplotRow]) -> str:
     return _csv_string(rows)
 
 
-def triage_csv(ranking: list[RankedPaper],
+def triage_csv(ranking: Ranking,
                comparisons: list[ThresholdComparison] | None = None) -> str:
+    order = ranking.order
+    predicted = ([""] * len(order) if ranking.predicted is None
+                 else map(fmt1, ranking.predicted[order].tolist()))
     rows = [["rank", "id", "early_count", "venue", "predicted_percentile"]]
-    for i, r in enumerate(ranking, 1):
-        rows.append([str(i), r.paper_id, str(r.early_count), r.venue,
-                     "" if r.predicted_percentile is None
-                     else fmt1(r.predicted_percentile)])
+    for rank, (i, early, pred) in enumerate(zip(
+            order.tolist(), ranking.early[order].tolist(), predicted), 1):
+        rows.append([str(rank), ranking.ids[i], str(early), ranking.venues[i],
+                     pred])
     if comparisons:
         rows.append([])
         rows.append(["threshold", "group_mu", "group_h",

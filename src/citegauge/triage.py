@@ -21,12 +21,16 @@ from .model import FittedModel
 REVIEWS_PER_NOMINATION = 4
 
 
-@dataclass(frozen=True)
-class RankedPaper:
-    paper_id: str
-    early_count: int
-    venue: str
-    predicted_percentile: float | None = None
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Triage ranking as columns in cohort order: ``order`` lists cohort
+    positions from rank 1 down; ``predicted`` is None without a model."""
+
+    order: np.ndarray
+    ids: tuple[str, ...]
+    venues: tuple[str, ...]
+    early: np.ndarray
+    predicted: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class ThresholdComparison:
 
 
 def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
-             model: FittedModel | None = None) -> list[RankedPaper]:
+             model: FittedModel | None = None) -> Ranking:
     """Rank papers by descending early count; ties break by descending
     predicted percentile (when a model is supplied), then ascending id.
 
@@ -48,17 +52,16 @@ def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot rank an empty cohort")
-    ids, venues = cohort.ids, cohort.venues
+    venues = cohort.venues
     early = cohort.counts_in(cohort.pub_year + early_offset)
-    counts = early.tolist()
     if model is None:
-        predicted = [None] * len(counts)
+        predicted = None
         order = np.argsort(-early, kind="stable")
     else:
-        predicted = [model.predict(v, e) for v, e in zip(venues, counts)]
-        order = np.lexsort((-np.array(predicted), -early))
-    return [RankedPaper(ids[i], counts[i], venues[i], predicted[i])
-            for i in order.tolist()]
+        predicted = np.fromiter(map(model.predict, venues, early.tolist()),
+                                float, count=len(venues))
+        order = np.lexsort((-predicted, -early))
+    return Ranking(order, cohort.ids, venues, early, predicted)
 
 
 def rule_of_thumb(threshold_stats: Sequence[GroupStats],

@@ -47,3 +47,14 @@ def random_cohort(rng: random.Random, size, pub_year=2016, years=None,
         rows.append({y: rng.randint(0, max_count) for y in years})
         chosen.append(rng.choice(venues))
     return make_cohort(rows, pub_year, venues=chosen)
+
+
+def ranked_rows(ranking):
+    """A ddi_rank ranking as (id, early count, venue, predicted) tuples,
+    from the first rank to the last; predicted is None without a model."""
+    order = ranking.order.tolist()
+    predicted = ([None] * len(order) if ranking.predicted is None
+                 else ranking.predicted.tolist())
+    early = ranking.early.tolist()
+    return [(ranking.ids[i], early[i], ranking.venues[i], predicted[i])
+            for i in order]

@@ -52,6 +52,19 @@ class TestUsage:
         assert out == ""
         assert args[-2] in err
 
+    @pytest.mark.parametrize("subcommand", ["corr", "venuecorr"])
+    @pytest.mark.parametrize("years,bad_year", [
+        ("1500..1502", "1500"), ("2016,1899", "1899"), ("2016..2101", "2101"),
+    ])
+    def test_years_outside_bounds_exit_2(self, subcommand, years, bad_year,
+                                         fixture_args, capsys):
+        venues = ["--venues", "TopJournal"] if subcommand == "venuecorr" else []
+        code, out, err = run([subcommand, *fixture_args, *venues,
+                              "--years", years], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"year {bad_year} outside [1900, 2100]" in err
+
     @pytest.mark.parametrize("subcommand", ["groupstats", "triage"])
     @pytest.mark.parametrize("value,bad_item", [
         ("1,x", "x"), ("-2,0", "-2"), ("0", "0"), ("1,,2", ""), ("3,1.5", "1.5"),
@@ -124,7 +137,12 @@ class TestIngestCheckpoint:
         '{"last_completed_paper_id": "a", "corpus_bytes": 10}',
         "[1]",
         '{"corpus_path": ',
-    ], ids=["unknown-key", "not-an-object", "invalid-json"])
+        '{"corpus_path": "c.jsonl", "last_completed_paper_id": "other-id", '
+        '"page_offset": 0, "timestamp": 0.0}',
+        '{"corpus_path": "c.jsonl", "last_completed_paper_id": null, '
+        '"page_offset": 0, "timestamp": 0.0}',
+    ], ids=["unknown-key", "not-an-object", "invalid-json", "id-not-in-list",
+            "null-id"])
     def test_malformed_checkpoint_exit_1_names_file(self, text, tmp_path,
                                                     capsys):
         ids = tmp_path / "ids.txt"
@@ -217,7 +235,7 @@ class TestGroupStats:
                                 for line in unmapped)
 
     @pytest.mark.parametrize("text", ['["NLPConf"]', '{"NLPConf": 1}',
-                                      '{"NLPConf": '])
+                                      '{"NLPConf": ', "NLPConf -> TopJournal"])
     def test_bad_alias_file_exit_1(self, text, fixture_args, tmp_path, capsys):
         aliases = tmp_path / "aliases.json"
         aliases.write_text(text)
@@ -226,6 +244,7 @@ class TestGroupStats:
         assert code == EXIT_DATA_ERROR
         assert out == ""
         assert "citegauge groupstats: error:" in err
+        assert f"alias file {aliases}" in err
 
     def test_missing_alias_file_exit_1(self, fixture_args, tmp_path, capsys):
         missing = tmp_path / "no-such-aliases.json"
@@ -294,6 +313,42 @@ class TestFitPredictAnovaBoxplot:
         assert code == EXIT_OK
         medians = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
         assert medians == sorted(medians, reverse=True)
+
+
+GOOD_MODEL = {"pub_year": 2016, "T": 10, "reference_venue": "A",
+              "intercept": 20.0, "venue_coefs": {"B": 1.5},
+              "early_coefs": {"1": 2.0, "10": 30.0}, "rss": 1.0,
+              "r_squared": 0.5}
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("model,field", [
+        ({}, "'pub_year'"),
+        ([1], "expected a JSON object, got list"),
+        (GOOD_MODEL | {"T": "x"}, "'T'"),
+        (GOOD_MODEL | {"early_coefs": {"1": 2.0, "x": 3.0}}, "'early_coefs'"),
+    ], ids=["empty-object", "list", "T-not-int", "early-key-not-int"])
+    @pytest.mark.parametrize("subcommand", ["predict", "triage"])
+    def test_malformed_model_exit_1_names_file_and_field(
+            self, subcommand, model, field, fixture_args, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        args = (["predict", "--venue", "B", "--early", "3"]
+                if subcommand == "predict" else ["triage", *fixture_args])
+        code, out, err = run([*args, "--model", str(path)], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert f"model file {path}: " in err and field in err
+        assert "Traceback" not in err
+
+    def test_well_formed_model_predicts(self, tmp_path, capsys):
+        # each malformed case above differs from this file in one field
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(GOOD_MODEL))
+        code, out, _ = run(["predict", "--model", str(path), "--venue", "B",
+                            "--early", "25"], capsys)
+        assert code == EXIT_OK
+        assert out == "51.5\n"
 
 
 class TestTriageAndLedger:

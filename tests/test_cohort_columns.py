@@ -2,9 +2,12 @@
 (Cohort.counts_in, Cohort.venues) against the per-paper code they replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
-from their names: each walked the cohort paper by paper.  Outputs must be
-equal with ==, not approximately: the reports print full-precision floats,
-so one ulp is a changed report.  The seeded cohorts include empty and
+from their names: each walked the cohort paper by paper.  The percentile,
+design and ranking oracles return plain tuples of the fields they built,
+since the new results hold arrays; they are compared with the same fields
+of the new results (the design through its per-row expansion).  Outputs
+must be equal with ==, not approximately: the reports print full-precision
+floats, so one ulp is a changed report.  The seeded cohorts include empty and
 single-paper threshold groups, many small venues interleaved in id order and
 pooled into "All other venues", venue names that differ only by a trailing
 NUL, all-zero (degenerate) years, and cohorts over 8192 papers (numpy's
@@ -38,14 +41,14 @@ from citegauge.model import (
     DEFAULT_T,
     MISC_VENUE,
     BoxplotRow,
-    DesignMatrix,
     FittedModel,
-    PercentileFrame,
     boxplot_aggregate,
     build_design_matrix,
     percentile_transform,
 )
-from citegauge.triage import RankedPaper, ddi_rank
+from citegauge.triage import ddi_rank
+
+from conftest import ranked_rows
 
 
 # --- oracles: the per-paper implementations ----------------------------------
@@ -173,12 +176,7 @@ def old_percentile_transform(cohort, future_year=None):
     _, group, size = np.unique(counts, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(size) - (size - 1) / 2.0)[group]
     percentiles = 100.0 * (ranks - 0.5) / len(counts)
-    return PercentileFrame(
-        pub_year=cohort.pub_year,
-        future_year=future_year,
-        paper_ids=tuple(p.id for p in cohort),
-        percentiles=tuple(percentiles.tolist()),
-    )
+    return cohort.pub_year, future_year, percentiles.tolist()
 
 
 def old_build_design_matrix(cohort, T=DEFAULT_T, early_offset=DEFAULT_EARLY_OFFSET,
@@ -217,15 +215,8 @@ def old_build_design_matrix(cohort, T=DEFAULT_T, early_offset=DEFAULT_EARLY_OFFS
     if n < k:
         raise TooFewRows(f"{n} rows < {k} columns")
 
-    return DesignMatrix(
-        column_names=tuple(columns),
-        venue_levels=venue_levels,
-        reference_venue=reference_venue,
-        T=T,
-        early_levels=early_levels,
-        row_venues=row_venues,
-        row_early=tuple(row_early.tolist()),
-    )
+    return (tuple(columns), venue_levels, reference_venue, T, early_levels,
+            list(row_venues), row_early.tolist())
 
 
 def old_ddi_rank(cohort, early_offset=DEFAULT_EARLY_OFFSET, model=None):
@@ -236,11 +227,11 @@ def old_ddi_rank(cohort, early_offset=DEFAULT_EARLY_OFFSET, model=None):
     for p in cohort:
         early = p.citations_in(early_year)
         predicted = model.predict(p.venue, early) if model is not None else None
-        rows.append(RankedPaper(p.id, early, p.venue, predicted))
+        rows.append((p.id, early, p.venue, predicted))
     rows.sort(key=lambda r: (
-        -r.early_count,
-        -(r.predicted_percentile if r.predicted_percentile is not None else 0.0),
-        r.paper_id,
+        -r[1],
+        -(r[3] if r[3] is not None else 0.0),
+        r[0],
     ))
     return rows
 
@@ -267,6 +258,17 @@ def old_boxplot_aggregate(values, groups, sort_by_median=False):
     if sort_by_median:
         rows.sort(key=lambda r: (-r.median, r.label))
     return rows
+
+
+def frame_fields(cohort, future_year):
+    frame = percentile_transform(cohort, future_year)
+    return frame.pub_year, frame.future_year, frame.percentiles.tolist()
+
+
+def design_fields(cohort, **kwargs):
+    d = build_design_matrix(cohort, **kwargs)
+    return (d.column_names, d.venue_levels, d.reference_venue, d.T,
+            d.early_levels, d.row_venues.tolist(), d.row_early.tolist())
 
 
 # --- seeded cohorts ----------------------------------------------------------
@@ -337,15 +339,16 @@ def check_all(rng, cohort):
     assert outcome(venue_correlation_table, cohort, venue_names, years) == \
         outcome(old_venue_correlation_table, cohort, venue_names, years)
 
-    assert outcome(percentile_transform, cohort, PUB_YEAR + future_offset) == \
+    assert outcome(frame_fields, cohort, PUB_YEAR + future_offset) == \
         outcome(old_percentile_transform, cohort, PUB_YEAR + future_offset)
     for T in (1, rng.randint(2, 12), 30):
         kwargs = dict(T=T, early_offset=early_offset,
                       min_venue_size=rng.choice([1, 2, 5, 40]))
-        assert outcome(build_design_matrix, cohort, **kwargs) == \
+        assert outcome(design_fields, cohort, **kwargs) == \
             outcome(old_build_design_matrix, cohort, **kwargs)
 
-    assert ddi_rank(cohort, early_offset) == old_ddi_rank(cohort, early_offset)
+    assert ranked_rows(ddi_rank(cohort, early_offset)) == \
+        old_ddi_rank(cohort, early_offset)
     # coefficients from a small set, so predictions tie and the id decides
     model = FittedModel(
         pub_year=PUB_YEAR, T=rng.randint(1, 6), reference_venue=venues[0],
@@ -353,7 +356,7 @@ def check_all(rng, cohort):
         venue_coefs={v: rng.choice([-5.0, 0.0, 5.0]) for v in venues[1:]},
         early_coefs={k: rng.choice([1.5, 3.0]) for k in range(1, 7)},
         rss=0.0, r_squared=0.0)
-    assert ddi_rank(cohort, early_offset, model) == \
+    assert ranked_rows(ddi_rank(cohort, early_offset, model)) == \
         old_ddi_rank(cohort, early_offset, model)
 
     values = [rng.choice([rng.uniform(0, 100), 25.0, 50.0]) for _ in cohort]

@@ -172,6 +172,24 @@ class TestBuildCorpus:
         assert data["last_completed_paper_id"] == sorted(papers)[-1]
         assert not list(tmp_path.glob(".ckpt-*"))  # no temp files left
 
+    @pytest.mark.parametrize("last_id", ["other-id", None],
+                             ids=["id-not-in-list", "null-id"])
+    def test_foreign_checkpoint_refused(self, last_id, tmp_path):
+        papers = make_papers(3)
+        ids = sorted(papers)
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        build_corpus(ids, out, ckpt, make_client(papers)[0])
+        data = json.loads(ckpt.read_text())
+        data["last_completed_paper_id"] = last_id
+        ckpt.write_text(json.dumps(data))
+        corpus = out.read_bytes()
+        client, transport, _ = make_client(papers)
+        with pytest.raises(errors.IngestError, match=f"checkpoint {ckpt}"):
+            build_corpus(ids, out, ckpt, client)
+        assert out.read_bytes() == corpus
+        assert transport.request_log == []
+        assert [r.id for r in load_corpus(out)] == ids
+
     def test_concurrent_workers_keep_order(self, tmp_path):
         papers = make_papers(12)
         ids = sorted(papers)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestPercentileTransform:
         # ranks 3,2,1 of counts 10,5,1; 100*(r-0.5)/3
         cohort = make_cohort([{2020: 10}, {2020: 5}, {2020: 1}])
         frame = percentile_transform(cohort, 2020)
-        by_id = dict(zip(frame.paper_ids, frame.percentiles))
+        by_id = dict(zip(cohort.ids, frame.percentiles))
         assert by_id["p0000"] == pytest.approx(100 * 2.5 / 3)
         assert by_id["p0001"] == pytest.approx(50.0)
         assert by_id["p0002"] == pytest.approx(100 * 0.5 / 3)
@@ -72,8 +73,8 @@ class TestPercentileTransform:
     def test_invariant_under_doubling(self):
         cohort = make_cohort([{2020: c} for c in [3, 9, 0, 4, 4]])
         doubled = make_cohort([{2020: 2 * c} for c in [3, 9, 0, 4, 4]])
-        assert percentile_transform(cohort, 2020).percentiles == \
-            percentile_transform(doubled, 2020).percentiles
+        assert percentile_transform(cohort, 2020).percentiles.tolist() == \
+            percentile_transform(doubled, 2020).percentiles.tolist()
 
     def test_range_and_rank_monotonicity(self):
         rng = random.Random(1)
@@ -104,8 +105,8 @@ class TestPercentileTransform:
             acc += rng.randint(1, 7)
         base = make_cohort([{2020: c} for c in counts])
         mapped = make_cohort([{2020: image[c]} for c in counts])
-        assert percentile_transform(base, 2020).percentiles == \
-            percentile_transform(mapped, 2020).percentiles
+        assert percentile_transform(base, 2020).percentiles.tolist() == \
+            percentile_transform(mapped, 2020).percentiles.tolist()
 
 
 class TestClipEarly:
@@ -184,8 +185,7 @@ def fit_synthetic(rng, n, noise=0.0, T=4):
     # fit on the raw signal rather than percentiles so coefficients are
     # recoverable exactly; wrap it in the frame container
     frame = frame.__class__(pub_year=2016, future_year=2020,
-                            paper_ids=frame.paper_ids,
-                            percentiles=tuple(signal))
+                            percentiles=signal)
     return cohort, design, frame, venue_effects, early_effects
 
 
@@ -217,8 +217,10 @@ class TestFitOls:
             column_names=("intercept", "venue:dup"),
             venue_levels=("dup",), reference_venue="A", T=1,
             early_levels=(),
-            row_venues=tuple("dup" for _ in range(10)),
-            row_early=tuple(0 for _ in range(10)))
+            # ten rows, all in the one cell (venue dup, early level 0)
+            row_cell=np.zeros(10, dtype=np.intp), cell_counts=np.array([10]),
+            cell_venue=np.array([1]), cell_early=np.array([0]),
+            cell_X=np.array([[1.0, 1.0]]))
         frame_cls = percentile_transform(make_cohort([{2020: i} for i in range(10)]),
                                          2020)
         with pytest.raises(errors.RankDeficient) as excinfo:
@@ -229,7 +231,6 @@ class TestFitOls:
         rng = random.Random(13)
         _, design, frame, _, _ = fit_synthetic(rng, 100)
         short = frame.__class__(pub_year=2016, future_year=2020,
-                                paper_ids=frame.paper_ids[:-1],
                                 percentiles=frame.percentiles[:-1])
         with pytest.raises(errors.DimensionMismatch):
             fit_ols(design, short)
@@ -259,18 +260,11 @@ class TestFitOls:
         fitted = fit_ols(design, frame)
         perm = list(range(design.n_rows))
         rng.shuffle(perm)
-        from citegauge.model import DesignMatrix
-        shuffled = DesignMatrix(
-            column_names=design.column_names,
-            venue_levels=design.venue_levels,
-            reference_venue=design.reference_venue, T=design.T,
-            early_levels=design.early_levels,
-            row_venues=tuple(design.row_venues[i] for i in perm),
-            row_early=tuple(design.row_early[i] for i in perm))
+        # row i of the shuffled design is row perm[i] of the original
+        shuffled = dataclasses.replace(design, row_cell=design.row_cell[perm])
         shuffled_frame = frame.__class__(
             pub_year=frame.pub_year, future_year=frame.future_year,
-            paper_ids=tuple(frame.paper_ids[i] for i in perm),
-            percentiles=tuple(frame.percentiles[i] for i in perm))
+            percentiles=frame.percentiles[perm])
         refit = fit_ols(shuffled, shuffled_frame)
         assert refit.intercept == pytest.approx(fitted.intercept, abs=1e-10)
         for v in fitted.venue_coefs:
@@ -329,9 +323,7 @@ class TestAnova:
         design = build_design_matrix(cohort, T=4, min_venue_size=1,
                                      reference_venue="A")
         frame = percentile_transform(cohort, 2020).__class__(
-            pub_year=2016, future_year=2020,
-            paper_ids=tuple(p.id for p in cohort),
-            percentiles=tuple(signal))
+            pub_year=2016, future_year=2020, percentiles=signal)
         table = anova_decompose(design, frame)
         # venue-first: only chance correlation with the early assignment,
         # O(1/n).  early-first: the early factor already explains everything,

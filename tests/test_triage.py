@@ -14,12 +14,11 @@ from citegauge.model import (
 )
 from citegauge.triage import (
     NominationLedger,
-    RankedPaper,
     ddi_rank,
     rule_of_thumb,
 )
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, random_cohort, ranked_rows
 
 
 def toy_model(venue_coefs):
@@ -33,20 +32,20 @@ class TestDdiRank:
     def test_ordering_contract(self):
         cohort = make_cohort([{2017: 3}, {2017: 7}, {2017: 3}])
         # ids p0000, p0001, p0002 with early counts 3, 7, 3
-        ranking = ddi_rank(cohort)
-        assert [(r.paper_id, r.early_count) for r in ranking] == [
+        ranking = ranked_rows(ddi_rank(cohort))
+        assert [(paper_id, early) for paper_id, early, _, _ in ranking] == [
             ("p0001", 7), ("p0000", 3), ("p0002", 3)]
 
     def test_model_breaks_ties(self):
         cohort = make_cohort([{2017: 5}, {2017: 5}], venues=["low", "high"])
         model = toy_model({"high": 9.0, "low": -9.0})
-        ranking = ddi_rank(cohort, model=model)
-        assert [r.venue for r in ranking] == ["high", "low"]
-        assert ranking[0].predicted_percentile > ranking[1].predicted_percentile
+        ranking = ranked_rows(ddi_rank(cohort, model=model))
+        assert [venue for _, _, venue, _ in ranking] == ["high", "low"]
+        assert ranking[0][3] > ranking[1][3]
 
     def test_singleton(self):
         cohort = make_cohort([{2017: 0}])
-        assert ddi_rank(cohort)[0].paper_id == "p0000"
+        assert ranked_rows(ddi_rank(cohort))[0][0] == "p0000"
 
     def test_empty_cohort(self):
         with pytest.raises(errors.EmptyCohort):
@@ -55,16 +54,16 @@ class TestDdiRank:
     def test_permutation_and_shuffle_invariance(self):
         rng = random.Random(4)
         cohort = random_cohort(rng, 40, max_count=6)
-        ranking = ddi_rank(cohort)
-        assert sorted(r.paper_id for r in ranking) == \
+        ranking = [row[0] for row in ranked_rows(ddi_rank(cohort))]
+        assert sorted(ranking) == \
             sorted(p.id for p in cohort)
         # cohort iteration is already canonical, so re-ranking the same
         # cohort built from shuffled inputs must agree
         shuffled = list(cohort.papers)
         rng.shuffle(shuffled)
         from citegauge.corpus import filter_cohort
-        again = ddi_rank(filter_cohort(shuffled, cohort.pub_year))
-        assert [r.paper_id for r in again] == [r.paper_id for r in ranking]
+        again = ranked_rows(ddi_rank(filter_cohort(shuffled, cohort.pub_year)))
+        assert [row[0] for row in again] == ranking
 
 
     @pytest.mark.parametrize("min_venue_size", [1, 55])
@@ -75,12 +74,11 @@ class TestDdiRank:
         model = fit_ols(design, percentile_transform(cohort, 2020))
         # with min_venue_size=55 the 50-paper NLPConf folds into misc
         assert (MISC_VENUE in model.venue_coefs) == (min_venue_size == 55)
-        expected = [RankedPaper(p.id, p.citations_in(2017), p.venue,
-                                model.predict(p.venue, p.citations_in(2017)))
+        expected = [(p.id, p.citations_in(2017), p.venue,
+                     model.predict(p.venue, p.citations_in(2017)))
                     for p in cohort]
-        expected.sort(key=lambda r: (-r.early_count, -r.predicted_percentile,
-                                     r.paper_id))
-        assert ddi_rank(cohort, model=model) == expected
+        expected.sort(key=lambda r: (-r[1], -r[3], r[0]))
+        assert ranked_rows(ddi_rank(cohort, model=model)) == expected
 
 def gs(label, mu, h, n=10, threshold=None):
     return GroupStats(label=label, h=h, median=mu, mu=mu, sigma=1.0, n=n,
