@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full report pipeline on a corpus and write every table to a
-directory.  Defaults to the committed synthetic fixture, so it doubles as
-an end-to-end smoke run:
+directory, through `citegauge report`.  Defaults to the committed synthetic
+fixture, so it doubles as an end-to-end smoke run:
 
     python3 scripts/run_reports.py --outdir reports/
 """
@@ -15,39 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 from citegauge.cli import main as cli_main
 
 
-def run(argv, out_path):
-    code = cli_main([*argv, "--out", str(out_path)])
-    if code != 0:
-        sys.exit(f"subcommand {argv[0]} failed with exit code {code}")
-    print(f"wrote {out_path}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus",
                         default=str(ROOT / "tests/data/fixture_corpus.jsonl"))
-    parser.add_argument("--pub-year", type=int, default=2016)
+    parser.add_argument("--pub-year", default="2016")
     parser.add_argument("--outdir", default="reports")
     args = parser.parse_args()
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    base = ["--corpus", args.corpus, "--pub-year", str(args.pub_year)]
-    y0 = args.pub_year
-
-    run(["corr", *base, "--years", f"{y0}..{y0 + 7}"],
-        outdir / "year_correlations.csv")
-    run(["groupstats", *base, "--thresholds", "1,2,3,10,20"],
-        outdir / "early_threshold_groups.csv")
-    run(["groupstats", *base, "--by", "venue", "--min-size", "40"],
-        outdir / "venue_groups.csv")
-    run(["fit", *base, "--model-out", str(outdir / "model.json")],
-        outdir / "coefficients.csv")
-    run(["anova", *base], outdir / "anova.csv")
-    run(["boxplot", *base], outdir / "boxplot_by_early.csv")
-    run(["boxplot", *base, "--by", "venue"], outdir / "boxplot_by_venue.csv")
-    run(["triage", *base, "--thresholds", "1,2,3,10,20"],
-        outdir / "triage.csv")
+    sys.exit(cli_main(["report", "--corpus", args.corpus,
+                       "--pub-year", args.pub_year, "--outdir", args.outdir]))
 
 
 if __name__ == "__main__":

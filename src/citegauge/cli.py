@@ -1,15 +1,18 @@
 """Command-line orchestration.
 
 Subcommands: ingest, import, corr, venuecorr, groupstats, fit, predict,
-anova, boxplot, triage, ledger.  All reports are deterministic: identical
-inputs produce byte-identical outputs.  Exit codes: 0 success, 1 data or
-model error, 2 usage error.
+anova, boxplot, triage, report, ledger.  All reports are deterministic:
+identical inputs produce byte-identical outputs.  Every report subcommand
+reads its cohort in one pass over the corpus; ``report`` writes the whole
+report set from that one pass.  Exit codes: 0 success, 1 data or model
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import ingest as ingest_mod
@@ -23,12 +26,31 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 
+#: Early levels of the prediction boxplots: a wider early factor than the
+#: fitted model's default.
+BOXPLOT_T = 30
+#: The largest --T: early counts are int64, and T clips them.
+MAX_T = 2 ** 63 - 1
+#: The report set's fixed parameters: as many correlation years, the early
+#: thresholds, and the venue-group size below which venues pool.
+REPORT_YEARS = 8
+REPORT_THRESHOLDS = [1, 2, 3, 10, 20]
+REPORT_VENUE_MIN_SIZE = 40
+
 
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _early_levels(text: str) -> int:
+    """argparse type for --T: an integer in [1, 2**63 - 1]."""
+    value = _positive_int(text)
+    if value > MAX_T:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_T}, got {value}")
     return value
 
 
@@ -72,6 +94,14 @@ def _year(text: str) -> int:
     return year
 
 
+def _report_pub_year(text: str) -> int:
+    """argparse type for report's --pub-year: the year and the last year it
+    correlates, each inside the corpus's year bounds."""
+    year = _year(text)
+    _year(str(year + REPORT_YEARS - 1))
+    return year
+
+
 def _parse_rate(text: str) -> ingest_mod.RateBudget:
     """argparse type: a request budget "N/SECONDS", e.g. 100/300."""
     try:
@@ -108,30 +138,32 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_cohort(args) -> corpus_mod.Cohort:
-    records = corpus_mod.load_corpus(args.corpus, strict=not args.lenient)
-    if getattr(args, "aliases", None):
-        aliases = corpus_mod.load_venue_aliases(args.aliases)
-        records = corpus_mod.apply_venue_aliases(records, aliases)
-    return corpus_mod.filter_cohort(records, args.pub_year, args.sources)
+    aliases = (corpus_mod.load_venue_aliases(args.aliases) if args.aliases
+               else None)
+    return corpus_mod.load_cohort(args.corpus, args.pub_year, args.sources,
+                                  strict=not args.lenient, aliases=aliases)
 
 
-def _add_cohort_flags(parser, offsets=False, model_params=False):
+def _add_cohort_flags(parser, offsets=False, model_params=False, out=True,
+                      pub_year=int):
     parser.add_argument("--corpus", required=True, help="corpus JSONL file")
-    parser.add_argument("--pub-year", type=int, required=True)
+    parser.add_argument("--pub-year", type=pub_year, required=True)
     parser.add_argument("--sources", type=_source_set, default=None,
                         help="comma-separated: ACL,ArXiv,PubMed,Other (default all)")
     parser.add_argument("--aliases", default=None,
                         help="optional JSON file mapping raw venue -> canonical name")
     parser.add_argument("--lenient", action="store_true",
                         help="ignore unknown corpus keys instead of rejecting")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    if out:
+        parser.add_argument("--out", default=None,
+                            help="output path (default stdout)")
     if offsets or model_params:
         parser.add_argument("--early-offset", type=_positive_int,
                             default=metrics_mod.DEFAULT_EARLY_OFFSET)
         parser.add_argument("--future-offset", type=_positive_int,
                             default=metrics_mod.DEFAULT_FUTURE_OFFSET)
     if model_params:
-        parser.add_argument("--T", type=_positive_int, default=model_mod.DEFAULT_T)
+        parser.add_argument("--T", type=_early_levels, default=model_mod.DEFAULT_T)
         parser.add_argument("--min-venue-size", type=_positive_int,
                             default=model_mod.DEFAULT_MIN_VENUE_SIZE)
         parser.add_argument("--reference-venue", default=None)
@@ -195,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boxplot", help="five-number summaries of predictions")
     _add_cohort_flags(p, model_params=True)
-    p.set_defaults(T=30)  # wider early factor for the prediction plots
+    p.set_defaults(T=BOXPLOT_T)
     p.add_argument("--by", choices=["early", "venue"], default="early")
 
     p = sub.add_parser("triage", help="rank papers by early returns")
@@ -204,6 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_positive_int_list, default=None,
                    help="also emit threshold-vs-venue comparison rows")
     p.add_argument("--min-venue-size", type=_positive_int, default=1)
+
+    p = sub.add_parser(
+        "report", help="write every report table from one pass over the corpus",
+        description="Write year_correlations.csv, early_threshold_groups.csv, "
+        "venue_groups.csv, coefficients.csv, model.json, anova.csv, "
+        "boxplot_by_early.csv, boxplot_by_venue.csv and triage.csv to "
+        f"--outdir.  --T shapes the fitted model; the boxplots use "
+        f"T={BOXPLOT_T}.")
+    _add_cohort_flags(p, out=False, pub_year=_report_pub_year)
+    p.add_argument("--T", type=_early_levels, default=model_mod.DEFAULT_T)
+    p.set_defaults(early_offset=metrics_mod.DEFAULT_EARLY_OFFSET,
+                   future_offset=metrics_mod.DEFAULT_FUTURE_OFFSET,
+                   min_venue_size=model_mod.DEFAULT_MIN_VENUE_SIZE,
+                   reference_venue=None)
+    p.add_argument("--outdir", required=True, help="directory to write into")
 
     p = sub.add_parser("ledger", help="nomination/review accounting")
     p.add_argument("--file", required=True, help="append-only event JSONL")
@@ -214,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fit_from_args(args):
-    cohort = _load_cohort(args)
-    frame = model_mod.percentile_transform(
+def _percentiles(cohort, args) -> model_mod.PercentileFrame:
+    return model_mod.percentile_transform(
         cohort, cohort.pub_year + args.future_offset)
-    design = model_mod.build_design_matrix(
-        cohort, T=args.T, early_offset=args.early_offset,
+
+
+def _design(cohort, args, T: int) -> model_mod.DesignMatrix:
+    return model_mod.build_design_matrix(
+        cohort, T=T, early_offset=args.early_offset,
         min_venue_size=args.min_venue_size,
         reference_venue=args.reference_venue)
-    fitted = model_mod.fit_ols(design, frame)
-    return cohort, frame, design, fitted
 
 
 def _cmd_ingest(args) -> int:
@@ -269,17 +316,23 @@ def _cmd_venuecorr(args) -> int:
     return EXIT_OK
 
 
+def _threshold_groups(cohort, thresholds, args) -> list:
+    """group_by_early_threshold, noting each empty threshold on stderr."""
+    stats = metrics_mod.group_by_early_threshold(
+        cohort, thresholds, early_offset=args.early_offset,
+        future_offset=args.future_offset)
+    emitted = {s.threshold for s in stats}
+    for t in thresholds:
+        if t not in emitted:
+            print(f"note: threshold {t}+ group is empty, row omitted",
+                  file=sys.stderr)
+    return stats
+
+
 def _cmd_groupstats(args) -> int:
     cohort = _load_cohort(args)
     if args.by == "early":
-        stats = metrics_mod.group_by_early_threshold(
-            cohort, args.thresholds, early_offset=args.early_offset,
-            future_offset=args.future_offset)
-        emitted = {s.threshold for s in stats}
-        for t in args.thresholds:
-            if t not in emitted:
-                print(f"note: threshold {t}+ group is empty, row omitted",
-                      file=sys.stderr)
+        stats = _threshold_groups(cohort, args.thresholds, args)
     else:
         stats = metrics_mod.group_by_venue(cohort, min_size=args.min_size,
                                            future_offset=args.future_offset)
@@ -290,7 +343,9 @@ def _cmd_groupstats(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _, _, _, fitted = _fit_from_args(args)
+    cohort = _load_cohort(args)
+    frame = _percentiles(cohort, args)
+    fitted = model_mod.fit_ols(_design(cohort, args, args.T), frame)
     if args.model_out:
         model_mod.save_model(fitted, args.model_out)
     _emit(report_mod.coefficients_csv(fitted), args.out)
@@ -305,41 +360,97 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_anova(args) -> int:
-    _, frame, design, _ = _fit_from_args(args)
-    table = model_mod.anova_decompose(design, frame)
+    cohort = _load_cohort(args)
+    frame = _percentiles(cohort, args)
+    table = model_mod.anova_decompose(_design(cohort, args, args.T), frame)
     _emit(report_mod.anova_csv(table), args.out)
     return EXIT_OK
 
 
-def _cmd_boxplot(args) -> int:
-    _, _, design, fitted = _fit_from_args(args)
-    predictions = model_mod.predict_cohort(fitted, design)
-    if args.by == "early":
+def _boxplot_text(design, predictions, by: str) -> str:
+    if by == "early":
         groups = [f"{lvl:02d}" for lvl in design.row_early.tolist()]
         rows = model_mod.boxplot_aggregate(predictions, groups)
     else:
         rows = model_mod.boxplot_aggregate(predictions, design.row_venues,
                                            sort_by_median=True)
-    _emit(report_mod.boxplot_csv(rows), args.out)
+    return report_mod.boxplot_csv(rows)
+
+
+def _predictions(cohort, frame, args, T: int):
+    """The design at T and the predictions of the model fitted on it."""
+    design = _design(cohort, args, T)
+    fitted = model_mod.fit_ols(design, frame)
+    return design, model_mod.predict_cohort(fitted, design)
+
+
+def _cmd_boxplot(args) -> int:
+    cohort = _load_cohort(args)
+    design, predictions = _predictions(cohort, _percentiles(cohort, args),
+                                       args, args.T)
+    _emit(_boxplot_text(design, predictions, args.by), args.out)
     return EXIT_OK
+
+
+def _triage_text(cohort, args, thresholds, min_venue_size: int,
+                 fitted=None) -> str:
+    ranking = triage_mod.ddi_rank(cohort, early_offset=args.early_offset,
+                                  model=fitted)
+    comparisons = None
+    if thresholds:
+        threshold_stats = [s for s in metrics_mod.group_by_early_threshold(
+            cohort, thresholds, early_offset=args.early_offset,
+            future_offset=args.future_offset) if s.threshold != 0]
+        venue_stats = [s for s in metrics_mod.group_by_venue(
+            cohort, min_size=min_venue_size,
+            future_offset=args.future_offset)
+            if s.label != metrics_mod.OTHER_VENUES_LABEL]
+        comparisons = triage_mod.rule_of_thumb(threshold_stats, venue_stats)
+    return report_mod.triage_csv(ranking, comparisons)
 
 
 def _cmd_triage(args) -> int:
     cohort = _load_cohort(args)
     fitted = model_mod.load_model(args.model) if args.model else None
-    ranking = triage_mod.ddi_rank(cohort, early_offset=args.early_offset,
-                                  model=fitted)
-    comparisons = None
-    if args.thresholds:
-        threshold_stats = [s for s in metrics_mod.group_by_early_threshold(
-            cohort, args.thresholds, early_offset=args.early_offset,
-            future_offset=args.future_offset) if s.threshold != 0]
-        venue_stats = [s for s in metrics_mod.group_by_venue(
-            cohort, min_size=args.min_venue_size,
-            future_offset=args.future_offset)
-            if s.label != metrics_mod.OTHER_VENUES_LABEL]
-        comparisons = triage_mod.rule_of_thumb(threshold_stats, venue_stats)
-    _emit(report_mod.triage_csv(ranking, comparisons), args.out)
+    _emit(_triage_text(cohort, args, args.thresholds, args.min_venue_size,
+                       fitted), args.out)
+    return EXIT_OK
+
+
+def _cmd_report(args) -> int:
+    """The nine report files from one load, one percentile transform and
+    one fit per design (--T for the model and anova, BOXPLOT_T for both
+    boxplots), each file written as soon as it is computed."""
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        _emit(text, outdir / name)
+        print(f"wrote {outdir / name}")
+
+    cohort = _load_cohort(args)
+    y0 = cohort.pub_year
+    write("year_correlations.csv", report_mod.correlation_csv(
+        metrics_mod.year_correlation_matrix(
+            cohort, list(range(y0, y0 + REPORT_YEARS)))))
+    write("early_threshold_groups.csv", report_mod.group_stats_csv(
+        _threshold_groups(cohort, REPORT_THRESHOLDS, args)))
+    write("venue_groups.csv", report_mod.group_stats_csv(
+        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE,
+                                   future_offset=args.future_offset)))
+    frame = _percentiles(cohort, args)
+    design = _design(cohort, args, args.T)
+    fitted = model_mod.fit_ols(design, frame)
+    model_mod.save_model(fitted, outdir / "model.json")
+    print(f"wrote {outdir / 'model.json'}")
+    write("coefficients.csv", report_mod.coefficients_csv(fitted))
+    write("anova.csv", report_mod.anova_csv(
+        model_mod.anova_decompose(design, frame)))
+    design, predictions = _predictions(cohort, frame, args, BOXPLOT_T)
+    write("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
+    write("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
+    write("triage.csv", _triage_text(cohort, args, REPORT_THRESHOLDS,
+                                     min_venue_size=1))
     return EXIT_OK
 
 
@@ -374,6 +485,7 @@ _HANDLERS = {
     "anova": _cmd_anova,
     "boxplot": _cmd_boxplot,
     "triage": _cmd_triage,
+    "report": _cmd_report,
     "ledger": _cmd_ledger,
 }
 

@@ -4,6 +4,12 @@ A corpus is a UTF-8 JSONL file, one paper per line, with keys exactly
 {"id", "source", "venue", "year", "counts"}.  "counts" maps 4-digit year
 strings to non-negative integers; missing years mean zero citations that
 year.  Records are immutable after construction.
+
+The reports read one publication-year cohort, never the whole corpus:
+``load_cohort`` validates every line in one streaming pass and keeps only
+the cohort's ids, venues and a years x papers count matrix.  ``PaperRecord``
+is the record type of the write path (ingest, import, ``write_corpus``) and
+of ``load_corpus``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 CORPUS_KEYS = {"id", "source", "venue", "year", "counts"}
 
@@ -46,10 +53,11 @@ class Source(str, Enum):
         return member
 
 
-#: Lookup tables for the validator's accept path: a canonical year key and a
+#: Lookup tables for the validator's accept test: a canonical year key and a
 #: lowercased source name each cost one dict lookup.
 _YEARS = {str(y): y for y in range(YEAR_MIN, YEAR_MAX + 1)}
 _SOURCES = {member.value.lower(): member for member in Source}
+_INT_ONLY = {int}
 
 
 @dataclass(frozen=True)
@@ -67,40 +75,36 @@ class PaperRecord:
         return self.counts.get(year, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """Papers sharing a publication year, sorted by id.
+    """Papers sharing a publication year, as columns in id order.
 
-    The statistics read the cohort as columns, each in cohort (id) order:
-    ``ids``, ``venues`` and ``counts_in(year)``.  Each call builds its
-    column afresh; nothing is cached.
+    ``ids`` and ``venues`` hold one entry per paper; ``counts`` is a
+    read-only int64 matrix with one row per calendar year in ``years``
+    (ascending, only years some paper has a count in) and one column per
+    paper.  ``counts_in(year)`` returns that year's row, or zeros for a year
+    with no row.  A count past int64 is kept out of the matrix, and its
+    year in ``overflow_years``: reading that year raises ValueError.
     """
 
     pub_year: int
-    papers: tuple[PaperRecord, ...]
+    ids: tuple[str, ...]
+    venues: tuple[str, ...]
+    years: tuple[int, ...]
+    counts: np.ndarray
+    overflow_years: frozenset[int] = frozenset()
 
     def __len__(self) -> int:
-        return len(self.papers)
-
-    def __iter__(self) -> Iterator[PaperRecord]:
-        return iter(self.papers)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.papers)
-
-    @property
-    def venues(self) -> tuple[str, ...]:
-        return tuple(p.venue for p in self.papers)
+        return len(self.ids)
 
     def counts_in(self, year: int) -> np.ndarray:
         """Citations in a calendar year as an int64 vector; absent years are zero."""
-        try:
-            return np.array([p.counts.get(year, 0) for p in self.papers],
-                            dtype=np.int64)
-        except OverflowError:
+        if year in self.overflow_years:
             raise ValueError(f"a citation count in {year} does not fit in "
-                             f"64 bits") from None
+                             f"64 bits")
+        if year in self.years:
+            return self.counts[self.years.index(year)]
+        return np.zeros(len(self.ids), dtype=np.int64)
 
 
 def _check_year(value, what: str, line=None) -> int:
@@ -132,20 +136,9 @@ def _check_count(key, value, pub_year: int, line=None) -> tuple[int, int]:
     return year, value
 
 
-def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
-    """Validate one parsed corpus line into a PaperRecord.
-
-    In strict mode unknown keys are rejected; with strict=False they are
-    ignored.  Every failure names the offending field and line number.
-
-    A valid record costs only table lookups and exact type tests: count keys
-    are looked up in a table of canonical year strings and the source (in
-    Source.parse) in a table of lowercased names.  Anything the lookups and
-    type tests do not accept at once (a key such as " 2016" or "02016", an
-    int subclass, a bool) goes through the full checks, so every record is
-    accepted or rejected exactly as the full checks alone would, with the
-    same exception and message.
-    """
+def _full_checks(raw, line, strict: bool) -> tuple:
+    """Every check of one parsed line, in order: the only reject path, and
+    where odd but valid count keys such as " 2016" are normalised."""
     if not isinstance(raw, dict):
         raise ParseError(f"record must be an object, got {type(raw).__name__}", line=line)
     if raw.keys() != CORPUS_KEYS:
@@ -174,16 +167,53 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
     raw_counts = raw["counts"]
     if not isinstance(raw_counts, dict):
         raise ParseError("field 'counts' must be an object", line=line)
-    counts: dict[int, int] = {}
-    for key, value in raw_counts.items():
-        year = _YEARS.get(key)
-        if (year is None or type(value) is not int or value < 0
-                or year < pub_year):
-            year, value = _check_count(key, value, pub_year, line)
-        counts[year] = value
+    counts = dict(_check_count(key, value, pub_year, line)
+                  for key, value in raw_counts.items())
+    return paper_id, source, venue, pub_year, counts.keys(), counts.values()
 
-    return PaperRecord(id=paper_id, source=source, venue=venue,
-                       pub_year=pub_year, counts=counts)
+
+def _fields(raw, line=None, strict: bool = True) -> tuple:
+    """(id, source, venue, pub_year, count years, count values) of one
+    parsed corpus line, or the error of its first invalid field.
+
+    The accept test is C-level work only: the exact key set, exact type
+    tests, one source lookup, count keys a subset of the canonical year
+    strings whose least (text order is year order for 4-digit keys) is not
+    before pub_year, and int values with a non-negative minimum.
+    A line it does not accept goes through the full checks, which accept or
+    reject it exactly as they always have.  The count years come back lazily,
+    so a line outside the cohort never builds them.
+    """
+    if type(raw) is dict and raw.keys() == CORPUS_KEYS:
+        paper_id, source, venue = raw["id"], raw["source"], raw["venue"]
+        pub_year, counts = raw["year"], raw["counts"]
+        if type(source) is str:
+            source = _SOURCES.get(source.lower())
+        if (type(paper_id) is str and paper_id and type(venue) is str
+                and type(source) is Source
+                and type(pub_year) is int and YEAR_MIN <= pub_year <= YEAR_MAX
+                and type(counts) is dict
+                and counts.keys() <= _YEARS.keys()
+                and {*map(type, counts.values())} <= _INT_ONLY
+                and (not counts or (_YEARS[min(counts)] >= pub_year
+                                    and min(counts.values()) >= 0))):
+            return (paper_id, source, venue, pub_year,
+                    map(_YEARS.__getitem__, counts), counts.values())
+    return _full_checks(raw, line, strict)
+
+
+def _record(paper_id, source, venue, pub_year, years, values) -> PaperRecord:
+    return PaperRecord(paper_id, source, venue, pub_year,
+                       dict(zip(years, values)))
+
+
+def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
+    """Validate one parsed corpus line into a PaperRecord.
+
+    In strict mode unknown keys are rejected; with strict=False they are
+    ignored.  Every failure names the offending field and line number.
+    """
+    return _record(*_fields(raw, line, strict))
 
 
 #: Decodes one JSON value at the start of a string and returns it with the
@@ -191,15 +221,15 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
-    """Load a JSONL corpus file; rejects duplicate ids and invalid lines.
+def _validated_lines(path, strict: bool) -> Iterator[tuple]:
+    """The _fields of every line of a corpus file, in line order; the first
+    invalid line or duplicate id raises, naming its line.
 
     A stripped line that holds exactly one JSON value costs one raw_decode;
     json.loads, which is raw_decode behind a BOM check and two whitespace
     scans, runs only on a line raw_decode does not consume whole, and
     raises the error the line has always raised.
     """
-    records: list[PaperRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for line_num, line in enumerate(handle, 1):
@@ -216,12 +246,72 @@ def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}",
                                      line=line_num) from None
-            record = validate_record(raw, line=line_num, strict=strict)
-            if record.id in seen:
-                raise DuplicateId(f"duplicate id {record.id!r}", line=line_num)
-            seen.add(record.id)
-            records.append(record)
-    return records
+            fields = _fields(raw, line_num, strict)
+            if fields[0] in seen:
+                raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
+            seen.add(fields[0])
+            yield fields
+
+
+def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
+    """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
+    return [_record(*fields) for fields in _validated_lines(path, strict)]
+
+
+def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
+                strict: bool = True,
+                aliases: Mapping[str, str] | None = None) -> Cohort:
+    """One publication-year cohort of a JSONL corpus file, in one pass.
+
+    Every line is validated in line order, so the first invalid line or
+    duplicate id anywhere in the file raises as load_corpus would, even
+    outside the cohort.  Only the cohort's ids, venues (through the alias
+    map, if any) and counts are kept.  sources=None means all sources.
+    """
+    return _select(_validated_lines(path, strict), pub_year, sources, aliases)
+
+
+def _select(rows: Iterable[tuple], pub_year: int,
+            sources: Iterable[Source] | None,
+            aliases: Mapping[str, str] | None = None) -> Cohort:
+    """The cohort of (id, source, venue, pub_year, count years, count values)
+    rows.  Each member's count years and values go onto two flat lists, so
+    no per-paper object outlives the row."""
+    source_set = frozenset(sources) if sources is not None else frozenset(Source)
+    ids, venues, sizes, years, values = [], [], [], [], []
+    for paper_id, source, venue, year, count_years, count_values in rows:
+        if year == pub_year and source in source_set:
+            ids.append(paper_id)
+            venues.append(venue)
+            sizes.append(len(count_values))
+            years.extend(count_years)
+            values.extend(count_values)
+    if aliases:
+        venues = [aliases.get(v, v) for v in venues]
+
+    n = len(ids)
+    order = sorted(range(n), key=ids.__getitem__)
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    try:
+        values = np.array(values, dtype=np.int64)
+        overflow = frozenset()
+    except OverflowError:
+        big = [i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX]
+        overflow = frozenset(years[i] for i in big)
+        for i in big:
+            values[i] = 0
+        values = np.array(values, dtype=np.int64)
+    row_years, row = np.unique(np.array(years, dtype=np.int64),
+                               return_inverse=True)
+    counts = np.zeros((len(row_years), n), dtype=np.int64)
+    counts[row, np.repeat(column, sizes)] = values
+    counts.flags.writeable = False
+    return Cohort(pub_year=pub_year,
+                  ids=tuple(map(ids.__getitem__, order)),
+                  venues=tuple(map(venues.__getitem__, order)),
+                  years=tuple(row_years.tolist()), counts=counts,
+                  overflow_years=overflow)
 
 
 def record_to_json(record: PaperRecord) -> str:
@@ -248,17 +338,14 @@ def write_corpus(records: Iterable[PaperRecord], path) -> int:
 
 def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
                   sources: Iterable[Source] | None = None) -> Cohort:
-    """Select records matching pub_year and source set, sorted by id.
+    """The cohort of records matching pub_year and the source set, as
+    columns sorted by id.
 
     sources=None means all sources.  An empty cohort is legal; downstream
     statistics reject it.
     """
-    source_set = frozenset(sources) if sources is not None else frozenset(Source)
-    members = sorted(
-        (r for r in records if r.pub_year == pub_year and r.source in source_set),
-        key=lambda r: r.id,
-    )
-    return Cohort(pub_year=pub_year, papers=tuple(members))
+    return _select(((r.id, r.source, r.venue, r.pub_year, r.counts.keys(),
+                     r.counts.values()) for r in records), pub_year, sources)
 
 
 def load_venue_aliases(path) -> dict[str, str]:
@@ -274,16 +361,3 @@ def load_venue_aliases(path) -> dict[str, str]:
         raise ParseError(
             f"alias file {path} must be a JSON object of string -> string")
     return raw
-
-
-def apply_venue_aliases(records: Iterable[PaperRecord],
-                        aliases: Mapping[str, str]) -> list[PaperRecord]:
-    """Rewrite venue names through the alias map; unmapped venues pass verbatim."""
-    out = []
-    for record in records:
-        venue = aliases.get(record.venue, record.venue)
-        if venue != record.venue:
-            record = PaperRecord(record.id, record.source, venue,
-                                 record.pub_year, record.counts)
-        out.append(record)
-    return out

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from citegauge.corpus import Cohort, PaperRecord, Source, filter_cohort
+from citegauge.corpus import PaperRecord, Source, filter_cohort
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -29,24 +29,36 @@ def make_record(paper_id, pub_year=2016, counts=None, venue="V",
                        pub_year=pub_year, counts=dict(counts or {}))
 
 
-def make_cohort(count_rows, pub_year=2016, venues=None):
-    """Build a cohort from a list of {year: count} maps (one per paper)."""
+def make_records(count_rows, pub_year=2016, venues=None):
+    """One record per {year: count} map, with ids p0000, p0001, ... so the
+    list is in cohort (id) order."""
     papers = []
     for i, counts in enumerate(count_rows):
         venue = venues[i] if venues else "V"
         papers.append(make_record(f"p{i:04d}", pub_year, counts, venue))
-    return filter_cohort(papers, pub_year)
+    return papers
 
 
-def random_cohort(rng: random.Random, size, pub_year=2016, years=None,
-                  venues=("A", "B", "C"), max_count=100):
+def make_cohort(count_rows, pub_year=2016, venues=None):
+    """Build a cohort from a list of {year: count} maps (one per paper)."""
+    return filter_cohort(make_records(count_rows, pub_year, venues), pub_year)
+
+
+def random_records(rng: random.Random, size, pub_year=2016, years=None,
+                   venues=("A", "B", "C"), max_count=100):
+    """Random records in cohort order, for per-paper oracles."""
     years = years or range(pub_year, pub_year + 5)
     rows = []
     chosen = []
     for _ in range(size):
         rows.append({y: rng.randint(0, max_count) for y in years})
         chosen.append(rng.choice(venues))
-    return make_cohort(rows, pub_year, venues=chosen)
+    return make_records(rows, pub_year, venues=chosen)
+
+
+def random_cohort(rng: random.Random, size, pub_year=2016, **kwargs):
+    return filter_cohort(random_records(rng, size, pub_year, **kwargs),
+                         pub_year)
 
 
 def ranked_rows(ranking):

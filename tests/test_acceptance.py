@@ -40,7 +40,7 @@ from citegauge.model import (
     percentile_transform,
 )
 
-from conftest import DATA_DIR, make_cohort, random_cohort
+from conftest import DATA_DIR, make_cohort, random_cohort, random_records
 from ingest_harness import make_papers
 from test_ingest import run_randomized_schedule
 from test_metrics import h_index_oracle, pearson_oracle
@@ -75,8 +75,9 @@ def test_criterion_2_pearson_oracle():
     rng = random.Random(102)
     start = time.perf_counter()
     for _ in range(200):
-        cohort = random_cohort(rng, rng.randint(2, 100),
-                               years=[2016, 2017, 2018])
+        records = random_records(rng, rng.randint(2, 100),
+                                 years=[2016, 2017, 2018])
+        cohort = filter_cohort(records, 2016)
         years = [2016, 2017, 2018]
         table = year_correlation_matrix(cohort, years)
         for i, a in enumerate(years):
@@ -84,8 +85,8 @@ def test_criterion_2_pearson_oracle():
                 got = table.entries[i][j]
                 assert got == table.entries[j][i]
                 expected = pearson_oracle(
-                    [p.citations_in(a) for p in cohort],
-                    [p.citations_in(b) for p in cohort])
+                    [p.citations_in(a) for p in records],
+                    [p.citations_in(b) for p in records])
                 if expected is None:
                     assert got is DEGENERATE
                 else:
@@ -94,8 +95,8 @@ def test_criterion_2_pearson_oracle():
         pred = lambda p: p.venue == "A"
         got = venue_correlation_table(cohort, ["A"], [2017]).at("A", 2017)
         expected = pearson_oracle(
-            [1 if pred(p) else 0 for p in cohort],
-            [p.citations_in(2017) for p in cohort])
+            [1 if pred(p) else 0 for p in records],
+            [p.citations_in(2017) for p in records])
         if expected is None:
             assert got is DEGENERATE
         else:

@@ -1,8 +1,16 @@
 import json
+import random
 
 import pytest
 
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from citegauge.corpus import filter_cohort, load_corpus
+from citegauge.model import (
+    anova_decompose,
+    build_design_matrix,
+    percentile_transform,
+)
+from citegauge.report import anova_csv
 
 
 def run(args, capsys):
@@ -51,6 +59,41 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert args[-2] in err
+
+    @pytest.mark.parametrize("subcommand", ["fit", "anova", "boxplot",
+                                            "report"])
+    @pytest.mark.parametrize("value", [str(2 ** 63), "100000000000000000000"])
+    def test_T_past_int64_exit_2(self, subcommand, value, fixture_args,
+                                 tmp_path, capsys):
+        outdir = tmp_path / "reports"
+        extra = ["--outdir", str(outdir)] if subcommand == "report" else []
+        code, out, err = run([subcommand, *fixture_args, *extra,
+                              "--T", value], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--T" in err and value in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag", ["--early-offset", "--future-offset",
+                                      "--min-venue-size", "--reference-venue"])
+    def test_report_takes_no_other_model_flag(self, flag, fixture_args,
+                                               tmp_path, capsys):
+        outdir = tmp_path / "reports"
+        code, out, err = run(["report", *fixture_args, "--outdir",
+                              str(outdir), flag, "1"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
+        assert not outdir.exists()
+
+    def test_T_at_int64_max_accepted(self, fixture_args, capsys):
+        # no early count reaches either T, so the fits are the same
+        code, at_max, _ = run(["fit", *fixture_args, "--T", str(2 ** 63 - 1)],
+                              capsys)
+        assert code == EXIT_OK
+        code, at_1000, _ = run(["fit", *fixture_args, "--T", "1000"], capsys)
+        assert code == EXIT_OK
+        assert at_max == at_1000
 
     @pytest.mark.parametrize("subcommand", ["corr", "venuecorr"])
     @pytest.mark.parametrize("years,bad_year", [
@@ -300,6 +343,30 @@ class TestFitPredictAnovaBoxplot:
         assert out.splitlines()[0] == "ordering,factor,ss,eta_squared"
         assert any(line.startswith("early_first,early,") for line in
                    out.splitlines())
+
+    def test_anova_on_rank_deficient_design(self, tmp_path, capsys):
+        """Venue B's papers all have early count 3, so the early:3 column
+        equals the venue:B column: fit refuses the design, and anova, which
+        needs no fit, decomposes it."""
+        rng = random.Random(8)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(
+            {"id": f"p{i:02d}", "source": "ACL", "venue": "AB"[i // 30],
+             "year": 2016, "counts": {"2017": i % 3 if i < 30 else 3,
+                                      "2020": rng.randint(0, 50)}}) + "\n"
+            for i in range(60)))
+        args = ["--corpus", str(corpus), "--pub-year", "2016",
+                "--min-venue-size", "1"]
+        code, out, err = run(["fit", *args], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert "rank deficient; collinear columns: ['early:3']" in err
+        code, out, err = run(["anova", *args], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        cohort = filter_cohort(load_corpus(corpus), 2016)
+        table = anova_decompose(build_design_matrix(cohort, min_venue_size=1),
+                                percentile_transform(cohort, 2020))
+        assert len(table.venue_first) == len(table.early_first) == 3
+        assert out == anova_csv(table)
 
     def test_boxplot_by_early_defaults_to_t30(self, fixture_args, capsys):
         code, out, _ = run(["boxplot", *fixture_args], capsys)

@@ -2,7 +2,9 @@
 (Cohort.counts_in, Cohort.venues) against the per-paper code they replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
-from their names: each walked the cohort paper by paper.  The percentile,
+from their names: each walked the cohort paper by paper.  They read a
+PaperCohort, the record tuple a Cohort was before it became columns, built
+from the same records as the Cohort under test.  The percentile,
 design and ranking oracles return plain tuples of the fields they built,
 since the new results hold arrays; they are compared with the same fields
 of the new results (the design through its per-row expansion).  Outputs
@@ -17,6 +19,7 @@ chunk rounds differently from one over float64.
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -52,6 +55,21 @@ from conftest import ranked_rows
 
 
 # --- oracles: the per-paper implementations ----------------------------------
+
+@dataclass(frozen=True)
+class PaperCohort:
+    """The records of a cohort sorted by id, as Cohort held them before it
+    became columns."""
+
+    pub_year: int
+    papers: tuple
+
+    def __len__(self):
+        return len(self.papers)
+
+    def __iter__(self):
+        return iter(self.papers)
+
 
 def old_h_index(counts):
     ordered = sorted(counts, reverse=True)
@@ -300,7 +318,8 @@ def seeded_cohort(seed, size=None, scale=1):
         papers.append(PaperRecord(id=f"p{pid:06d}", source=Source.ACL,
                                   venue=rng.choices(names, weights)[0],
                                   pub_year=PUB_YEAR, counts=counts))
-    return rng, filter_cohort(papers, PUB_YEAR)
+    old = PaperCohort(PUB_YEAR, tuple(sorted(papers, key=lambda p: p.id)))
+    return rng, filter_cohort(papers, PUB_YEAR), old
 
 
 def outcome(fn, *args, **kwargs):
@@ -314,41 +333,41 @@ SEEDS = range(120)
 LARGE = [(1000, 9000, 1), (1001, 10500, 1), (1002, 9000, 10 ** 12 + 1)]
 
 
-def check_all(rng, cohort):
-    max_early = max((p.citations_in(PUB_YEAR + 1) for p in cohort), default=0)
+def check_all(rng, cohort, old):
+    max_early = max((p.citations_in(PUB_YEAR + 1) for p in old), default=0)
     thresholds = sorted(rng.sample(range(1, max_early + 3), min(5, max_early + 2)))
     thresholds += [max_early, max_early + 1, 10 ** 6]   # one paper, then none
     early_offset = rng.randint(1, 3)
     future_offset = rng.choice([early_offset, 4, 7, 9])   # 9: no counts at all
 
     assert group_by_early_threshold(cohort, thresholds) == \
-        old_group_by_early_threshold(cohort, thresholds)
+        old_group_by_early_threshold(old, thresholds)
     assert outcome(group_by_early_threshold, cohort, thresholds, early_offset,
                    future_offset) == \
-        outcome(old_group_by_early_threshold, cohort, thresholds, early_offset,
+        outcome(old_group_by_early_threshold, old, thresholds, early_offset,
                 future_offset)
     for min_size in (1, 2, rng.randint(3, 60)):
         assert outcome(group_by_venue, cohort, min_size, future_offset) == \
-            outcome(old_group_by_venue, cohort, min_size, future_offset)
+            outcome(old_group_by_venue, old, min_size, future_offset)
 
     years = rng.sample(YEARS + [PUB_YEAR + 9], rng.randint(1, 9))
     assert outcome(year_correlation_matrix, cohort, years) == \
-        outcome(old_year_correlation_matrix, cohort, years)
-    venues = sorted({p.venue for p in cohort})
+        outcome(old_year_correlation_matrix, old, years)
+    venues = sorted({p.venue for p in old})
     venue_names = rng.sample(venues, min(4, len(venues))) + ["absent"]
     assert outcome(venue_correlation_table, cohort, venue_names, years) == \
-        outcome(old_venue_correlation_table, cohort, venue_names, years)
+        outcome(old_venue_correlation_table, old, venue_names, years)
 
     assert outcome(frame_fields, cohort, PUB_YEAR + future_offset) == \
-        outcome(old_percentile_transform, cohort, PUB_YEAR + future_offset)
+        outcome(old_percentile_transform, old, PUB_YEAR + future_offset)
     for T in (1, rng.randint(2, 12), 30):
         kwargs = dict(T=T, early_offset=early_offset,
                       min_venue_size=rng.choice([1, 2, 5, 40]))
         assert outcome(design_fields, cohort, **kwargs) == \
-            outcome(old_build_design_matrix, cohort, **kwargs)
+            outcome(old_build_design_matrix, old, **kwargs)
 
     assert ranked_rows(ddi_rank(cohort, early_offset)) == \
-        old_ddi_rank(cohort, early_offset)
+        old_ddi_rank(old, early_offset)
     # coefficients from a small set, so predictions tie and the id decides
     model = FittedModel(
         pub_year=PUB_YEAR, T=rng.randint(1, 6), reference_venue=venues[0],
@@ -357,13 +376,13 @@ def check_all(rng, cohort):
         early_coefs={k: rng.choice([1.5, 3.0]) for k in range(1, 7)},
         rss=0.0, r_squared=0.0)
     assert ranked_rows(ddi_rank(cohort, early_offset, model)) == \
-        old_ddi_rank(cohort, early_offset, model)
+        old_ddi_rank(old, early_offset, model)
 
-    values = [rng.choice([rng.uniform(0, 100), 25.0, 50.0]) for _ in cohort]
-    for groups in ([p.venue for p in cohort],
+    values = [rng.choice([rng.uniform(0, 100), 25.0, 50.0]) for _ in old]
+    for groups in ([p.venue for p in old],
                    [f"{min(p.citations_in(PUB_YEAR + 1), 30):02d}"
-                    for p in cohort],
-                   [rng.choice([3, "3", 12, "b"]) for _ in cohort]):
+                    for p in old],
+                   [rng.choice([3, "3", 12, "b"]) for _ in old]):
         for by_median in (False, True):
             assert boxplot_aggregate(values, groups, by_median) == \
                 old_boxplot_aggregate(values, groups, by_median)
@@ -399,10 +418,10 @@ def test_trailing_nul_venues_stay_apart():
 
 
 def test_counts_in_reads_cohort_order():
-    _, cohort = seeded_cohort(3, 50)
+    _, cohort, old = seeded_cohort(3, 50)
     for year in YEARS:
         got = cohort.counts_in(year)
         assert got.dtype == np.int64
-        assert got.tolist() == [p.citations_in(year) for p in cohort]
-    assert cohort.venues == tuple(p.venue for p in cohort)
-    assert cohort.ids == tuple(p.id for p in cohort)
+        assert got.tolist() == [p.citations_in(year) for p in old]
+    assert cohort.venues == tuple(p.venue for p in old)
+    assert cohort.ids == tuple(p.id for p in old)

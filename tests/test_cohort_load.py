@@ -1,0 +1,347 @@
+"""Differential test of corpus.load_cohort against the per-record path it
+replaced on the report path.
+
+The oracle is that path as it was: every line through json.loads and the
+full-check validator into a PaperRecord (tests/test_corpus_validate.py keeps
+that validator verbatim), duplicate ids rejected, venues rewritten through
+the alias map, and the cohort a tuple of records sorted by id whose
+counts_in built each year's vector paper by paper.  Seeded random corpora
+mix source subsets, --lenient extra keys, aliases, odd but valid count keys
+(two of which may name the same year) and counts past int64, with each kind
+of bad line placed before, inside and after the cohort's lines.  The loader
+under test must give equal columns, or raise the same exception class with
+the same message and line.
+"""
+
+import json
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from citegauge import corpus
+from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, main
+from citegauge.corpus import (
+    PaperRecord,
+    Source,
+    filter_cohort,
+    load_cohort,
+    load_corpus,
+)
+from citegauge.errors import DuplicateId, ParseError
+
+from test_corpus_validate import oracle_validate_record
+
+PUB_YEAR = 2016
+
+
+# --- oracle: load_corpus, the alias rewrite, filter_cohort on records ---------
+
+def oracle_cohort(path, pub_year, sources=None, strict=True, aliases=None):
+    """(pub_year, records of the cohort sorted by id)."""
+    records, seen = [], set()
+    with open(path, encoding="utf-8") as handle:
+        for line_num, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line=line_num) from None
+            record = oracle_validate_record(raw, line=line_num, strict=strict)
+            if record.id in seen:
+                raise DuplicateId(f"duplicate id {record.id!r}", line=line_num)
+            seen.add(record.id)
+            records.append(record)
+    if aliases:
+        records = [PaperRecord(r.id, r.source, aliases.get(r.venue, r.venue),
+                               r.pub_year, r.counts) for r in records]
+    source_set = frozenset(sources) if sources is not None else frozenset(Source)
+    return pub_year, tuple(sorted(
+        (r for r in records if r.pub_year == pub_year and r.source in source_set),
+        key=lambda r: r.id))
+
+
+def oracle_counts_in(papers, year):
+    try:
+        return np.array([p.counts.get(year, 0) for p in papers], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a citation count in {year} does not fit in "
+                         f"64 bits") from None
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("error", type(exc), str(exc))
+
+
+YEARS = range(PUB_YEAR - 1, PUB_YEAR + 13)   # past every count year
+
+
+def columns(cohort):
+    """A Cohort's columns, every year read through counts_in."""
+    return (cohort.pub_year, cohort.ids, cohort.venues,
+            [outcome(lambda y=y: cohort.counts_in(y).tolist()) for y in YEARS])
+
+
+def oracle_columns(pub_year, papers):
+    return (pub_year, tuple(p.id for p in papers),
+            tuple(p.venue for p in papers),
+            [outcome(lambda y=y: oracle_counts_in(papers, y).tolist())
+             for y in YEARS])
+
+
+# --- seeded corpora ------------------------------------------------------------
+
+VENUES = ["A", "B", "C", "misc", ""]
+ODD_KEYS = [" {}", "{} ", "0{}", "+{}", "{}\t"]
+
+
+def counts_of(rng, pub_year, overflow=False):
+    counts = {}
+    for year in rng.sample(range(pub_year, pub_year + 12), rng.randint(0, 8)):
+        key = str(year)
+        if rng.random() < 0.1:
+            key = rng.choice(ODD_KEYS).format(year)
+        counts[key] = rng.choice([0, 1, rng.randint(2, 500)])
+        if rng.random() < 0.05:
+            # a second key naming the same year; the later one is kept
+            counts[rng.choice(ODD_KEYS).format(year)] = rng.randint(0, 9)
+    if overflow and counts:
+        counts[rng.choice(list(counts))] = rng.choice([2 ** 63, 2 ** 64 + 5])
+    return counts
+
+
+def record_line(rng, i, pub_year, lenient):
+    raw = {"id": f"p{rng.randint(0, 10 ** 6):07d}-{i}",
+           "source": rng.choice(["ACL", "ArXiv", "PubMed", "Other", "acl"]),
+           "venue": rng.choice(VENUES),
+           "year": pub_year,
+           "counts": counts_of(rng, pub_year, overflow=rng.random() < 0.03)}
+    if lenient and rng.random() < 0.3:
+        raw["extra"] = [1, 2]
+    items = list(raw.items())
+    rng.shuffle(items)
+    return json.dumps(dict(items))
+
+
+def bad_lines(rng, first_id, year):
+    """Each kind of bad line of a paper published in year, by name;
+    "duplicate" repeats the first id."""
+    valid = json.dumps({"id": "x-bad", "source": "ACL", "venue": "A",
+                        "year": year, "counts": {str(year + 1): 1}})
+    return {
+        "bad json": '{"id": "x-bad", "source": }',
+        "missing field": json.dumps({"id": "x-bad", "source": "ACL",
+                                     "year": year, "counts": {}}),
+        "negative count": valid.replace(": 1}", ": -4}"),
+        "before publication": valid.replace(f'"{year + 1}"', f'"{year - 1}"'),
+        "duplicate": json.dumps({"id": first_id, "source": "ACL", "venue": "A",
+                                 "year": year, "counts": {}}),
+        "torn line": valid[:rng.randint(1, len(valid) - 1)],
+    }
+
+
+BAD_KINDS = list(bad_lines(random.Random(0), "p", PUB_YEAR))
+#: The publication year of a bad line in each place: outside the cohort
+#: before and after its lines.
+BAD_YEAR = {"before": PUB_YEAR - 1, "inside": PUB_YEAR, "after": PUB_YEAR + 1}
+
+
+def seeded_corpus(seed, path, bad=None, where=None):
+    """A corpus whose cohort (PUB_YEAR) lines sit between two blocks of
+    other publication years; returns the load arguments."""
+    rng = random.Random(seed)
+    lenient = rng.random() < 0.4
+    before = [record_line(rng, i, rng.choice([2014, 2015, 2017]), lenient)
+              for i in range(rng.randint(1, 15))]
+    inside = [record_line(rng, 100 + i, PUB_YEAR, lenient)
+              for i in range(rng.randint(2, 40))]
+    after = [record_line(rng, 200 + i, rng.choice([2015, 2017, 2018]), lenient)
+             for i in range(rng.randint(1, 15))]
+    if bad is not None:
+        line = bad_lines(rng, json.loads(before[0])["id"], BAD_YEAR[where])[bad]
+        block = {"before": before, "inside": inside, "after": after}[where]
+        # "after" puts the line last: a torn last line, say
+        block.insert(len(block) if where == "after"
+                     else rng.randint(1, len(block)), line)
+    path.write_text("\n".join(before + inside + after) + "\n", encoding="utf-8")
+    sources = rng.choice([None, {Source.ACL}, {Source.ARXIV, Source.PUBMED},
+                          set(Source)])
+    aliases = rng.choice([None, {}, {"A": "B"}, {"misc": "A", "": "C",
+                                                 "Z": "A"}])
+    return dict(sources=sources, strict=not lenient, aliases=aliases)
+
+
+def new_columns(path, **kwargs):
+    return columns(load_cohort(path, PUB_YEAR, **kwargs))
+
+
+def via_records(path, sources, strict, aliases):
+    """load_corpus and filter_cohort, the records -> columns helper."""
+    records = [replace(r, venue=(aliases or {}).get(r.venue, r.venue))
+               for r in load_corpus(path, strict=strict)]
+    return columns(filter_cohort(records, PUB_YEAR, sources))
+
+
+def old_columns(path, **kwargs):
+    return oracle_columns(*oracle_cohort(path, PUB_YEAR, **kwargs))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cohort_matches_per_record_path(seed, tmp_path):
+    path = tmp_path / "c.jsonl"
+    kwargs = seeded_corpus(seed, path)
+    expected = outcome(old_columns, path, **kwargs)
+    assert outcome(new_columns, path, **kwargs) == expected
+    assert outcome(via_records, path, **kwargs) == expected
+
+
+@pytest.mark.parametrize("where", ["before", "inside", "after"])
+@pytest.mark.parametrize("bad", BAD_KINDS)
+def test_bad_line_fails_as_per_record_path(bad, where, tmp_path):
+    for seed in range(5):
+        path = tmp_path / f"c{seed}.jsonl"
+        kwargs = seeded_corpus(1000 + seed, path, bad, where)
+        expected = outcome(old_columns, path, **kwargs)
+        assert expected[0] == "error"
+        assert outcome(new_columns, path, **kwargs) == expected
+
+
+def test_odd_keys_naming_one_year_keep_the_last(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({
+        "id": "p", "source": "ACL", "venue": "A", "year": PUB_YEAR,
+        "counts": {"2018": 3, " 2018": 5, "02019": 7, "2019": 1}}) + "\n")
+    cohort = load_cohort(path, PUB_YEAR)
+    assert cohort.counts_in(2018).tolist() == [5]
+    assert cohort.counts_in(2019).tolist() == [1]
+    assert new_columns(path) == old_columns(path)
+
+
+def test_counts_are_a_read_only_matrix(tmp_path):
+    path = tmp_path / "c.jsonl"
+    kwargs = seeded_corpus(7, path)
+    cohort = load_cohort(path, PUB_YEAR, **kwargs)
+    assert cohort.counts.dtype == np.int64
+    assert cohort.counts.shape == (len(cohort.years), len(cohort))
+    row = cohort.counts_in(cohort.years[0])
+    assert row.base is cohort.counts or row.base is cohort.counts.base
+    with pytest.raises(ValueError):
+        row[0] = 1
+
+
+# --- counts past int64 through the CLI ---------------------------------------
+
+def corpus_with_overflow(src, dst, year):
+    """The fixture corpus plus one cohort paper with a count past int64 in
+    year (None: the same paper without counts)."""
+    counts = {} if year is None else {str(year): 2 ** 64}
+    line = json.dumps({"id": "zz-overflow", "source": "ACL",
+                       "venue": "TopJournal", "year": PUB_YEAR,
+                       "counts": counts})
+    dst.write_text(src.read_text(encoding="utf-8") + line + "\n",
+                   encoding="utf-8")
+    return dst
+
+
+def test_count_past_int64_in_a_read_year_fails_the_report(
+        fixture_corpus_path, tmp_path, capsys):
+    path = corpus_with_overflow(fixture_corpus_path, tmp_path / "c.jsonl",
+                                PUB_YEAR + 4)
+    code = main(["report", "--corpus", str(path), "--pub-year", "2016",
+                 "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA_ERROR
+    assert "a citation count in 2020 does not fit in 64 bits" in err
+
+
+def test_count_past_int64_in_an_unread_year_is_harmless(
+        fixture_corpus_path, tmp_path, capsys):
+    outputs = []
+    for year in (2030, None):
+        path = corpus_with_overflow(fixture_corpus_path,
+                                    tmp_path / f"c{year}.jsonl", year)
+        outdir = tmp_path / f"out{year}"
+        assert main(["report", "--corpus", str(path), "--pub-year", "2016",
+                     "--outdir", str(outdir)]) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    capsys.readouterr()
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
+
+
+# --- the report path builds no PaperRecord -----------------------------------
+
+REPORT_RUNS = [
+    ["corr", "--years", "2016..2023"],
+    ["groupstats", "--thresholds", "1,2,3,10,20"],
+    ["groupstats", "--by", "venue", "--min-size", "40"],
+    ["fit"],
+    ["anova"],
+    ["boxplot"],
+    ["boxplot", "--by", "venue"],
+    ["triage", "--thresholds", "1,2,3,10,20"],
+]
+
+
+#: The file `report` writes for each of REPORT_RUNS, in the same order.
+REPORT_FILES = ["year_correlations.csv", "early_threshold_groups.csv",
+                "venue_groups.csv", "coefficients.csv", "anova.csv",
+                "boxplot_by_early.csv", "boxplot_by_venue.csv", "triage.csv"]
+
+
+def test_report_cohort_flags_match_single_subcommands(fixture_corpus_path,
+                                                       tmp_path, capsys):
+    """--sources, --aliases and --lenient reach every table of `report` as
+    they reach the single subcommand that writes it."""
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(
+        json.dumps({**json.loads(line), "note": "extra key"}) + "\n"
+        for line in fixture_corpus_path.read_text(encoding="utf-8")
+        .splitlines()), encoding="utf-8")
+    aliases = tmp_path / "aliases.json"
+    aliases.write_text('{"NLPWorkshop": "NLPConf"}', encoding="utf-8")
+    base = ["--corpus", str(path), "--pub-year", "2016", "--sources",
+            "ACL,PubMed", "--aliases", str(aliases), "--lenient"]
+    single = tmp_path / "single"
+    single.mkdir()
+    for args, name in zip(REPORT_RUNS, REPORT_FILES):
+        extra = (["--model-out", str(single / "model.json")]
+                 if args[0] == "fit" else [])
+        assert main([args[0], *base, *args[1:], *extra,
+                     "--out", str(single / name)]) == EXIT_OK, args
+    outdir = tmp_path / "report"
+    assert main(["report", *base, "--outdir", str(outdir)]) == EXIT_OK
+    capsys.readouterr()
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        p.name for p in single.iterdir())
+    for name in REPORT_FILES + ["model.json"]:
+        assert (outdir / name).read_bytes() == (single / name).read_bytes(), name
+    # the flags took effect: the fixture alone gives other tables
+    plain = tmp_path / "plain"
+    assert main(["report", "--corpus", str(fixture_corpus_path),
+                 "--pub-year", "2016", "--outdir", str(plain)]) == EXIT_OK
+    capsys.readouterr()
+    assert (plain / "venue_groups.csv").read_bytes() != (
+        outdir / "venue_groups.csv").read_bytes()
+
+
+def test_report_path_builds_no_paper_record(fixture_corpus_path, tmp_path,
+                                            monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PaperRecord was built on the report path")
+
+    monkeypatch.setattr(corpus.PaperRecord, "__init__", refuse)
+    base = ["--corpus", str(fixture_corpus_path), "--pub-year", "2016"]
+    for i, args in enumerate(REPORT_RUNS):
+        assert main([args[0], *base, *args[1:],
+                     "--out", str(tmp_path / f"{i}.csv")]) == EXIT_OK, args
+    assert main(["report", *base, "--outdir", str(tmp_path / "all")]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(AssertionError):
+        load_corpus(fixture_corpus_path)

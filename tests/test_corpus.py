@@ -174,7 +174,7 @@ class TestFilterCohort:
             make_record("e", 2016),
         ]
         cohort = filter_cohort(records, 2016)
-        assert [p.id for p in cohort] == ["a", "c", "e"]
+        assert list(cohort.ids) == ["a", "c", "e"]
 
     def test_empty_input(self):
         assert len(filter_cohort([], 2016)) == 0
@@ -183,7 +183,7 @@ class TestFilterCohort:
         records = [make_record("a", source=Source.ACL),
                    make_record("b", source=Source.PUBMED)]
         cohort = filter_cohort(records, 2016, {Source.PUBMED})
-        assert [p.id for p in cohort] == ["b"]
+        assert list(cohort.ids) == ["b"]
 
     def test_source_partition(self):
         records = [make_record(i, source=s)
@@ -192,12 +192,12 @@ class TestFilterCohort:
         inside = filter_cohort(records, 2016, {Source.ACL, Source.ARXIV})
         outside = filter_cohort(records, 2016, {Source.PUBMED, Source.OTHER})
         everyone = filter_cohort(records, 2016)
-        ids_in = {p.id for p in inside}
-        ids_out = {p.id for p in outside}
+        ids_in = set(inside.ids)
+        ids_out = set(outside.ids)
         assert ids_in.isdisjoint(ids_out)
-        assert ids_in | ids_out == {p.id for p in everyone}
+        assert ids_in | ids_out == set(everyone.ids)
 
     def test_sorted_by_id(self):
         records = [make_record("z"), make_record("a"), make_record("m")]
         cohort = filter_cohort(records, 2016)
-        assert [p.id for p in cohort] == ["a", "m", "z"]
+        assert list(cohort.ids) == ["a", "m", "z"]

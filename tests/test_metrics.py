@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citegauge import errors
+from citegauge.corpus import filter_cohort
 from citegauge.metrics import (
     DEGENERATE,
     group_by_early_threshold,
@@ -17,7 +18,7 @@ from citegauge.metrics import (
     year_correlation_matrix,
 )
 
-from conftest import make_cohort, random_cohort
+from conftest import make_cohort, random_cohort, random_records
 
 
 def h_index_oracle(counts):
@@ -198,14 +199,15 @@ class TestYearCorrelationMatrix:
     def test_symmetric_and_matches_oracle(self):
         rng = random.Random(42)
         for _ in range(20):
-            cohort = random_cohort(rng, rng.randint(3, 100))
+            records = random_records(rng, rng.randint(3, 100))
+            cohort = filter_cohort(records, 2016)
             years = [2016, 2017, 2018, 2019]
             table = year_correlation_matrix(cohort, years)
             for i, a in enumerate(years):
                 for j, b in enumerate(years):
                     assert table.entries[i][j] == table.entries[j][i]
-                    x = [p.citations_in(a) for p in cohort]
-                    y = [p.citations_in(b) for p in cohort]
+                    x = [p.citations_in(a) for p in records]
+                    y = [p.citations_in(b) for p in records]
                     expected = pearson_oracle(x, y)
                     got = table.entries[i][j]
                     if expected is None:
@@ -243,11 +245,11 @@ class TestIndicatorCorrelation:
     def test_matches_oracle(self):
         rng = random.Random(5)
         for _ in range(20):
-            cohort = random_cohort(rng, rng.randint(4, 60))
+            records = random_records(rng, rng.randint(4, 60))
             pred = lambda p: p.venue == "A"
-            got = venue_indicator_r(cohort, "A", 2017)
-            x = [1 if pred(p) else 0 for p in cohort]
-            y = [p.citations_in(2017) for p in cohort]
+            got = venue_indicator_r(filter_cohort(records, 2016), "A", 2017)
+            x = [1 if pred(p) else 0 for p in records]
+            y = [p.citations_in(2017) for p in records]
             expected = pearson_oracle(x, y)
             if expected is None:
                 assert got is DEGENERATE

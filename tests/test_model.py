@@ -22,7 +22,7 @@ from citegauge.model import (
     save_model,
 )
 
-from conftest import make_cohort, make_record, random_cohort
+from conftest import make_cohort, make_record, random_cohort, random_records
 
 
 def normal_equations_oracle(X, y):
@@ -78,9 +78,9 @@ class TestPercentileTransform:
 
     def test_range_and_rank_monotonicity(self):
         rng = random.Random(1)
-        cohort = random_cohort(rng, 50)
-        frame = percentile_transform(cohort, 2020)
-        counts = [p.citations_in(2020) for p in cohort]
+        records = random_records(rng, 50)
+        frame = percentile_transform(filter_cohort(records, 2016), 2020)
+        counts = [p.citations_in(2020) for p in records]
         for i in range(len(counts)):
             assert 0.0 <= frame.percentiles[i] <= 100.0
             for j in range(len(counts)):
