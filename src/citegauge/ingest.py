@@ -9,18 +9,20 @@ clock with no network.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import random
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-
-import requests
 
 from .corpus import PaperRecord, Source, record_to_json, validate_record
 from .errors import (
@@ -85,14 +87,14 @@ class ClientConfig:
 
 
 class HttpTransport:
-    """Thin wrapper over requests; the only piece that touches the network."""
+    """GET with JSON bodies over urllib; the only piece that touches the
+    network.  Connection failures and timeouts raise the builtin
+    ConnectionError, which ApiClient retries."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
-        self.session = requests.Session()
         api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            self.session.headers["x-api-key"] = api_key
+        self.headers = {"x-api-key": api_key} if api_key else {}
 
     def get_paper(self, paper_id: str) -> dict:
         return self._get(f"/paper/{paper_id}", {"fields": "venue,year,externalIds"})
@@ -102,11 +104,19 @@ class HttpTransport:
                          {"fields": "year", "offset": offset, "limit": limit})
 
     def _get(self, path: str, params: dict) -> dict:
-        resp = self.session.get(self.config.base_url + path, params=params,
-                                timeout=30)
-        if resp.status_code != 200:
-            raise HttpError(resp.status_code, resp.text[:200])
-        return resp.json()
+        url = (self.config.base_url + urllib.parse.quote(path, safe="/:")
+               + "?" + urllib.parse.urlencode(params))
+        request = urllib.request.Request(url, headers=self.headers)
+        try:
+            with urllib.request.urlopen(request, timeout=30) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # every status outside 2xx
+            status, body = exc.code, exc.read()
+        except (urllib.error.URLError, TimeoutError) as exc:
+            raise ConnectionError(f"GET {url}: {exc}") from exc
+        if status != 200:
+            raise HttpError(status, body[:200].decode("utf-8", "replace"))
+        return json.loads(body)
 
 
 class ApiClient:
@@ -184,15 +194,21 @@ class ApiClient:
         return counts
 
 
+def ids_sha256(paper_ids: list[str]) -> str:
+    """Digest of an ids list, so a checkpoint resumes only the list it was
+    written for."""
+    return hashlib.sha256(json.dumps(paper_ids).encode("utf-8")).hexdigest()
+
+
 @dataclass
 class FetchCheckpoint:
-    """Resume point for build_corpus; refers to a fully-written record
-    boundary (never a torn record)."""
+    """Resume point for build_corpus: the last id committed, the corpus
+    length in bytes just after its record (a record boundary), and the
+    digest of the ids list being fetched."""
 
-    corpus_path: str
-    last_completed_paper_id: str | None = None
-    page_offset: int = 0
-    timestamp: float = 0.0
+    last_completed_paper_id: str
+    corpus_bytes: int
+    ids_sha256: str
 
     def save(self, path) -> None:
         # write-temp-then-rename keeps the checkpoint atomic
@@ -219,6 +235,27 @@ class FetchCheckpoint:
                     f"checkpoint {path}: invalid JSON: {exc}") from None
             except TypeError as exc:  # not an object, or unknown/missing keys
                 raise IngestError(f"checkpoint {path}: {exc}") from None
+
+
+def _resume_point(checkpoint_path, out_path, paper_ids: list[str],
+                  digest: str) -> tuple[int, int]:
+    """(ids committed, corpus bytes they fill) per the checkpoint, (0, 0)
+    without one; a checkpoint that does not fit raises IngestError."""
+    if not os.path.exists(checkpoint_path):
+        return 0, 0
+    checkpoint = FetchCheckpoint.load(checkpoint_path)
+    last, committed = checkpoint.last_completed_paper_id, checkpoint.corpus_bytes
+    if checkpoint.ids_sha256 != digest:
+        problem = "was written for another ids list"
+    elif last not in paper_ids:
+        problem = f"last completed id {last!r} is not among the ids to fetch"
+    elif type(committed) is not int or committed < 0:
+        problem = f"corpus_bytes {committed!r} is not a non-negative integer"
+    elif not os.path.exists(out_path) or os.path.getsize(out_path) < committed:
+        problem = f"corpus {out_path} is missing or shorter than {committed} bytes"
+    else:
+        return paper_ids.index(last) + 1, committed
+    raise IngestError(f"checkpoint {checkpoint_path}: {problem}")
 
 
 @dataclass
@@ -252,18 +289,17 @@ def _record_from_fetch(paper_id: str, meta: dict, counts: dict) -> tuple[PaperRe
 
 
 def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
-                 client: ApiClient, workers: int = 1,
-                 timestamp=time.time) -> IngestReport:
+                 client: ApiClient, workers: int = 1) -> IngestReport:
     """Fetch each id once and append valid records to the corpus file.
 
-    Resumable: with an existing checkpoint, ids up to and including
-    last_completed_paper_id are skipped and the corpus file is appended to;
-    a checkpoint whose id is null or not in paper_ids raises IngestError
-    before the corpus is opened.
+    The corpus is truncated to the length the checkpoint committed (0
+    without one), dropping what a killed run wrote after it, and ids up to
+    last_completed_paper_id are skipped; a checkpoint that does not fit
+    paper_ids or the corpus raises IngestError before the corpus is opened.
     `workers` threads fetch, at most `workers` ids ahead of the one writer,
-    which commits records and checkpoints in id order, so the checkpoint
-    always sits on a record boundary and a restart loses at most `workers`
-    fetches.  Per-id fetch failures go into the report, not fatal.
+    which writes, flushes and checkpoints each id in order, so a restart
+    loses at most `workers` fetches and writes no id twice.  Per-id fetch
+    failures go into the report, not fatal.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -272,17 +308,9 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
     if len(set(paper_ids)) != len(paper_ids):
         raise IngestError("duplicate paper ids in input")
 
-    skipped = 0
-    if os.path.exists(checkpoint_path):
-        last = FetchCheckpoint.load(checkpoint_path).last_completed_paper_id
-        if last not in paper_ids:
-            raise IngestError(f"checkpoint {checkpoint_path}: last completed "
-                              f"id {last!r} is not among the ids to fetch")
-        skipped = paper_ids.index(last) + 1
-    else:
-        # fresh run starts a fresh corpus
-        open(out_path, "w", encoding="utf-8").close()
-
+    digest = ids_sha256(paper_ids)
+    skipped, committed = _resume_point(checkpoint_path, out_path, paper_ids,
+                                       digest)
     report = IngestReport(requested=len(paper_ids), written=0, skipped=skipped)
 
     def fetch_one(paper_id: str):
@@ -294,8 +322,9 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
             return paper_id, None, f"{type(exc).__name__}: {exc}"
 
     todo = iter(paper_ids[skipped:])
-    with open(out_path, "a", encoding="utf-8") as handle, \
+    with open(out_path, "ab") as handle, \
             ThreadPoolExecutor(max_workers=workers) as pool:
+        handle.truncate(committed)
         ahead = deque(pool.submit(fetch_one, next_id)
                       for next_id in islice(todo, workers))
         while ahead:
@@ -306,16 +335,14 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
                 report.failures[paper_id] = error
             else:
                 record, unknown = result
-                handle.write(record_to_json(record) + "\n")
+                # counted, not handle.tell(): after truncate an append-mode
+                # handle reports the old size until its first write
+                committed += handle.write(
+                    (record_to_json(record) + "\n").encode("utf-8"))
                 handle.flush()
                 report.written += 1
                 report.unknown_year_citations += unknown
-            FetchCheckpoint(
-                corpus_path=str(out_path),
-                last_completed_paper_id=paper_id,
-                page_offset=0,
-                timestamp=timestamp(),
-            ).save(checkpoint_path)
+            FetchCheckpoint(paper_id, committed, digest).save(checkpoint_path)
     return report
 
 

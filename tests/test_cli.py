@@ -5,6 +5,7 @@ import pytest
 
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from citegauge.corpus import filter_cohort, load_corpus
+from citegauge.ingest import ids_sha256
 from citegauge.model import (
     anova_decompose,
     build_design_matrix,
@@ -175,33 +176,44 @@ class TestUsage:
         assert "--format" in err
 
 
+def _checkpoint(last_id, **extra):
+    """A checkpoint for the ids file "p1" with an empty corpus, as JSON."""
+    return json.dumps({"last_completed_paper_id": last_id, "corpus_bytes": 0,
+                       "ids_sha256": ids_sha256(["p1"]), **extra})
+
+
 class TestIngestCheckpoint:
-    @pytest.mark.parametrize("text", [
-        '{"last_completed_paper_id": "a", "corpus_bytes": 10}',
-        "[1]",
-        '{"corpus_path": ',
-        '{"corpus_path": "c.jsonl", "last_completed_paper_id": "other-id", '
-        '"page_offset": 0, "timestamp": 0.0}',
-        '{"corpus_path": "c.jsonl", "last_completed_paper_id": null, '
-        '"page_offset": 0, "timestamp": 0.0}',
+    @pytest.mark.parametrize("text,problem", [
+        (_checkpoint("p1", page_offset=0),
+         "unexpected keyword argument 'page_offset'"),
+        ("[1]", "must be a mapping, not list"),
+        ('{"corpus_path": ', "invalid JSON"),
+        (_checkpoint("other-id"), "'other-id' is not among the ids"),
+        (_checkpoint(None), "None is not among the ids"),
+        ('{"corpus_path": "c.jsonl", "last_completed_paper_id": "p1", '
+         '"page_offset": 0, "timestamp": 0.0}',
+         "unexpected keyword argument 'corpus_path'"),
     ], ids=["unknown-key", "not-an-object", "invalid-json", "id-not-in-list",
-            "null-id"])
-    def test_malformed_checkpoint_exit_1_names_file(self, text, tmp_path,
-                                                    capsys):
+            "null-id", "old-format"])
+    def test_malformed_checkpoint_exit_1_names_file(self, text, problem,
+                                                    tmp_path, capsys):
         ids = tmp_path / "ids.txt"
         ids.write_text("p1\n")
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(b"")
         checkpoint = tmp_path / "ck.json"
         checkpoint.write_text(text)
         # the checkpoint is read before any request; a closed local port
         # keeps a regression from reaching the network
         code, out, err = run(["ingest", "--ids-file", str(ids),
-                              "--out", str(tmp_path / "c.jsonl"),
+                              "--out", str(corpus),
                               "--checkpoint", str(checkpoint),
                               "--base-url", "http://127.0.0.1:9"], capsys)
         assert code == EXIT_DATA_ERROR
         assert out == ""
-        assert f"checkpoint {checkpoint}" in err
+        assert f"checkpoint {checkpoint}: " in err and problem in err
         assert "Traceback" not in err
+        assert corpus.read_bytes() == b""
 
 
 class TestImportAndCorr:

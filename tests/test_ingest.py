@@ -1,16 +1,24 @@
+import io
 import json
+import os
 import random
+import re
 import sys
+import urllib.error
+import urllib.request
+from collections import Counter
 
 import pytest
 
-from citegauge import errors
+from citegauge import errors, ingest
 from citegauge.corpus import load_corpus, write_corpus
 from citegauge.ingest import (
+    API_KEY_ENV,
     UNKNOWN_YEAR,
     ApiClient,
     ClientConfig,
     FetchCheckpoint,
+    HttpTransport,
     RateBudget,
     build_corpus,
     import_table,
@@ -110,6 +118,46 @@ class TestRateBudget:
         assert clock.now >= 60.0  # had to wait for the window
 
 
+def _set(key, value):
+    def mutate(data, out, ids):
+        data[key] = value
+        return ids
+    return mutate
+
+
+def _shorten_corpus(data, out, ids):
+    out.write_bytes(out.read_bytes()[:-1])
+    return ids
+
+
+def _drop_corpus(data, out, ids):
+    out.unlink()
+    return ids
+
+
+def _other_ids_list(data, out, ids):
+    """A checkpoint after ids[1] of a,b,c offered to the list x,b,y."""
+    data["last_completed_paper_id"] = ids[1]
+    data["corpus_bytes"] = len(b"".join(out.read_bytes().splitlines(True)[:2]))
+    return ["x", ids[1], "y"]
+
+
+#: case -> (edit of a finished run's checkpoint data and corpus, returning
+#: the ids to resume with; the start of the refusal message)
+UNRESUMABLE = {
+    "id-not-in-list": (_set("last_completed_paper_id", "other-id"),
+                       "last completed id 'other-id' is not among"),
+    "null-id": (_set("last_completed_paper_id", None),
+                "last completed id None is not among"),
+    "other-ids-list": (_other_ids_list, "was written for another ids list"),
+    "bytes-str": (_set("corpus_bytes", "10"), "corpus_bytes '10' is not"),
+    "bytes-bool": (_set("corpus_bytes", True), "corpus_bytes True is not"),
+    "bytes-negative": (_set("corpus_bytes", -1), "corpus_bytes -1 is not"),
+    "corpus-shorter": (_shorten_corpus, "corpus {out} is missing or shorter"),
+    "corpus-missing": (_drop_corpus, "corpus {out} is missing or shorter"),
+}
+
+
 class TestBuildCorpus:
     def test_basic_run_writes_valid_corpus(self, tmp_path):
         papers = make_papers(5)
@@ -172,23 +220,24 @@ class TestBuildCorpus:
         assert data["last_completed_paper_id"] == sorted(papers)[-1]
         assert not list(tmp_path.glob(".ckpt-*"))  # no temp files left
 
-    @pytest.mark.parametrize("last_id", ["other-id", None],
-                             ids=["id-not-in-list", "null-id"])
-    def test_foreign_checkpoint_refused(self, last_id, tmp_path):
+    @pytest.mark.parametrize("case", list(UNRESUMABLE), ids=list(UNRESUMABLE))
+    def test_foreign_checkpoint_refused(self, case, tmp_path):
+        mutate, problem = UNRESUMABLE[case]
         papers = make_papers(3)
         ids = sorted(papers)
         out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
         build_corpus(ids, out, ckpt, make_client(papers)[0])
         data = json.loads(ckpt.read_text())
-        data["last_completed_paper_id"] = last_id
+        ids = mutate(data, out, ids)
         ckpt.write_text(json.dumps(data))
-        corpus = out.read_bytes()
+        corpus = out.read_bytes() if out.exists() else None
         client, transport, _ = make_client(papers)
-        with pytest.raises(errors.IngestError, match=f"checkpoint {ckpt}"):
+        with pytest.raises(errors.IngestError,
+                           match=re.escape(f"checkpoint {ckpt}: "
+                                           + problem.format(out=out))):
             build_corpus(ids, out, ckpt, client)
-        assert out.read_bytes() == corpus
+        assert (out.read_bytes() if out.exists() else None) == corpus
         assert transport.request_log == []
-        assert [r.id for r in load_corpus(out)] == ids
 
     def test_concurrent_workers_keep_order(self, tmp_path):
         papers = make_papers(12)
@@ -264,6 +313,227 @@ class TestFetchWindow:
                          tmp_path / "ckpt.json", client, workers=0)
         assert transport.request_log == []
         assert not (tmp_path / "c.jsonl").exists()
+
+
+class CrashAt:
+    """Counts the file operations of build_corpus's commit path (the
+    corpus write, flush and truncate, the checkpoint's temp-file write and
+    its os.replace) and raises Restart in place of the k-th."""
+
+    def __init__(self, k):
+        self.k, self.ops = k, 0
+
+    def __call__(self, op):
+        self.ops += 1
+        if self.ops == self.k:
+            raise Restart(f"crash before op {self.k}: {op}")
+
+    def install(self, monkeypatch):
+        real_open, real_fdopen, real_replace = open, os.fdopen, os.replace
+
+        def replace(src, dst):
+            self("os.replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(ingest, "open", lambda *a, **kw: CountedFile(
+            real_open(*a, **kw), self), raising=False)
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: CountedFile(
+            real_fdopen(*a, **kw), self))
+        monkeypatch.setattr(os, "replace", replace)
+
+
+class CountedFile:
+    """A file whose write, flush and truncate first pass a CrashAt."""
+
+    def __init__(self, handle, crash):
+        self._handle, self._crash = handle, crash
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+    def write(self, data):
+        self._crash("write")
+        return self._handle.write(data)
+
+    def flush(self):
+        self._crash("flush")
+        return self._handle.flush()
+
+    def truncate(self, size):
+        self._crash("truncate")
+        return self._handle.truncate(size)
+
+
+class TestCrashPoints:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crash_at_every_commit_step_writes_each_id_once(
+            self, workers, tmp_path, monkeypatch):
+        papers = make_papers(4, rng=random.Random(5))
+        papers["id002"]["citing_years"] = []
+        ids = ["id000", "id001", "gone", "id002", "id003"]   # "gone" is a 404
+        clean = tmp_path / "clean.jsonl"
+        build_corpus(ids, clean, tmp_path / "clean.ckpt", make_client(papers)[0],
+                     workers=workers)
+        expected = clean.read_bytes()
+        lengths = []    # (checkpoint's corpus_bytes, corpus size) per k
+        for k in range(1, 1000):
+            out, ckpt = tmp_path / f"c{k}.jsonl", tmp_path / f"c{k}.ckpt"
+            with monkeypatch.context() as patch:
+                CrashAt(k).install(patch)
+                try:
+                    build_corpus(ids, out, ckpt, make_client(papers)[0],
+                                 workers=workers)
+                    break
+                except Restart:
+                    pass
+            report = build_corpus(ids, out, ckpt, make_client(papers)[0],
+                                  workers=workers)
+            records = load_corpus(out)
+            assert [r.id for r in records] == sorted(papers), k
+            for r in records:
+                assert r.counts == Counter(y for y in papers[r.id]["citing_years"]
+                                           if y is not None), (k, r.id)
+            assert set(report.failures) <= {"gone"}
+            assert out.read_bytes() == expected, k
+            lengths.append((json.loads(ckpt.read_text()).get("corpus_bytes"),
+                            out.stat().st_size))
+        else:
+            pytest.fail("no run got past every crash point")
+        assert out.read_bytes() == expected
+        assert k > 5 * 3    # every id passed through a write, a flush and a save
+        assert all(committed == size for committed, size in lengths), lengths
+
+    def test_resume_drops_torn_record(self, tmp_path):
+        papers = make_papers(5)
+        ids = sorted(papers)
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        client, _, _ = make_client(papers)
+        build_corpus(ids, out, ckpt, client)
+        expected = out.read_bytes()
+        committed = len(b"".join(expected.splitlines(True)[:3]))
+        out.write_bytes(expected[:committed + 20])     # a torn 4th record
+        FetchCheckpoint(ids[2], committed, ingest.ids_sha256(ids)).save(ckpt)
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (3, 2)
+        assert out.read_bytes() == expected
+
+
+class FakeResponse:
+    def __init__(self, body, status=200):
+        self.status, self._body = status, body
+
+    def read(self):
+        return self._body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def http_error(status, body=b"nope"):
+    return urllib.error.HTTPError("http://api/x", status, "status", {},
+                                  io.BytesIO(body))
+
+
+def fake_urlopen(monkeypatch, *outcomes):
+    """Patch urlopen to log each (request, timeout) and return or raise the
+    next outcome, the last one again once they run out."""
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append((request, timeout))
+        outcome = outcomes[min(len(calls), len(outcomes)) - 1]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
+
+
+def http_client(retry_cap=5):
+    config = ClientConfig(base_url="http://api/graph/v1", retry_cap=retry_cap)
+    clock = VirtualClock()
+    return ApiClient(config, transport=HttpTransport(config), clock=clock,
+                     sleep=clock.sleep, rng=random.Random(0))
+
+
+REFUSED = urllib.error.URLError(ConnectionRefusedError(111, "refused"))
+
+
+class TestHttpTransport:
+    def test_url_query_header_and_json(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "secret")
+        calls = fake_urlopen(monkeypatch,
+                             FakeResponse(b'{"total": 1, "data": [{"year": 2020}]}'))
+        transport = HttpTransport(ClientConfig(base_url="http://api/graph/v1"))
+        assert transport.get_citations("DOI:10.1/a b", 200, 100) == {
+            "total": 1, "data": [{"year": 2020}]}
+        (request, timeout), = calls
+        assert request.full_url == ("http://api/graph/v1/paper/DOI:10.1/a%20b/"
+                                    "citations?fields=year&offset=200&limit=100")
+        assert request.get_header("X-api-key") == "secret"
+        assert timeout == 30
+
+    def test_no_key_no_header(self, monkeypatch):
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        calls = fake_urlopen(monkeypatch, FakeResponse(b'{"id": "p"}'))
+        assert HttpTransport(ClientConfig()).get_paper("p") == {"id": "p"}
+        request = calls[0][0]
+        assert request.full_url.endswith(
+            "/paper/p?fields=venue%2Cyear%2CexternalIds")
+        assert not request.has_header("X-api-key")
+
+    @pytest.mark.parametrize("outcome,status", [
+        (http_error(404), 404),
+        (http_error(429), 429),
+        (http_error(500), 500),
+        (FakeResponse(b"{}", status=202), 202),
+    ], ids=["404", "429", "500", "202"])
+    def test_non_200_raises_http_error(self, outcome, status, monkeypatch):
+        fake_urlopen(monkeypatch, outcome)
+        with pytest.raises(errors.HttpError) as info:
+            HttpTransport(ClientConfig()).get_paper("p")
+        assert info.value.status == status
+
+    def test_statuses_through_the_client(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, http_error(404))
+        with pytest.raises(errors.NotFound):
+            http_client().fetch_paper_meta("p")
+        assert len(calls) == 1
+        calls = fake_urlopen(monkeypatch, http_error(429), http_error(429),
+                             FakeResponse(b'{"id": "p"}'))
+        assert http_client().fetch_paper_meta("p") == {"id": "p"}
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("error", [
+        REFUSED, TimeoutError("timed out"), ConnectionResetError("reset")],
+        ids=["refused", "timeout", "reset"])
+    def test_dropped_connection_retried_until_success(self, error,
+                                                      monkeypatch):
+        calls = fake_urlopen(monkeypatch, error, error, FakeResponse(b'{"id": "p"}'))
+        assert http_client().fetch_paper_meta("p") == {"id": "p"}
+        assert len(calls) == 3
+
+    def test_refused_past_retry_cap_raises_connection_error(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, REFUSED)
+        with pytest.raises(ConnectionError, match="GET http://api/graph/v1/paper/p"):
+            http_client(retry_cap=5).fetch_paper_meta("p")
+        assert len(calls) == 6
+
+    def test_body_not_json(self, monkeypatch):
+        calls = fake_urlopen(monkeypatch, FakeResponse(b"<html>busy</html>"))
+        with pytest.raises(ValueError):
+            http_client().fetch_paper_meta("p")
+        assert len(calls) == 1
 
 
 def run_randomized_schedule(seed, tmp_path, n_papers=8):

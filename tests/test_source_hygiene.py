@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the scripts is used.
+"""Every module-level import in the package and the scripts is used, and
+the package's third-party imports are its declared dependencies.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -8,6 +9,8 @@ the package's public names.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,25 @@ def test_the_scan_sees_an_unused_import():
                      "def f() -> 'Callable':\n    return sys.argv, 'json'\n")
     used = read_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["json"]
+
+
+def third_party_imports():
+    """Top-level modules the package imports, anywhere in a module, that
+    are neither the standard library nor the package itself."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"citegauge"}
+
+
+def test_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    assert third_party_imports() == declared
