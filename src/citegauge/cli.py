@@ -21,6 +21,8 @@ from . import model as model_mod
 from . import report as report_mod
 from . import triage as triage_mod
 from .errors import CiteGaugeError
+from .metrics import DEFAULT_EARLY_OFFSET, DEFAULT_FUTURE_OFFSET
+from .model import DEFAULT_MIN_VENUE_SIZE, DEFAULT_T
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -159,13 +161,13 @@ def _add_cohort_flags(parser, offsets=False, model_params=False, out=True,
                             help="output path (default stdout)")
     if offsets or model_params:
         parser.add_argument("--early-offset", type=_positive_int,
-                            default=metrics_mod.DEFAULT_EARLY_OFFSET)
+                            default=DEFAULT_EARLY_OFFSET)
         parser.add_argument("--future-offset", type=_positive_int,
-                            default=metrics_mod.DEFAULT_FUTURE_OFFSET)
+                            default=DEFAULT_FUTURE_OFFSET)
     if model_params:
-        parser.add_argument("--T", type=_early_levels, default=model_mod.DEFAULT_T)
+        parser.add_argument("--T", type=_early_levels, default=DEFAULT_T)
         parser.add_argument("--min-venue-size", type=_positive_int,
-                            default=model_mod.DEFAULT_MIN_VENUE_SIZE)
+                            default=DEFAULT_MIN_VENUE_SIZE)
         parser.add_argument("--reference-venue", default=None)
 
 
@@ -245,11 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"--outdir.  --T shapes the fitted model; the boxplots use "
         f"T={BOXPLOT_T}.")
     _add_cohort_flags(p, out=False, pub_year=_report_pub_year)
-    p.add_argument("--T", type=_early_levels, default=model_mod.DEFAULT_T)
-    p.set_defaults(early_offset=metrics_mod.DEFAULT_EARLY_OFFSET,
-                   future_offset=metrics_mod.DEFAULT_FUTURE_OFFSET,
-                   min_venue_size=model_mod.DEFAULT_MIN_VENUE_SIZE,
-                   reference_venue=None)
+    p.add_argument("--T", type=_early_levels, default=DEFAULT_T)
     p.add_argument("--outdir", required=True, help="directory to write into")
 
     p = sub.add_parser("ledger", help="nomination/review accounting")
@@ -259,18 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper", default=None)
 
     return parser
-
-
-def _percentiles(cohort, args) -> model_mod.PercentileFrame:
-    return model_mod.percentile_transform(
-        cohort, cohort.pub_year + args.future_offset)
-
-
-def _design(cohort, args, T: int) -> model_mod.DesignMatrix:
-    return model_mod.build_design_matrix(
-        cohort, T=T, early_offset=args.early_offset,
-        min_venue_size=args.min_venue_size,
-        reference_venue=args.reference_venue)
 
 
 def _cmd_ingest(args) -> int:
@@ -297,30 +283,16 @@ def _cmd_import(args) -> int:
     return EXIT_OK
 
 
-def _cmd_corr(args) -> int:
-    cohort = _load_cohort(args)
-    table = metrics_mod.year_correlation_matrix(cohort, args.years)
-    text = (report_mod.correlation_json(table) if args.format == "json"
+def _correlation_text(table, fmt: str) -> str:
+    return (report_mod.correlation_json(table) if fmt == "json"
             else report_mod.correlation_csv(table))
-    _emit(text, args.out)
-    return EXIT_OK
 
 
-def _cmd_venuecorr(args) -> int:
-    cohort = _load_cohort(args)
-    table = metrics_mod.venue_correlation_table(
-        cohort, args.venues.split(","), args.years)
-    text = (report_mod.correlation_json(table) if args.format == "json"
-            else report_mod.correlation_csv(table))
-    _emit(text, args.out)
-    return EXIT_OK
-
-
-def _threshold_groups(cohort, thresholds, args) -> list:
+def _threshold_groups(cohort, thresholds, early_offset=DEFAULT_EARLY_OFFSET,
+                      future_offset=DEFAULT_FUTURE_OFFSET) -> list:
     """group_by_early_threshold, noting each empty threshold on stderr."""
-    stats = metrics_mod.group_by_early_threshold(
-        cohort, thresholds, early_offset=args.early_offset,
-        future_offset=args.future_offset)
+    stats = metrics_mod.group_by_early_threshold(cohort, thresholds,
+                                                 early_offset, future_offset)
     emitted = {s.threshold for s in stats}
     for t in thresholds:
         if t not in emitted:
@@ -329,42 +301,22 @@ def _threshold_groups(cohort, thresholds, args) -> list:
     return stats
 
 
-def _cmd_groupstats(args) -> int:
-    cohort = _load_cohort(args)
-    if args.by == "early":
-        stats = _threshold_groups(cohort, args.thresholds, args)
-    else:
-        stats = metrics_mod.group_by_venue(cohort, min_size=args.min_size,
-                                           future_offset=args.future_offset)
-    text = (report_mod.group_stats_json(stats) if args.format == "json"
-            else report_mod.group_stats_csv(stats))
-    _emit(text, args.out)
-    return EXIT_OK
+def _model_inputs(cohort, T: int, early_offset=DEFAULT_EARLY_OFFSET,
+                  future_offset=DEFAULT_FUTURE_OFFSET,
+                  min_venue_size=DEFAULT_MIN_VENUE_SIZE, reference_venue=None):
+    """The design at T and the future percentiles it is fitted to."""
+    frame = model_mod.percentile_transform(cohort,
+                                           cohort.pub_year + future_offset)
+    design = model_mod.build_design_matrix(
+        cohort, T=T, early_offset=early_offset,
+        min_venue_size=min_venue_size, reference_venue=reference_venue)
+    return design, frame
 
 
-def _cmd_fit(args) -> int:
-    cohort = _load_cohort(args)
-    frame = _percentiles(cohort, args)
-    fitted = model_mod.fit_ols(_design(cohort, args, args.T), frame)
-    if args.model_out:
-        model_mod.save_model(fitted, args.model_out)
-    _emit(report_mod.coefficients_csv(fitted), args.out)
-    return EXIT_OK
-
-
-def _cmd_predict(args) -> int:
-    fitted = model_mod.load_model(args.model)
-    value = fitted.predict(args.venue, args.early)
-    print(f"{value:.1f}")
-    return EXIT_OK
-
-
-def _cmd_anova(args) -> int:
-    cohort = _load_cohort(args)
-    frame = _percentiles(cohort, args)
-    table = model_mod.anova_decompose(_design(cohort, args, args.T), frame)
-    _emit(report_mod.anova_csv(table), args.out)
-    return EXIT_OK
+def _flag_model_inputs(cohort, args):
+    return _model_inputs(cohort, args.T, args.early_offset,
+                         args.future_offset, args.min_venue_size,
+                         args.reference_venue)
 
 
 def _boxplot_text(design, predictions, by: str) -> str:
@@ -377,50 +329,92 @@ def _boxplot_text(design, predictions, by: str) -> str:
     return report_mod.boxplot_csv(rows)
 
 
-def _predictions(cohort, frame, args, T: int):
-    """The design at T and the predictions of the model fitted on it."""
-    design = _design(cohort, args, T)
-    fitted = model_mod.fit_ols(design, frame)
-    return design, model_mod.predict_cohort(fitted, design)
-
-
-def _cmd_boxplot(args) -> int:
-    cohort = _load_cohort(args)
-    design, predictions = _predictions(cohort, _percentiles(cohort, args),
-                                       args, args.T)
-    _emit(_boxplot_text(design, predictions, args.by), args.out)
-    return EXIT_OK
-
-
-def _triage_text(cohort, args, thresholds, min_venue_size: int,
-                 fitted=None) -> str:
-    ranking = triage_mod.ddi_rank(cohort, early_offset=args.early_offset,
-                                  model=fitted)
+def _triage_text(cohort, thresholds, min_venue_size=1,
+                 early_offset=DEFAULT_EARLY_OFFSET,
+                 future_offset=DEFAULT_FUTURE_OFFSET, fitted=None) -> str:
+    ranking = triage_mod.ddi_rank(cohort, early_offset, fitted)
     comparisons = None
     if thresholds:
         threshold_stats = [s for s in metrics_mod.group_by_early_threshold(
-            cohort, thresholds, early_offset=args.early_offset,
-            future_offset=args.future_offset) if s.threshold != 0]
+            cohort, thresholds, early_offset=early_offset,
+            future_offset=future_offset) if s.threshold != 0]
         venue_stats = [s for s in metrics_mod.group_by_venue(
-            cohort, min_size=min_venue_size,
-            future_offset=args.future_offset)
+            cohort, min_size=min_venue_size, future_offset=future_offset)
             if s.label != metrics_mod.OTHER_VENUES_LABEL]
         comparisons = triage_mod.rule_of_thumb(threshold_stats, venue_stats)
     return report_mod.triage_csv(ranking, comparisons)
 
 
-def _cmd_triage(args) -> int:
-    cohort = _load_cohort(args)
+def _corr(cohort, args) -> str:
+    return _correlation_text(
+        metrics_mod.year_correlation_matrix(cohort, args.years), args.format)
+
+
+def _venuecorr(cohort, args) -> str:
+    return _correlation_text(metrics_mod.venue_correlation_table(
+        cohort, args.venues.split(","), args.years), args.format)
+
+
+def _groupstats(cohort, args) -> str:
+    if args.by == "early":
+        stats = _threshold_groups(cohort, args.thresholds, args.early_offset,
+                                  args.future_offset)
+    else:
+        stats = metrics_mod.group_by_venue(cohort, min_size=args.min_size,
+                                           future_offset=args.future_offset)
+    return (report_mod.group_stats_json(stats) if args.format == "json"
+            else report_mod.group_stats_csv(stats))
+
+
+def _fit(cohort, args) -> str:
+    fitted = model_mod.fit_ols(*_flag_model_inputs(cohort, args))
+    if args.model_out:
+        model_mod.save_model(fitted, args.model_out)
+    return report_mod.coefficients_csv(fitted)
+
+
+def _anova(cohort, args) -> str:
+    return report_mod.anova_csv(
+        model_mod.anova_decompose(*_flag_model_inputs(cohort, args)))
+
+
+def _boxplot(cohort, args) -> str:
+    design, frame = _flag_model_inputs(cohort, args)
+    fitted = model_mod.fit_ols(design, frame)
+    return _boxplot_text(design, model_mod.predict_cohort(fitted, design),
+                         args.by)
+
+
+def _triage(cohort, args) -> str:
     fitted = model_mod.load_model(args.model) if args.model else None
-    _emit(_triage_text(cohort, args, args.thresholds, args.min_venue_size,
-                       fitted), args.out)
+    return _triage_text(cohort, args.thresholds, args.min_venue_size,
+                        args.early_offset, args.future_offset, fitted)
+
+
+#: The single report subcommands, each a function (cohort, args) -> text.
+_TABLES = {"corr": _corr, "venuecorr": _venuecorr, "groupstats": _groupstats,
+           "fit": _fit, "anova": _anova, "boxplot": _boxplot,
+           "triage": _triage}
+
+
+def _cmd_table(args) -> int:
+    """Load the cohort, compute the subcommand's table and emit it."""
+    _emit(_TABLES[args.subcommand](_load_cohort(args), args), args.out)
+    return EXIT_OK
+
+
+def _cmd_predict(args) -> int:
+    fitted = model_mod.load_model(args.model)
+    value = fitted.predict(args.venue, args.early)
+    print(f"{value:.1f}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     """The nine report files from one load, one percentile transform and
     one fit per design (--T for the model and anova, BOXPLOT_T for both
-    boxplots), each file written as soon as it is computed."""
+    boxplots), each written once computed; the flags that report does not
+    take keep the library defaults."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -429,28 +423,26 @@ def _cmd_report(args) -> int:
         print(f"wrote {outdir / name}")
 
     cohort = _load_cohort(args)
-    y0 = cohort.pub_year
+    years = list(range(cohort.pub_year, cohort.pub_year + REPORT_YEARS))
     write("year_correlations.csv", report_mod.correlation_csv(
-        metrics_mod.year_correlation_matrix(
-            cohort, list(range(y0, y0 + REPORT_YEARS)))))
+        metrics_mod.year_correlation_matrix(cohort, years)))
     write("early_threshold_groups.csv", report_mod.group_stats_csv(
-        _threshold_groups(cohort, REPORT_THRESHOLDS, args)))
+        _threshold_groups(cohort, REPORT_THRESHOLDS)))
     write("venue_groups.csv", report_mod.group_stats_csv(
-        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE,
-                                   future_offset=args.future_offset)))
-    frame = _percentiles(cohort, args)
-    design = _design(cohort, args, args.T)
+        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE)))
+    design, frame = _model_inputs(cohort, args.T)
     fitted = model_mod.fit_ols(design, frame)
     model_mod.save_model(fitted, outdir / "model.json")
     print(f"wrote {outdir / 'model.json'}")
     write("coefficients.csv", report_mod.coefficients_csv(fitted))
     write("anova.csv", report_mod.anova_csv(
         model_mod.anova_decompose(design, frame)))
-    design, predictions = _predictions(cohort, frame, args, BOXPLOT_T)
+    design = model_mod.build_design_matrix(cohort, T=BOXPLOT_T)
+    predictions = model_mod.predict_cohort(model_mod.fit_ols(design, frame),
+                                           design)
     write("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
     write("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
-    write("triage.csv", _triage_text(cohort, args, REPORT_THRESHOLDS,
-                                     min_venue_size=1))
+    write("triage.csv", _triage_text(cohort, REPORT_THRESHOLDS))
     return EXIT_OK
 
 
@@ -460,33 +452,24 @@ def _cmd_ledger(args) -> int:
         if not args.nominator or not args.paper:
             print("error: --nominator and --paper are required", file=sys.stderr)
             return EXIT_USAGE
-        if args.action == "nominate":
-            state = ledger.record_nomination(args.nominator, args.paper)
-        else:
-            state = ledger.record_review(args.nominator, args.paper)
-        print(f"{args.nominator}: nominations={state.nominations} "
-              f"reviews={state.reviews} balance={state.balance}")
+        record = (ledger.record_nomination if args.action == "nominate"
+                  else ledger.record_review)
+        states = {args.nominator: record(args.nominator, args.paper)}
     else:
-        for name, balance in ledger.balances().items():
-            state = ledger.state(name)
-            print(f"{name}: nominations={state.nominations} "
-                  f"reviews={state.reviews} balance={balance}")
+        states = {name: ledger.state(name) for name in ledger.balances()}
+    for name, state in states.items():
+        print(f"{name}: nominations={state.nominations} "
+              f"reviews={state.reviews} balance={state.balance}")
     return EXIT_OK
 
 
 _HANDLERS = {
     "ingest": _cmd_ingest,
     "import": _cmd_import,
-    "corr": _cmd_corr,
-    "venuecorr": _cmd_venuecorr,
-    "groupstats": _cmd_groupstats,
-    "fit": _cmd_fit,
     "predict": _cmd_predict,
-    "anova": _cmd_anova,
-    "boxplot": _cmd_boxplot,
-    "triage": _cmd_triage,
     "report": _cmd_report,
     "ledger": _cmd_ledger,
+    **dict.fromkeys(_TABLES, _cmd_table),
 }
 
 

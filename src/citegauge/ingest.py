@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import random
-import tempfile
 import threading
 import time
 import urllib.error
@@ -26,6 +25,7 @@ from itertools import islice
 
 from .corpus import PaperRecord, Source, record_to_json, validate_record
 from .errors import (
+    DuplicateId,
     EmptyInput,
     HeaderMismatch,
     HttpError,
@@ -211,17 +211,12 @@ class FetchCheckpoint:
     ids_sha256: str
 
     def save(self, path) -> None:
-        # write-temp-then-rename keeps the checkpoint atomic
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.__dict__, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        # write-temp-then-rename keeps the checkpoint atomic; a temp file
+        # left by a killed run is overwritten by the next save
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(self.__dict__))
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "FetchCheckpoint":
@@ -367,6 +362,7 @@ def import_table(path) -> list[PaperRecord]:
 
     Expected header: id, venue, source, pub_year, then one 4-digit-year
     column per citation year.  Blank count cells mean zero (entry absent).
+    An id on a second row raises DuplicateId naming both rows.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -386,6 +382,7 @@ def import_table(path) -> list[PaperRecord]:
             raise HeaderMismatch("no citation-year columns")
 
         records = []
+        rows_of = {}    # id -> its row
         for row_num, row in enumerate(reader, 2):
             if not any(cell.strip() for cell in row):
                 continue
@@ -405,5 +402,10 @@ def import_table(path) -> list[PaperRecord]:
                 "year": _table_int(row[3].strip(), row_num, header[3]),
                 "counts": counts,
             }
-            records.append(validate_record(raw, line=row_num))
+            record = validate_record(raw, line=row_num)
+            if record.id in rows_of:
+                raise DuplicateId(f"row {row_num}: duplicate id {record.id!r} "
+                                  f"(first on row {rows_of[record.id]})")
+            rows_of[record.id] = row_num
+            records.append(record)
     return records

@@ -2,7 +2,9 @@
 and the nomination/review-debt ledger.
 
 The ledger is an append-only JSONL event file; a nominator's balance is
-4 * nominations - reviews, recomputable by replaying the log.
+4 * nominations - reviews, recomputable by replaying the log.  A last line
+without its newline is a torn append unless it parses: loading ignores a
+torn line and the next append truncates it; it ends a kept one first.
 """
 
 from __future__ import annotations
@@ -107,20 +109,35 @@ class NominationLedger:
         self.path = path
         self.events: list[dict] = []
         self._state: dict[str, NominatorState] = {}
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    for line_num, line in enumerate(handle, 1):
-                        line = line.strip()
-                        if line:
-                            self._load_line(line, line_num)
-            except FileNotFoundError:
-                pass
-
-    def _load_line(self, line: str, line_num: int) -> None:
-        """Apply one ledger file line; a bad line raises LedgerError."""
+        # the file's last line lacks its newline: the next append first
+        # truncates the file to _torn_at (a torn append) or ends the line
+        self._torn_at: int | None = None
+        self._unterminated = False
+        if path is None:
+            return
         try:
-            event = json.loads(line)
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        *lines, last = data.split(b"\n")
+        for line_num, line in enumerate(lines, 1):
+            self._load_line(line, line_num)
+        if last.strip():
+            try:
+                json.loads(last.decode("utf-8"))
+            except ValueError:  # bad JSON or a cut UTF-8 sequence
+                self._torn_at = len(data) - len(last)
+                return
+            self._load_line(last, len(lines) + 1)
+            self._unterminated = True
+
+    def _load_line(self, line: bytes, line_num: int) -> None:
+        """Apply one ledger file line; a bad line raises LedgerError."""
+        if not line.strip():
+            return
+        try:
+            event = json.loads(line.decode("utf-8"))
             if not isinstance(event, dict):
                 raise TypeError(
                     f"event must be an object, got {type(event).__name__}")
@@ -145,8 +162,14 @@ class NominationLedger:
         self._state[nominator] = state
         self.events.append(event)
         if persist and self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            line = json.dumps(event, sort_keys=True) + "\n"
+            with open(self.path, "ab") as handle:
+                if self._torn_at is not None:
+                    handle.truncate(self._torn_at)
+                elif self._unterminated:
+                    line = "\n" + line
+                handle.write(line.encode("utf-8"))
+            self._torn_at, self._unterminated = None, False
 
     def record_nomination(self, nominator: str, paper_id: str) -> NominatorState:
         if not nominator:

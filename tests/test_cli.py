@@ -1,8 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from citegauge import corpus as corpus_mod
+from citegauge import model as model_mod
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from citegauge.corpus import filter_cohort, load_corpus
 from citegauge.ingest import ids_sha256
@@ -236,6 +239,19 @@ class TestImportAndCorr:
         for i, line in enumerate(lines[1:7], 1):
             cells = line.split(",")
             assert cells[i] == "1.00"
+
+    def test_import_duplicate_id_exit_1(self, tmp_path, capsys):
+        table, out = tmp_path / "t.csv", tmp_path / "c.jsonl"
+        table.write_text("id,venue,source,pub_year,2016\n"
+                         "a,V,ACL,2016,1\nb,V,ACL,2016,2\na,W,ACL,2016,3\n",
+                         encoding="utf-8")
+        code, stdout, err = run(["import", "--table", str(table),
+                                 "--out", str(out)], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert stdout == ""
+        assert err == ("citegauge import: error: row 4: duplicate id 'a' "
+                       "(first on row 2)\n")
+        assert not out.exists()
 
     def test_venuecorr(self, table1_path, tmp_path, capsys):
         corpus = tmp_path / "acl.jsonl"
@@ -474,10 +490,79 @@ class TestTriageAndLedger:
         assert "citegauge ledger: error: line 3: " in err
         assert "Traceback" not in err
 
+    def test_ledger_unterminated_last_line_kept(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"kind": "nomination", "nominator": "alice", '
+                        '"paper": "p1"}', encoding="utf-8")
+        code, out, _ = run(["ledger", "--file", str(path), "nominate",
+                            "--nominator", "bob", "--paper", "p2"], capsys)
+        assert code == EXIT_OK and "balance=4" in out
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"kind": "nomination", "nominator": "alice", "paper": "p1"}',
+            '{"kind": "nomination", "nominator": "bob", "paper": "p2"}']
+        code, out, _ = run(["ledger", "--file", str(path), "show"], capsys)
+        assert code == EXIT_OK
+        assert out == ("alice: nominations=1 reviews=0 balance=4\n"
+                       "bob: nominations=1 reviews=0 balance=4\n")
+
+    def test_ledger_torn_last_line_dropped(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        run(["ledger", "--file", str(path), "nominate",
+             "--nominator", "alice", "--paper", "p1"], capsys)
+        run(["ledger", "--file", str(path), "review",
+             "--nominator", "alice", "--paper", "p2"], capsys)
+        committed = path.read_bytes()
+        torn = b'{"kind": "review", "nominator": "alice", "paper": "p3"}'
+        for cut in range(1, len(torn)):
+            path.write_bytes(committed + torn[:cut])
+            code, out, _ = run(["ledger", "--file", str(path), "show"], capsys)
+            assert (code, out) == (
+                EXIT_OK, "alice: nominations=1 reviews=1 balance=3\n"), cut
+            code, out, _ = run(["ledger", "--file", str(path), "review",
+                                "--nominator", "bob", "--paper", "p4"], capsys)
+            assert code == EXIT_OK, cut
+            code, out, _ = run(["ledger", "--file", str(path), "show"], capsys)
+            assert (code, out) == (
+                EXIT_OK, "alice: nominations=1 reviews=1 balance=3\n"
+                "bob: nominations=0 reviews=1 balance=-1\n"), cut
+            assert path.read_bytes() == committed + (
+                b'{"kind": "review", "nominator": "bob", "paper": "p4"}\n')
+
     def test_ledger_missing_flags_usage_error(self, tmp_path, capsys):
         code, _, _ = run(["ledger", "--file", str(tmp_path / "l.jsonl"),
                           "nominate"], capsys)
         assert code == EXIT_USAGE
+
+
+#: The files `report` writes, in the order it announces them.
+REPORT_FILES = ["year_correlations.csv", "early_threshold_groups.csv",
+                "venue_groups.csv", "model.json", "coefficients.csv",
+                "anova.csv", "boxplot_by_early.csv", "boxplot_by_venue.csv",
+                "triage.csv"]
+
+
+def test_report_shares_load_percentiles_and_fits(fixture_args, tmp_path,
+                                                 monkeypatch, capsys):
+    """One load, one percentile transform, one design and fit at --T and
+    one at T=30, whose predictions serve both boxplots."""
+    calls = Counter()
+    for module, name in [(corpus_mod, "load_cohort"),
+                         (model_mod, "percentile_transform"),
+                         (model_mod, "build_design_matrix"),
+                         (model_mod, "fit_ols"),
+                         (model_mod, "predict_cohort")]:
+        def counted(*args, _real=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    outdir = tmp_path / "reports"
+    code, out, _ = run(["report", *fixture_args, "--outdir", str(outdir)],
+                       capsys)
+    assert code == EXIT_OK
+    assert calls == {"load_cohort": 1, "percentile_transform": 1,
+                     "build_design_matrix": 2, "fit_ols": 2,
+                     "predict_cohort": 1}
+    assert out == "".join(f"wrote {outdir / name}\n" for name in REPORT_FILES)
 
 
 SUBCOMMAND_RUNS = [

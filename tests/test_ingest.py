@@ -218,7 +218,29 @@ class TestBuildCorpus:
         build_corpus(sorted(papers), tmp_path / "c.jsonl", ckpt, client)
         data = json.loads(ckpt.read_text())
         assert data["last_completed_paper_id"] == sorted(papers)[-1]
-        assert not list(tmp_path.glob(".ckpt-*"))  # no temp files left
+        # no temp file left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl",
+                                                              "ckpt.json"]
+
+    def test_resume_overwrites_stale_temp_checkpoint(self, tmp_path):
+        papers = make_papers(6)
+        ids = sorted(papers)
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        clean = tmp_path / "clean.jsonl"
+        build_corpus(ids, clean, tmp_path / "clean.ckpt", make_client(papers)[0])
+        transport = RestartOnPaper(papers, ids[3])
+        clock = VirtualClock()
+        client = ApiClient(ClientConfig(), transport=transport, clock=clock,
+                           sleep=clock.sleep, rng=random.Random(0))
+        with pytest.raises(Restart):
+            build_corpus(ids, out, ckpt, client, workers=1)
+        # a kill between the temp write and os.replace leaves this behind
+        (tmp_path / "ckpt.json.tmp").write_text('{"last_completed_paper_id"')
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (3, 3)
+        assert out.read_bytes() == clean.read_bytes()
+        assert json.loads(ckpt.read_text())["last_completed_paper_id"] == ids[-1]
+        assert not (tmp_path / "ckpt.json.tmp").exists()
 
     @pytest.mark.parametrize("case", list(UNRESUMABLE), ids=list(UNRESUMABLE))
     def test_foreign_checkpoint_refused(self, case, tmp_path):
@@ -318,7 +340,8 @@ class TestFetchWindow:
 class CrashAt:
     """Counts the file operations of build_corpus's commit path (the
     corpus write, flush and truncate, the checkpoint's temp-file write and
-    its os.replace) and raises Restart in place of the k-th."""
+    its os.replace) and raises Restart in place of the k-th.  Every file
+    the commit path writes is opened through ingest's open."""
 
     def __init__(self, k):
         self.k, self.ops = k, 0
@@ -329,7 +352,7 @@ class CrashAt:
             raise Restart(f"crash before op {self.k}: {op}")
 
     def install(self, monkeypatch):
-        real_open, real_fdopen, real_replace = open, os.fdopen, os.replace
+        real_open, real_replace = open, os.replace
 
         def replace(src, dst):
             self("os.replace")
@@ -337,8 +360,6 @@ class CrashAt:
 
         monkeypatch.setattr(ingest, "open", lambda *a, **kw: CountedFile(
             real_open(*a, **kw), self), raising=False)
-        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: CountedFile(
-            real_fdopen(*a, **kw), self))
         monkeypatch.setattr(os, "replace", replace)
 
 

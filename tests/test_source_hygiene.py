@@ -1,5 +1,6 @@
-"""Every module-level import in the package and the scripts is used, and
-the package's third-party imports are its declared dependencies.
+"""Every module-level import in the package and the scripts is used, the
+package's third-party imports are its declared dependencies, and README.md
+shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from citegauge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "citegauge"
@@ -107,3 +110,12 @@ def test_dependencies_are_the_third_party_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
                 for dep in project["dependencies"]}
     assert third_party_imports() == declared
+
+
+def test_readme_shows_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in listed.split(",")
+               if f"citegauge {name} " not in readme]
+    assert not missing, f"README.md shows no example of: {missing}"
