@@ -329,19 +329,19 @@ def _boxplot_text(design, predictions, by: str) -> str:
     return report_mod.boxplot_csv(rows)
 
 
-def _triage_text(cohort, thresholds, min_venue_size=1,
+def _triage_text(cohort, threshold_stats, min_venue_size=1,
                  early_offset=DEFAULT_EARLY_OFFSET,
                  future_offset=DEFAULT_FUTURE_OFFSET, fitted=None) -> str:
+    """The ranking, plus comparison rows of the early-threshold groups
+    `threshold_stats` against the venues when they are given."""
     ranking = triage_mod.ddi_rank(cohort, early_offset, fitted)
     comparisons = None
-    if thresholds:
-        threshold_stats = [s for s in metrics_mod.group_by_early_threshold(
-            cohort, thresholds, early_offset=early_offset,
-            future_offset=future_offset) if s.threshold != 0]
+    if threshold_stats is not None:
         venue_stats = [s for s in metrics_mod.group_by_venue(
             cohort, min_size=min_venue_size, future_offset=future_offset)
             if s.label != metrics_mod.OTHER_VENUES_LABEL]
-        comparisons = triage_mod.rule_of_thumb(threshold_stats, venue_stats)
+        comparisons = triage_mod.rule_of_thumb(
+            [s for s in threshold_stats if s.threshold != 0], venue_stats)
     return report_mod.triage_csv(ranking, comparisons)
 
 
@@ -387,7 +387,10 @@ def _boxplot(cohort, args) -> str:
 
 def _triage(cohort, args) -> str:
     fitted = model_mod.load_model(args.model) if args.model else None
-    return _triage_text(cohort, args.thresholds, args.min_venue_size,
+    threshold_stats = (metrics_mod.group_by_early_threshold(
+        cohort, args.thresholds, args.early_offset, args.future_offset)
+        if args.thresholds else None)
+    return _triage_text(cohort, threshold_stats, args.min_venue_size,
                         args.early_offset, args.future_offset, fitted)
 
 
@@ -416,9 +419,11 @@ def _cmd_report(args) -> int:
     boxplots), each written once computed; the flags that report does not
     take keep the library defaults."""
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, text: str) -> None:
+        # made at the first write, so a run that fails on the data leaves
+        # no empty directory behind
+        outdir.mkdir(parents=True, exist_ok=True)
         _emit(text, outdir / name)
         print(f"wrote {outdir / name}")
 
@@ -426,8 +431,9 @@ def _cmd_report(args) -> int:
     years = list(range(cohort.pub_year, cohort.pub_year + REPORT_YEARS))
     write("year_correlations.csv", report_mod.correlation_csv(
         metrics_mod.year_correlation_matrix(cohort, years)))
-    write("early_threshold_groups.csv", report_mod.group_stats_csv(
-        _threshold_groups(cohort, REPORT_THRESHOLDS)))
+    threshold_stats = _threshold_groups(cohort, REPORT_THRESHOLDS)
+    write("early_threshold_groups.csv",
+          report_mod.group_stats_csv(threshold_stats))
     write("venue_groups.csv", report_mod.group_stats_csv(
         metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE)))
     design, frame = _model_inputs(cohort, args.T)
@@ -442,16 +448,17 @@ def _cmd_report(args) -> int:
                                            design)
     write("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
     write("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
-    write("triage.csv", _triage_text(cohort, REPORT_THRESHOLDS))
+    write("triage.csv", _triage_text(cohort, threshold_stats))
     return EXIT_OK
 
 
 def _cmd_ledger(args) -> int:
+    recording = args.action in ("nominate", "review")
+    if recording and not (args.nominator and args.paper):
+        print("error: --nominator and --paper are required", file=sys.stderr)
+        return EXIT_USAGE
     ledger = triage_mod.NominationLedger(args.file)
-    if args.action in ("nominate", "review"):
-        if not args.nominator or not args.paper:
-            print("error: --nominator and --paper are required", file=sys.stderr)
-            return EXIT_USAGE
+    if recording:
         record = (ledger.record_nomination if args.action == "nominate"
                   else ledger.record_review)
         states = {args.nominator: record(args.nominator, args.paper)}

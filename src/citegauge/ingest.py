@@ -1,9 +1,10 @@
 """Corpus construction: scholarly-graph API client and table importer.
 
 The HTTP client is paginated (offset/limit), rate limited, and resumable
-through an atomically-rewritten checkpoint file.  Transport, clock and RNG
-are injectable so every retry/rate-limit path is testable under a virtual
-clock with no network.
+through a checkpoint journal: one JSON line appended per committed id, the
+last line counting, and the file replaced whole at a run's first commit
+and at its end.  Transport, clock and RNG are injectable so every
+retry/rate-limit path is testable under a virtual clock with no network.
 """
 
 from __future__ import annotations
@@ -204,32 +205,66 @@ def ids_sha256(paper_ids: list[str]) -> str:
 class FetchCheckpoint:
     """Resume point for build_corpus: the last id committed, the corpus
     length in bytes just after its record (a record boundary), and the
-    digest of the ids list being fetched."""
+    digest of the ids list being fetched.
+
+    The checkpoint file is a journal of these objects, one JSON line per
+    commit, and its last line counts.  A run's first commit replaces the
+    file whole, so a torn append can only follow a complete line."""
 
     last_completed_paper_id: str
     corpus_bytes: int
     ids_sha256: str
 
-    def save(self, path) -> None:
-        # write-temp-then-rename keeps the checkpoint atomic; a temp file
-        # left by a killed run is overwritten by the next save
+    def _line(self) -> bytes:
+        return (json.dumps(self.__dict__) + "\n").encode("utf-8")
+
+    def save(self, path, journal=None):
+        """Commit this checkpoint and return the journal the next save
+        appends to.  Without one (a run's first commit) the file at `path`
+        is rewritten to this line and opened for appending; the caller
+        closes what save returns."""
+        if journal is None:
+            self.rewrite(path)
+            return open(path, "ab")
+        journal.write(self._line())
+        journal.flush()
+        return journal
+
+    def rewrite(self, path) -> None:
+        """Replace the file at `path` with this checkpoint's one line."""
+        # write-temp-then-rename keeps the replacement atomic; a temp file
+        # left by a killed run is overwritten by the next rewrite
         tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.__dict__))
+        with open(tmp, "wb") as handle:
+            handle.write(self._line())
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "FetchCheckpoint":
-        """Read a checkpoint; an unreadable one raises IngestError naming
-        the path."""
+        """Read a checkpoint journal's last line; an unterminated last line
+        that is not JSON, after a complete line, is a torn append and the
+        line before it counts.  An unreadable checkpoint raises IngestError
+        naming the path."""
         with open(path, encoding="utf-8") as handle:
-            try:
-                return cls(**json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise IngestError(
-                    f"checkpoint {path}: invalid JSON: {exc}") from None
-            except TypeError as exc:  # not an object, or unknown/missing keys
-                raise IngestError(f"checkpoint {path}: {exc}") from None
+            *complete, last = handle.read().split("\n")
+        if complete and not _is_json(last):
+            # "" when the file ends in a newline, else a torn append
+            last = complete[-1]
+        try:
+            return cls(**json.loads(last))
+        except json.JSONDecodeError as exc:
+            raise IngestError(
+                f"checkpoint {path}: invalid JSON: {exc}") from None
+        except TypeError as exc:  # not an object, or unknown/missing keys
+            raise IngestError(f"checkpoint {path}: {exc}") from None
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError:
+        return False
+    return True
 
 
 def _resume_point(checkpoint_path, out_path, paper_ids: list[str],
@@ -293,8 +328,10 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
     paper_ids or the corpus raises IngestError before the corpus is opened.
     `workers` threads fetch, at most `workers` ids ahead of the one writer,
     which writes, flushes and checkpoints each id in order, so a restart
-    loses at most `workers` fetches and writes no id twice.  Per-id fetch
-    failures go into the report, not fatal.
+    loses at most `workers` fetches and writes no id twice.  The checkpoint
+    journal gets one line per id and is rewritten to its last line once
+    every id is committed.  Per-id fetch failures go into the report, not
+    fatal.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -317,27 +354,36 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
             return paper_id, None, f"{type(exc).__name__}: {exc}"
 
     todo = iter(paper_ids[skipped:])
-    with open(out_path, "ab") as handle, \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        handle.truncate(committed)
-        ahead = deque(pool.submit(fetch_one, next_id)
-                      for next_id in islice(todo, workers))
-        while ahead:
-            paper_id, result, error = ahead.popleft().result()
-            ahead.extend(pool.submit(fetch_one, next_id)
-                         for next_id in islice(todo, 1))
-            if error is not None:
-                report.failures[paper_id] = error
-            else:
-                record, unknown = result
-                # counted, not handle.tell(): after truncate an append-mode
-                # handle reports the old size until its first write
-                committed += handle.write(
-                    (record_to_json(record) + "\n").encode("utf-8"))
-                handle.flush()
-                report.written += 1
-                report.unknown_year_citations += unknown
-            FetchCheckpoint(paper_id, committed, digest).save(checkpoint_path)
+    journal = None
+    try:
+        with open(out_path, "ab") as handle, \
+                ThreadPoolExecutor(max_workers=workers) as pool:
+            handle.truncate(committed)
+            ahead = deque(pool.submit(fetch_one, next_id)
+                          for next_id in islice(todo, workers))
+            while ahead:
+                paper_id, result, error = ahead.popleft().result()
+                ahead.extend(pool.submit(fetch_one, next_id)
+                             for next_id in islice(todo, 1))
+                if error is not None:
+                    report.failures[paper_id] = error
+                else:
+                    record, unknown = result
+                    # counted, not handle.tell(): after truncate an
+                    # append-mode handle reports the old size until its
+                    # first write
+                    committed += handle.write(
+                        (record_to_json(record) + "\n").encode("utf-8"))
+                    handle.flush()
+                    report.written += 1
+                    report.unknown_year_citations += unknown
+                journal = FetchCheckpoint(paper_id, committed, digest).save(
+                    checkpoint_path, journal)
+    finally:
+        if journal is not None:
+            journal.close()
+    # every id is committed: leave the journal as its last line alone
+    FetchCheckpoint(paper_ids[-1], committed, digest).rewrite(checkpoint_path)
     return report
 
 

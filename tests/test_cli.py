@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from citegauge import corpus as corpus_mod
+from citegauge import metrics as metrics_mod
 from citegauge import model as model_mod
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from citegauge.corpus import filter_cohort, load_corpus
@@ -533,6 +534,16 @@ class TestTriageAndLedger:
                           "nominate"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("action", ["nominate", "review"])
+    def test_ledger_missing_flags_checked_before_file(self, action, tmp_path,
+                                                     capsys):
+        path = tmp_path / "l.jsonl"
+        path.write_text('{"kind": "x"}\n', encoding="utf-8")
+        code, out, err = run(["ledger", "--file", str(path), action], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--nominator and --paper are required" in err
+
 
 #: The files `report` writes, in the order it announces them.
 REPORT_FILES = ["year_correlations.csv", "early_threshold_groups.csv",
@@ -547,6 +558,7 @@ def test_report_shares_load_percentiles_and_fits(fixture_args, tmp_path,
     one at T=30, whose predictions serve both boxplots."""
     calls = Counter()
     for module, name in [(corpus_mod, "load_cohort"),
+                         (metrics_mod, "group_by_early_threshold"),
                          (model_mod, "percentile_transform"),
                          (model_mod, "build_design_matrix"),
                          (model_mod, "fit_ols"),
@@ -559,10 +571,21 @@ def test_report_shares_load_percentiles_and_fits(fixture_args, tmp_path,
     code, out, _ = run(["report", *fixture_args, "--outdir", str(outdir)],
                        capsys)
     assert code == EXIT_OK
-    assert calls == {"load_cohort": 1, "percentile_transform": 1,
-                     "build_design_matrix": 2, "fit_ols": 2,
-                     "predict_cohort": 1}
+    assert calls == {"load_cohort": 1, "group_by_early_threshold": 1,
+                     "percentile_transform": 1, "build_design_matrix": 2,
+                     "fit_ols": 2, "predict_cohort": 1}
     assert out == "".join(f"wrote {outdir / name}\n" for name in REPORT_FILES)
+
+
+def test_report_data_error_leaves_no_outdir(fixture_args, tmp_path, capsys):
+    outdir = tmp_path / "reports"
+    code, out, err = run(["report", fixture_args[0], fixture_args[1],
+                          "--pub-year", "1990", "--outdir", str(outdir)],
+                         capsys)
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    assert "citegauge report: error: " in err
+    assert not outdir.exists()
 
 
 SUBCOMMAND_RUNS = [

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from citegauge import errors, ingest
+from citegauge import cli, errors, ingest
 from citegauge.corpus import load_corpus, write_corpus
 from citegauge.ingest import (
     API_KEY_ENV,
@@ -339,8 +339,9 @@ class TestFetchWindow:
 
 class CrashAt:
     """Counts the file operations of build_corpus's commit path (the
-    corpus write, flush and truncate, the checkpoint's temp-file write and
-    its os.replace) and raises Restart in place of the k-th.  Every file
+    corpus write, flush and truncate, the checkpoint journal's write and
+    flush, and the temp-file write and os.replace of each run's first and
+    last checkpoint) and raises Restart in place of the k-th.  Every file
     the commit path writes is opened through ingest's open."""
 
     def __init__(self, k):
@@ -439,10 +440,107 @@ class TestCrashPoints:
         expected = out.read_bytes()
         committed = len(b"".join(expected.splitlines(True)[:3]))
         out.write_bytes(expected[:committed + 20])     # a torn 4th record
-        FetchCheckpoint(ids[2], committed, ingest.ids_sha256(ids)).save(ckpt)
+        FetchCheckpoint(ids[2], committed, ingest.ids_sha256(ids)).rewrite(ckpt)
         report = build_corpus(ids, out, ckpt, make_client(papers)[0])
         assert (report.skipped, report.written) == (3, 2)
         assert out.read_bytes() == expected
+
+
+def checkpoint_line(last_id, corpus_bytes, ids):
+    return json.dumps({"last_completed_paper_id": last_id,
+                       "corpus_bytes": corpus_bytes,
+                       "ids_sha256": ingest.ids_sha256(ids)})
+
+
+class TestCheckpointJournal:
+    def crashed_run(self, tmp_path, papers, ids, k):
+        """A workers=1 run killed while fetching ids[k]: ids[:k] committed."""
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        transport, clock = RestartOnPaper(papers, ids[k]), VirtualClock()
+        client = ApiClient(ClientConfig(), transport=transport, clock=clock,
+                           sleep=clock.sleep, rng=random.Random(0))
+        with pytest.raises(Restart):
+            build_corpus(ids, out, ckpt, client, workers=1)
+        return out, ckpt
+
+    def clean_corpus(self, tmp_path, papers, ids):
+        clean = tmp_path / "clean.jsonl"
+        build_corpus(ids, clean, tmp_path / "clean.ckpt", make_client(papers)[0])
+        return clean.read_bytes()
+
+    def test_torn_tail_resumes_from_last_complete_line(self, tmp_path):
+        papers = make_papers(8)
+        ids = sorted(papers)
+        out, ckpt = self.crashed_run(tmp_path, papers, ids, 5)
+        lines = ckpt.read_text().splitlines()
+        assert [json.loads(line)["last_completed_paper_id"]
+                for line in lines] == ids[:5]
+        torn = checkpoint_line(ids[5], 10 ** 6, ids)
+        for cut in (1, len(torn) // 2, len(torn) - 1):
+            with open(ckpt, "a", encoding="utf-8") as handle:
+                handle.write(torn[:cut])
+            assert FetchCheckpoint.load(ckpt) == FetchCheckpoint(
+                **json.loads(lines[-1])), cut
+            ckpt.write_text("\n".join(lines) + "\n")
+        ckpt.write_text("\n".join(lines) + "\n" + torn[:-1])
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (5, 3)
+        assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
+
+    def test_single_object_without_newline_resumes(self, tmp_path):
+        papers = make_papers(6)
+        ids = sorted(papers)
+        out, ckpt = self.crashed_run(tmp_path, papers, ids, 4)
+        ckpt.write_text(json.dumps(json.loads(ckpt.read_text().splitlines()[-1])))
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (4, 2)
+        assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_finished_run_leaves_one_line(self, resumed, tmp_path):
+        papers = make_papers(6)
+        ids = sorted(papers)
+        out, ckpt = tmp_path / "c.jsonl", tmp_path / "ckpt.json"
+        if resumed:
+            out, ckpt = self.crashed_run(tmp_path, papers, ids, 3)
+        build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert ckpt.read_text() == checkpoint_line(
+            ids[-1], out.stat().st_size, ids) + "\n"
+
+    def test_terminated_last_line_not_json_exits_1(self, tmp_path, capsys):
+        papers = make_papers(6)
+        ids = sorted(papers)
+        out, ckpt = self.crashed_run(tmp_path, papers, ids, 3)
+        with open(ckpt, "a", encoding="utf-8") as handle:
+            handle.write('{"last_completed_paper_id": "id0\n')
+        corpus = out.read_bytes()
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("\n".join(ids) + "\n")
+        # the checkpoint is read before any request; a closed local port
+        # keeps a regression from reaching the network
+        code = cli.main(["ingest", "--ids-file", str(ids_file),
+                         "--out", str(out), "--checkpoint", str(ckpt),
+                         "--base-url", "http://127.0.0.1:9"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA_ERROR
+        assert f"checkpoint {ckpt}: invalid JSON" in err
+        assert out.read_bytes() == corpus
+
+    def test_run_renames_at_most_twice(self, tmp_path, monkeypatch):
+        papers = make_papers(50)
+        replaced = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        ckpt = tmp_path / "ckpt.json"
+        report = build_corpus(sorted(papers), tmp_path / "c.jsonl", ckpt,
+                              make_client(papers)[0], workers=2)
+        assert report.written == 50
+        assert 1 <= len(replaced) <= 2
 
 
 class FakeResponse:
