@@ -1,4 +1,10 @@
-"""citegauge: citation forecasting and bibliometrics toolkit."""
+"""citegauge: citation forecasting and bibliometrics toolkit.
+
+A ``Cohort`` keeps its venues as ``venue_codes`` (one int32 code per
+paper) into ``venue_names``; it has no per-paper ``venues`` tuple, and
+neither has ``triage.Ranking``.  ``boxplot_aggregate`` takes group codes
+and one label per code.
+"""
 
 from .corpus import Cohort, PaperRecord, Source, filter_cohort, load_corpus, write_corpus
 from .metrics import (

@@ -320,12 +320,17 @@ def _flag_model_inputs(cohort, args):
 
 
 def _boxplot_text(design, predictions, by: str) -> str:
+    """Prediction boxplots by early level or venue level, grouped by each
+    row's cell's level code."""
     if by == "early":
-        groups = [f"{lvl:02d}" for lvl in design.row_early.tolist()]
-        rows = model_mod.boxplot_aggregate(predictions, groups)
+        labels = [f"{lvl:02d}" for lvl in (0, *design.early_levels)]
+        rows = model_mod.boxplot_aggregate(
+            predictions, design.cell_early[design.row_cell], labels)
     else:
-        rows = model_mod.boxplot_aggregate(predictions, design.row_venues,
-                                           sort_by_median=True)
+        rows = model_mod.boxplot_aggregate(
+            predictions, design.cell_venue[design.row_cell],
+            (design.reference_venue, *design.venue_levels),
+            sort_by_median=True)
     return report_mod.boxplot_csv(rows)
 
 
@@ -416,39 +421,36 @@ def _cmd_predict(args) -> int:
 def _cmd_report(args) -> int:
     """The nine report files from one load, one percentile transform and
     one fit per design (--T for the model and anova, BOXPLOT_T for both
-    boxplots), each written once computed; the flags that report does not
-    take keep the library defaults."""
-    outdir = Path(args.outdir)
-
-    def write(name: str, text: str) -> None:
-        # made at the first write, so a run that fails on the data leaves
-        # no empty directory behind
-        outdir.mkdir(parents=True, exist_ok=True)
-        _emit(text, outdir / name)
-        print(f"wrote {outdir / name}")
-
+    boxplots).  Every text is computed before the first file is written,
+    so a run that fails on the data writes nothing.  The flags that report
+    does not take keep the library defaults."""
     cohort = _load_cohort(args)
     years = list(range(cohort.pub_year, cohort.pub_year + REPORT_YEARS))
-    write("year_correlations.csv", report_mod.correlation_csv(
-        metrics_mod.year_correlation_matrix(cohort, years)))
+    texts = {"year_correlations.csv": report_mod.correlation_csv(
+        metrics_mod.year_correlation_matrix(cohort, years))}
     threshold_stats = _threshold_groups(cohort, REPORT_THRESHOLDS)
-    write("early_threshold_groups.csv",
-          report_mod.group_stats_csv(threshold_stats))
-    write("venue_groups.csv", report_mod.group_stats_csv(
-        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE)))
+    texts["early_threshold_groups.csv"] = report_mod.group_stats_csv(
+        threshold_stats)
+    texts["venue_groups.csv"] = report_mod.group_stats_csv(
+        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE))
     design, frame = _model_inputs(cohort, args.T)
     fitted = model_mod.fit_ols(design, frame)
-    model_mod.save_model(fitted, outdir / "model.json")
-    print(f"wrote {outdir / 'model.json'}")
-    write("coefficients.csv", report_mod.coefficients_csv(fitted))
-    write("anova.csv", report_mod.anova_csv(
-        model_mod.anova_decompose(design, frame)))
+    texts["model.json"] = model_mod.model_json(fitted)
+    texts["coefficients.csv"] = report_mod.coefficients_csv(fitted)
+    texts["anova.csv"] = report_mod.anova_csv(
+        model_mod.anova_decompose(design, frame))
     design = model_mod.build_design_matrix(cohort, T=BOXPLOT_T)
     predictions = model_mod.predict_cohort(model_mod.fit_ols(design, frame),
                                            design)
-    write("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
-    write("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
-    write("triage.csv", _triage_text(cohort, threshold_stats))
+    texts["boxplot_by_early.csv"] = _boxplot_text(design, predictions, "early")
+    texts["boxplot_by_venue.csv"] = _boxplot_text(design, predictions, "venue")
+    texts["triage.csv"] = _triage_text(cohort, threshold_stats)
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        _emit(text, outdir / name)
+        print(f"wrote {outdir / name}")
     return EXIT_OK
 
 

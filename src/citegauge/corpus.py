@@ -7,14 +7,16 @@ year.  Records are immutable after construction.
 
 The reports read one publication-year cohort, never the whole corpus:
 ``load_cohort`` validates every line in one streaming pass and keeps only
-the cohort's ids, venues and a years x papers count matrix.  ``PaperRecord``
-is the record type of the write path (ingest, import, ``write_corpus``) and
-of ``load_corpus``.
+the cohort's ids, an int venue code per paper with the distinct venue
+names, and a years x papers count matrix.  ``PaperRecord`` is the record
+type of the write path (ingest, import, ``write_corpus``) and of
+``load_corpus``.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -79,17 +81,20 @@ class PaperRecord:
 class Cohort:
     """Papers sharing a publication year, as columns in id order.
 
-    ``ids`` and ``venues`` hold one entry per paper; ``counts`` is a
-    read-only int64 matrix with one row per calendar year in ``years``
-    (ascending, only years some paper has a count in) and one column per
-    paper.  ``counts_in(year)`` returns that year's row, or zeros for a year
-    with no row.  A count past int64 is kept out of the matrix, and its
-    year in ``overflow_years``: reading that year raises ValueError.
+    ``ids`` and ``venue_codes`` (int32) hold one entry per paper; a paper's
+    venue is ``venue_names[venue_codes[i]]``, and the distinct names are
+    numbered by first appearance in id order.  ``counts`` is a read-only
+    int64 matrix with one row per calendar year in ``years`` (ascending,
+    only years some paper has a count in) and one column per paper.
+    ``counts_in(year)`` returns that year's row, or zeros for a year with
+    no row.  A count past int64 is kept out of the matrix, and its year in
+    ``overflow_years``: reading that year raises ValueError.
     """
 
     pub_year: int
     ids: tuple[str, ...]
-    venues: tuple[str, ...]
+    venue_codes: np.ndarray
+    venue_names: tuple[str, ...]
     years: tuple[int, ...]
     counts: np.ndarray
     overflow_years: frozenset[int] = frozenset()
@@ -275,43 +280,78 @@ def _select(rows: Iterable[tuple], pub_year: int,
             sources: Iterable[Source] | None,
             aliases: Mapping[str, str] | None = None) -> Cohort:
     """The cohort of (id, source, venue, pub_year, count years, count values)
-    rows.  Each member's count years and values go onto two flat lists, so
-    no per-paper object outlives the row."""
+    rows.
+
+    A member's venue becomes a code as its row is read, through the alias
+    map once per distinct raw name, so raw names with one alias share a
+    code; codes are renumbered by first appearance in id order at the end.
+    Count years and values go onto flat typed arrays, so no per-paper object
+    but the id outlives the row.  Count years must lie in [YEAR_MIN,
+    YEAR_MAX], as every validated line's do.
+    """
     source_set = frozenset(sources) if sources is not None else frozenset(Source)
-    ids, venues, sizes, years, values = [], [], [], [], []
+    aliases = aliases or {}
+    code_of: dict[str, int] = {}    # raw venue -> code
+    names: dict[str, int] = {}      # venue name -> code, in line order
+    ids, codes, sizes = [], array("i"), array("H")
+    years, values, overflow = array("h"), array("q"), set()
     for paper_id, source, venue, year, count_years, count_values in rows:
         if year == pub_year and source in source_set:
+            code = code_of.get(venue)
+            if code is None:
+                code = code_of[venue] = names.setdefault(
+                    aliases.get(venue, venue), len(names))
             ids.append(paper_id)
-            venues.append(venue)
-            sizes.append(len(count_values))
+            codes.append(code)
+            size = len(count_values)
+            sizes.append(size)
             years.extend(count_years)
-            values.extend(count_values)
-    if aliases:
-        venues = [aliases.get(v, v) for v in venues]
+            try:
+                values.extend(count_values)
+            except OverflowError:
+                # a count past int64 stays out of the matrix; its year is
+                # noted instead
+                start = len(years) - size
+                del values[start:]
+                for count_year, value in zip(years[start:], count_values):
+                    if not _INT64_MIN <= value <= _INT64_MAX:
+                        overflow.add(count_year)
+                        value = 0
+                    values.append(value)
 
     n = len(ids)
     order = sorted(range(n), key=ids.__getitem__)
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    try:
-        values = np.array(values, dtype=np.int64)
-        overflow = frozenset()
-    except OverflowError:
-        big = [i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX]
-        overflow = frozenset(years[i] for i in big)
-        for i in big:
-            values[i] = 0
-        values = np.array(values, dtype=np.int64)
-    row_years, row = np.unique(np.array(years, dtype=np.int64),
-                               return_inverse=True)
-    counts = np.zeros((len(row_years), n), dtype=np.int64)
-    counts[row, np.repeat(column, sizes)] = values
+    ids = tuple(map(ids.__getitem__, order))
+    order = np.array(order, dtype=np.intp)
+    column = np.empty(n, dtype=np.int32)
+    column[order] = np.arange(n, dtype=np.int32)
+
+    line_codes = np.frombuffer(codes, dtype=np.int32)[order]
+    # line-order codes by the id-order position of their first paper
+    first = np.argsort(np.unique(line_codes, return_index=True)[1])
+    recode = np.empty(len(names), dtype=np.int32)
+    recode[first] = np.arange(len(names), dtype=np.int32)
+    line_names = list(names)
+
+    # one matrix row per year some count names, through a dense year table;
+    # the indices stay int16 and int32, which numpy casts chunk by chunk
+    entry_year = np.frombuffer(years, dtype=np.int16)
+    if entry_year.size and not (entry_year.min() >= YEAR_MIN
+                                and entry_year.max() <= YEAR_MAX):
+        raise ValueError(f"a count year is outside [{YEAR_MIN}, {YEAR_MAX}]")
+    present = np.zeros(YEAR_MAX + 1, dtype=bool)
+    present[entry_year] = True
+    row_of = (np.cumsum(present) - 1).astype(np.int16)
+    counts = np.zeros((int(present.sum()), n), dtype=np.int64)
+    counts[row_of[entry_year],
+           np.repeat(column, np.frombuffer(sizes, dtype=np.uint16))] \
+        = np.frombuffer(values, dtype=np.int64)
     counts.flags.writeable = False
-    return Cohort(pub_year=pub_year,
-                  ids=tuple(map(ids.__getitem__, order)),
-                  venues=tuple(map(venues.__getitem__, order)),
-                  years=tuple(row_years.tolist()), counts=counts,
-                  overflow_years=overflow)
+    return Cohort(pub_year=pub_year, ids=ids,
+                  venue_codes=recode[line_codes],
+                  venue_names=tuple(map(line_names.__getitem__, first.tolist())),
+                  years=tuple(np.flatnonzero(present).tolist()),
+                  counts=counts, overflow_years=frozenset(overflow))
 
 
 def record_to_json(record: PaperRecord) -> str:

@@ -120,5 +120,9 @@ class DimensionMismatch(StatsError):
     pass
 
 
+class ConstantOutcome(StatsError):
+    """Every paper has the same outcome, so there is no variance to fit."""
+
+
 class ModelFileError(CiteGaugeError):
     """A fitted-model file is unreadable or lacks a well-typed field."""

@@ -67,18 +67,6 @@ def h_index(counts: Sequence[int]) -> int:
     return int(np.count_nonzero(ordered >= np.arange(1, len(ordered) + 1)))
 
 
-def factorize(values: Sequence) -> tuple[dict, np.ndarray]:
-    """The distinct values, in first-appearance order, each mapped to its
-    code 0, 1, ..., and the code of every value.
-
-    Values are told apart as dict keys are.  np.unique would sort strings
-    as fixed-width arrays, which drop trailing NUL characters.
-    """
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return index, np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                              count=len(values))
-
-
 def split_by_code(values: np.ndarray, codes: np.ndarray,
                   n_levels: int) -> list[np.ndarray]:
     """values split into one array per code 0..n_levels-1, each in the
@@ -138,9 +126,10 @@ def group_by_venue(cohort: Cohort, min_size: int = 1,
     if len(cohort) == 0:
         raise EmptyCohort("cannot group an empty cohort")
     future = cohort.counts_in(cohort.pub_year + future_offset)
-    venues, codes = factorize(cohort.venues)
+    names = cohort.venue_names
     rows, other = [], []
-    for venue, counts in zip(venues, split_by_code(future, codes, len(venues))):
+    for venue, counts in zip(names, split_by_code(future, cohort.venue_codes,
+                                                  len(names))):
         if len(counts) >= min_size:
             rows.append(_count_stats(counts, venue))
         else:
@@ -195,10 +184,11 @@ def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     vectors = {y: cohort.counts_in(y) for y in years}
-    venues, codes = factorize(cohort.venues)
+    code_of = {name: code for code, name in enumerate(cohort.venue_names)}
     entries = []
     for venue in venue_names:
-        indicator = (codes == venues.get(venue, -1)).astype(np.float64)
+        indicator = (cohort.venue_codes == code_of.get(venue, -1)).astype(
+            np.float64)
         entries.append(tuple(pearson(indicator, vectors[y]) for y in years))
     return CorrelationTable(
         row_labels=tuple(venue_names),

@@ -31,6 +31,7 @@ import numpy as np
 
 from .corpus import Cohort
 from .errors import (
+    ConstantOutcome,
     DimensionMismatch,
     EmptyCohort,
     ModelFileError,
@@ -40,7 +41,6 @@ from .errors import (
 from .metrics import (
     DEFAULT_EARLY_OFFSET,
     DEFAULT_FUTURE_OFFSET,
-    factorize,
     split_by_code,
 )
 
@@ -257,7 +257,7 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
         raise ValueError("T must be >= 1")
     early_year = cohort.pub_year + early_offset
 
-    venues, codes = factorize(cohort.venues)
+    venues, codes = cohort.venue_names, cohort.venue_codes
     sizes = np.bincount(codes, minlength=len(venues)).tolist()
     level_of = [v if size >= min_venue_size else MISC_VENUE
                 for v, size in zip(venues, sizes)]
@@ -337,14 +337,21 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, column_names: Sequence[str]) -> np.n
 
 
 def _cell_means(design: DesignMatrix, frame: PercentileFrame):
-    """(y, weights sqrt(n_c), mean of y per cell), after the length check."""
+    """(y, weights sqrt(n_c), mean of y per cell, total sum of squares),
+    after the length check; an outcome without variance raises
+    ConstantOutcome, since no fit or decomposition of it means anything."""
     y = np.asarray(frame.percentiles, dtype=float)
     if y.shape[0] != design.n_rows:
         raise DimensionMismatch(
             f"{design.n_rows} design rows vs {y.shape[0]} percentiles")
+    ss_total = float(np.sum((y - y.mean()) ** 2))
+    if not ss_total > 0:
+        raise ConstantOutcome(
+            f"every paper has the same count in {frame.future_year}, so the "
+            f"percentiles have no variance to explain")
     sums = np.bincount(design.row_cell, weights=y,
                        minlength=len(design.cell_counts))
-    return y, np.sqrt(design.cell_counts), sums / design.cell_counts
+    return y, np.sqrt(design.cell_counts), sums / design.cell_counts, ss_total
 
 
 def _row_rss(y: np.ndarray, fitted: np.ndarray, row_group: np.ndarray) -> float:
@@ -356,12 +363,11 @@ def _row_rss(y: np.ndarray, fitted: np.ndarray, row_group: np.ndarray) -> float:
 def fit_ols(design: DesignMatrix, frame: PercentileFrame) -> FittedModel:
     """Fit percentiles on the design by QR least squares on the
     sqrt(n_c)-weighted cell means (exactly the row least-squares fit)."""
-    y, w, means = _cell_means(design, frame)
+    y, w, means, tss = _cell_means(design, frame)
     beta = _qr_solve(design.cell_X * w[:, None], w * means, design.column_names)
 
     rss = _row_rss(y, design.cell_X @ beta, design.row_cell)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - rss / tss if tss > 0 else 1.0
+    r_squared = 1.0 - rss / tss
 
     n_venue = len(design.venue_levels)
     venue_coefs = {v: float(beta[1 + i]) for i, v in enumerate(design.venue_levels)}
@@ -388,9 +394,13 @@ def _one_way_rss(y: np.ndarray, row_group: np.ndarray) -> float:
 
 def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
     """Sequential (Type I) sums of squares for venue-first and early-first
-    orderings, with eta^2 = SS / SS_total per factor."""
-    y, w, means = _cell_means(design, frame)
-    ss_total = float(np.sum((y - y.mean()) ** 2))
+    orderings, with eta^2 = SS / SS_total per factor.
+
+    A factor's SS is a difference of two residual sums of squares, so one
+    that explains nothing can come out a rounding error below zero; it is
+    reported as 0.0.
+    """
+    y, w, means, ss_total = _cell_means(design, frame)
     # lstsq rather than _qr_solve: a rank-deficient design still has a
     # well-defined projection, hence a full-model RSS
     beta, *_ = np.linalg.lstsq(design.cell_X * w[:, None], w * means, rcond=None)
@@ -398,14 +408,10 @@ def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
 
     def ordering(first_cells, first_name, second_name):
         rss_first = _one_way_rss(y, first_cells[design.row_cell])
-        ss_first = ss_total - rss_first
-        ss_second = rss_first - rss_full
-        rows = (
-            AnovaRow(first_name, ss_first, ss_first / ss_total if ss_total else 0.0),
-            AnovaRow(second_name, ss_second, ss_second / ss_total if ss_total else 0.0),
-            AnovaRow("residual", rss_full, rss_full / ss_total if ss_total else 0.0),
-        )
-        return rows
+        return tuple(AnovaRow(name, ss, ss / ss_total) for name, ss in (
+            (first_name, max(0.0, ss_total - rss_first)),
+            (second_name, max(0.0, rss_first - rss_full)),
+            ("residual", rss_full)))
 
     venue_first = ordering(design.cell_venue, "venue", "early")
     early_first = ordering(design.cell_early, "early", "venue")
@@ -424,25 +430,33 @@ def predict_cohort(model: FittedModel, design: DesignMatrix) -> np.ndarray:
     return per_cell[design.row_cell]
 
 
-def boxplot_aggregate(values: Sequence[float], groups: Sequence,
+def boxplot_aggregate(values: Sequence[float], codes: np.ndarray,
+                      labels: Sequence[str],
                       sort_by_median: bool = False) -> list[BoxplotRow]:
     """Five-number summary (linear-interpolation quartiles) per group.
 
-    With sort_by_median the rows come out median-descending (venue plots);
-    otherwise rows are in sorted group-key order (early-level plots).
+    values[i] is in group codes[i], an int in range(len(labels)), whose row
+    is labelled labels[codes[i]]; a group with no value gets no row.  With
+    sort_by_median the rows come out median-descending (venue plots);
+    otherwise in label order, equal labels in code order (early-level
+    plots).
     """
+    codes = np.asarray(codes)
     if len(values) == 0:
         raise ValueError("no values to aggregate")
-    if len(values) != len(groups):
+    if len(values) != len(codes):
         raise DimensionMismatch("values and groups differ in length")
-    keys, codes = factorize(groups)
+    if codes.min() < 0 or codes.max() >= len(labels):
+        raise ValueError(f"group codes must lie in [0, {len(labels)})")
     buckets = split_by_code(np.asarray(values, dtype=np.float64), codes,
-                            len(keys))
+                            len(labels))
     rows = []
-    for key, data in sorted(zip(keys, buckets), key=lambda kb: str(kb[0])):
+    for label, data in sorted(zip(labels, buckets), key=lambda lb: lb[0]):
+        if not len(data):
+            continue
         q1, med, q3 = np.percentile(data, [25, 50, 75])
         rows.append(BoxplotRow(
-            label=str(key),
+            label=label,
             minimum=float(data.min()),
             q1=float(q1),
             median=float(med),
@@ -455,10 +469,14 @@ def boxplot_aggregate(values: Sequence[float], groups: Sequence,
     return rows
 
 
+def model_json(model: FittedModel) -> str:
+    """The text of a saved model file."""
+    return json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def save_model(model: FittedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(model_json(model))
 
 
 def load_model(path) -> FittedModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import repeat
 
 from .metrics import DEGENERATE, CorrelationTable, GroupStats
 from .model import AnovaTable, BoxplotRow, FittedModel
@@ -111,20 +112,27 @@ def boxplot_csv(rows_in: list[BoxplotRow]) -> str:
 
 def triage_csv(ranking: Ranking,
                comparisons: list[ThresholdComparison] | None = None) -> str:
+    """The ranking, written column-wise with no per-paper row list, then
+    the comparison rows if any."""
     order = ranking.order
-    predicted = ([""] * len(order) if ranking.predicted is None
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["rank", "id", "early_count", "venue",
+                     "predicted_percentile"])
+    predicted = (repeat("") if ranking.predicted is None
                  else map(fmt1, ranking.predicted[order].tolist()))
-    rows = [["rank", "id", "early_count", "venue", "predicted_percentile"]]
-    for rank, (i, early, pred) in enumerate(zip(
-            order.tolist(), ranking.early[order].tolist(), predicted), 1):
-        rows.append([str(rank), ranking.ids[i], str(early), ranking.venues[i],
-                     pred])
+    writer.writerows(zip(
+        range(1, len(order) + 1),
+        map(ranking.ids.__getitem__, order.tolist()),
+        ranking.early[order].tolist(),
+        map(ranking.venue_names.__getitem__,
+            ranking.venue_codes[order].tolist()),
+        predicted))
     if comparisons:
-        rows.append([])
-        rows.append(["threshold", "group_mu", "group_h",
-                     "frac_venues_below_mu", "frac_venues_below_h"])
-        for c in comparisons:
-            rows.append([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
-                         repr(c.frac_venues_below_mu),
-                         repr(c.frac_venues_below_h)])
-    return _csv_string(rows)
+        writer.writerow([])
+        writer.writerow(["threshold", "group_mu", "group_h",
+                         "frac_venues_below_mu", "frac_venues_below_h"])
+        writer.writerows([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
+                          repr(c.frac_venues_below_mu),
+                          repr(c.frac_venues_below_h)] for c in comparisons)
+    return buf.getvalue()

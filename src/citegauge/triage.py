@@ -26,11 +26,14 @@ REVIEWS_PER_NOMINATION = 4
 @dataclass(frozen=True, eq=False)
 class Ranking:
     """Triage ranking as columns in cohort order: ``order`` lists cohort
-    positions from rank 1 down; ``predicted`` is None without a model."""
+    positions from rank 1 down; a paper's venue is
+    ``venue_names[venue_codes[i]]``; ``predicted`` is None without a
+    model."""
 
     order: np.ndarray
     ids: tuple[str, ...]
-    venues: tuple[str, ...]
+    venue_codes: np.ndarray
+    venue_names: tuple[str, ...]
     early: np.ndarray
     predicted: np.ndarray | None
 
@@ -54,16 +57,18 @@ def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot rank an empty cohort")
-    venues = cohort.venues
     early = cohort.counts_in(cohort.pub_year + early_offset)
     if model is None:
         predicted = None
         order = np.argsort(-early, kind="stable")
     else:
+        venues = map(cohort.venue_names.__getitem__,
+                     cohort.venue_codes.tolist())
         predicted = np.fromiter(map(model.predict, venues, early.tolist()),
-                                float, count=len(venues))
+                                float, count=len(cohort))
         order = np.lexsort((-predicted, -early))
-    return Ranking(order, cohort.ids, venues, early, predicted)
+    return Ranking(order, cohort.ids, cohort.venue_codes, cohort.venue_names,
+                   early, predicted)
 
 
 def rule_of_thumb(threshold_stats: Sequence[GroupStats],

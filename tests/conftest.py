@@ -61,6 +61,20 @@ def random_cohort(rng: random.Random, size, pub_year=2016, **kwargs):
                          pub_year)
 
 
+def venues_of(columns):
+    """The venue name of every paper of a Cohort or Ranking, in its order."""
+    return tuple(columns.venue_names[c] for c in columns.venue_codes.tolist())
+
+
+def group_codes(groups):
+    """(codes, labels) of a list of group keys for boxplot_aggregate: keys
+    numbered by first appearance, as dict keys tell them apart, each
+    labelled str(key)."""
+    index = {}
+    codes = [index.setdefault(g, len(index)) for g in groups]
+    return codes, [str(key) for key in index]
+
+
 def ranked_rows(ranking):
     """A ddi_rank ranking as (id, early count, venue, predicted) tuples,
     from the first rank to the last; predicted is None without a model."""
@@ -68,5 +82,6 @@ def ranked_rows(ranking):
     predicted = ([None] * len(order) if ranking.predicted is None
                  else ranking.predicted.tolist())
     early = ranking.early.tolist()
-    return [(ranking.ids[i], early[i], ranking.venues[i], predicted[i])
+    venues = venues_of(ranking)
+    return [(ranking.ids[i], early[i], venues[i], predicted[i])
             for i in order]

@@ -588,6 +588,59 @@ def test_report_data_error_leaves_no_outdir(fixture_args, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def one_venue_corpus(path, future):
+    """200 papers of one venue, published in 2016, with no citation in 2017
+    and future(i) citations in 2020."""
+    path.write_text("".join(json.dumps(
+        {"id": f"p{i:03d}", "source": "ACL", "venue": "Only", "year": 2016,
+         "counts": {"2020": future(i)} if future(i) else {}}) + "\n"
+        for i in range(200)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("future,message", [
+    # no citation at all: every percentile is 50, and the fit refuses
+    (lambda i: 0, "every paper has the same count in 2020, so the "
+                  "percentiles have no variance to explain"),
+    # the model fits, and the last table, triage, finds no threshold group
+    (lambda i: i % 7, "no threshold groups to compare"),
+], ids=["no-citations", "no-early-citations"])
+def test_report_failure_writes_no_file(future, message, tmp_path, capsys):
+    corpus = one_venue_corpus(tmp_path / "c.jsonl", future)
+    outdir = tmp_path / "reports"
+    code, out, err = run(["report", "--corpus", str(corpus), "--pub-year",
+                          "2016", "--outdir", str(outdir)], capsys)
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    # after the notes on the empty threshold groups
+    assert err.endswith(f"\ncitegauge report: error: {message}\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "anova", "boxplot"])
+def test_constant_outcome_exit_1(subcommand, tmp_path, capsys):
+    corpus = one_venue_corpus(tmp_path / "c.jsonl", lambda i: 4)
+    code, out, err = run([subcommand, "--corpus", str(corpus), "--pub-year",
+                          "2016"], capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert err == (f"citegauge {subcommand}: error: every paper has the same "
+                   f"count in 2020, so the percentiles have no variance to "
+                   f"explain\n")
+
+
+def test_report_model_json_is_save_model_bytes(fixture_args, tmp_path,
+                                               capsys):
+    outdir = tmp_path / "reports"
+    assert run(["report", *fixture_args, "--outdir", str(outdir)],
+               capsys)[0] == EXIT_OK
+    cohort = corpus_mod.load_cohort(fixture_args[1], 2016)
+    fitted = model_mod.fit_ols(build_design_matrix(cohort),
+                               percentile_transform(cohort))
+    model_mod.save_model(fitted, tmp_path / "saved.json")
+    assert (outdir / "model.json").read_bytes() == \
+        (tmp_path / "saved.json").read_bytes()
+
+
 SUBCOMMAND_RUNS = [
     ["groupstats", "--thresholds", "1,2,3,10,20"],
     ["groupstats", "--by", "venue", "--min-size", "40"],

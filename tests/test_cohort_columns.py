@@ -1,5 +1,6 @@
 """Differential test of the statistics that read the cohort as columns
-(Cohort.counts_in, Cohort.venues) against the per-paper code they replaced.
+(Cohort.counts_in, Cohort.venue_codes) against the per-paper code they
+replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
 from their names: each walked the cohort paper by paper.  They read a
@@ -24,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from citegauge.corpus import PaperRecord, Source, filter_cohort
+from citegauge.corpus import (
+    PaperRecord,
+    Source,
+    filter_cohort,
+    load_cohort,
+    write_corpus,
+)
 from citegauge.errors import EmptyCohort, EmptyGroup, TooFewRows
 from citegauge.metrics import (
     DEFAULT_EARLY_OFFSET,
@@ -51,7 +58,7 @@ from citegauge.model import (
 )
 from citegauge.triage import ddi_rank
 
-from conftest import ranked_rows
+from conftest import group_codes, ranked_rows, venues_of
 
 
 # --- oracles: the per-paper implementations ----------------------------------
@@ -384,7 +391,8 @@ def check_all(rng, cohort, old):
                     for p in old],
                    [rng.choice([3, "3", 12, "b"]) for _ in old]):
         for by_median in (False, True):
-            assert boxplot_aggregate(values, groups, by_median) == \
+            assert boxplot_aggregate(values, *group_codes(groups),
+                                     by_median) == \
                 old_boxplot_aggregate(values, groups, by_median)
 
 
@@ -423,5 +431,45 @@ def test_counts_in_reads_cohort_order():
         got = cohort.counts_in(year)
         assert got.dtype == np.int64
         assert got.tolist() == [p.citations_in(year) for p in old]
-    assert cohort.venues == tuple(p.venue for p in old)
+    assert venues_of(cohort) == tuple(p.venue for p in old)
     assert cohort.ids == tuple(p.id for p in old)
+
+
+def old_venue_codes(old, aliases):
+    """Per paper: the distinct (aliased) venue names in first-appearance id
+    order, and each paper's index into them, as factorize gave them."""
+    venues = [aliases.get(p.venue, p.venue) for p in old]
+    names = tuple(dict.fromkeys(venues))
+    return names, [names.index(v) for v in venues]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_venue_codes_match_per_paper_venues(seed, tmp_path):
+    """load_cohort's venue names and codes, with and without aliases that
+    merge venues, against the per-paper venues of the same records.  The
+    venue pool holds an empty name, non-ASCII names and names that differ
+    only by a trailing NUL (which np.unique on strings would merge)."""
+    _, _, old = seeded_cohort(seed)
+    rng = random.Random(seed)
+    records = list(old.papers)
+    rng.shuffle(records)    # file order is not id order
+    extra = ["", "ünï", "ünï\x00", "V00", "V00\x00", "日本"]
+    records = [PaperRecord(p.id, p.source,
+                           rng.choice(extra) if rng.random() < 0.3 else p.venue,
+                           p.pub_year, p.counts) for p in records]
+    path = tmp_path / "c.jsonl"
+    write_corpus(records, path)
+    old = PaperCohort(PUB_YEAR, tuple(sorted(records, key=lambda p: p.id)))
+    venues = sorted({p.venue for p in old})
+    merging = {v: rng.choice(venues + ["merged"]) for v in
+               rng.sample(venues, min(len(venues), rng.randint(1, 4)))}
+    for aliases in (None, merging, {"V00\x00": "V00", "": "ünï"}):
+        got = load_cohort(path, PUB_YEAR, aliases=aliases)
+        names, codes = old_venue_codes(old, aliases or {})
+        assert got.venue_names == names
+        assert got.venue_codes.tolist() == codes
+        assert got.venue_codes.dtype == np.int32
+        assert venues_of(got) == tuple(names[c] for c in codes)
+    from_records = filter_cohort(records, PUB_YEAR)
+    assert (from_records.venue_names, from_records.venue_codes.tolist()) == \
+        old_venue_codes(old, {})

@@ -31,6 +31,7 @@ from citegauge.corpus import (
 )
 from citegauge.errors import DuplicateId, ParseError
 
+from conftest import venues_of
 from test_corpus_validate import oracle_validate_record
 
 PUB_YEAR = 2016
@@ -84,7 +85,7 @@ YEARS = range(PUB_YEAR - 1, PUB_YEAR + 13)   # past every count year
 
 def columns(cohort):
     """A Cohort's columns, every year read through counts_in."""
-    return (cohort.pub_year, cohort.ids, cohort.venues,
+    return (cohort.pub_year, cohort.ids, venues_of(cohort),
             [outcome(lambda y=y: cohort.counts_in(y).tolist()) for y in YEARS])
 
 

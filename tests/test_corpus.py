@@ -201,3 +201,18 @@ class TestFilterCohort:
         records = [make_record("z"), make_record("a"), make_record("m")]
         cohort = filter_cohort(records, 2016)
         assert list(cohort.ids) == ["a", "m", "z"]
+
+    def test_empty_cohort_has_no_venue(self):
+        cohort = filter_cohort([make_record("a", 2017)], 2016)
+        assert cohort.venue_names == ()
+        assert cohort.venue_codes.tolist() == []
+        assert cohort.counts.shape == (0, 0)
+
+    @pytest.mark.parametrize("year", [1899, 2101])
+    def test_count_year_outside_corpus_range(self, year):
+        """A hand-made record can hold a count year no corpus line may; the
+        cohort's dense year table refuses it rather than misplace it."""
+        records = [make_record("a", counts={2017: 1}),
+                   make_record("b", counts={year: 2})]
+        with pytest.raises(ValueError, match=r"outside \[1900, 2100\]"):
+            filter_cohort(records, 2016)

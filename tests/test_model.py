@@ -22,7 +22,13 @@ from citegauge.model import (
     save_model,
 )
 
-from conftest import make_cohort, make_record, random_cohort, random_records
+from conftest import (
+    group_codes,
+    make_cohort,
+    make_record,
+    random_cohort,
+    random_records,
+)
 
 
 def normal_equations_oracle(X, y):
@@ -350,19 +356,20 @@ class TestAnova:
 
 class TestBoxplotAggregate:
     def test_five_numbers_linear_interpolation(self):
-        rows = boxplot_aggregate([1, 2, 3, 4, 5], ["g"] * 5)
+        rows = boxplot_aggregate([1, 2, 3, 4, 5], [0] * 5, ["g"])
         r = rows[0]
         assert (r.minimum, r.q1, r.median, r.q3, r.maximum) == (1, 2, 3, 4, 5)
         assert r.n == 5
 
     def test_single_value(self):
-        r = boxplot_aggregate([7.5], ["g"])[0]
+        r = boxplot_aggregate([7.5], [0], ["g"])[0]
         assert r.minimum == r.q1 == r.median == r.q3 == r.maximum == 7.5
 
     def test_sorted_by_median_descending(self):
         values = [40, 40, 60, 60]
         groups = ["low", "low", "high", "high"]
-        rows = boxplot_aggregate(values, groups, sort_by_median=True)
+        rows = boxplot_aggregate(values, *group_codes(groups),
+                                 sort_by_median=True)
         assert [r.label for r in rows] == ["high", "low"]
 
     def test_ordering_invariant(self):
@@ -371,10 +378,27 @@ class TestBoxplotAggregate:
             n = rng.randint(1, 50)
             values = [rng.uniform(0, 100) for _ in range(n)]
             groups = [rng.choice("abc") for _ in range(n)]
-            rows = boxplot_aggregate(values, groups)
+            rows = boxplot_aggregate(values, *group_codes(groups))
             for r in rows:
                 assert r.minimum <= r.q1 <= r.median <= r.q3 <= r.maximum
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            boxplot_aggregate([], [])
+            boxplot_aggregate([], [], [])
+
+    def test_group_without_values_gets_no_row(self):
+        rows = boxplot_aggregate([1.0, 2.0, 3.0], [2, 0, 2], ["b", "a", "c"])
+        assert [(r.label, r.n) for r in rows] == [("b", 1), ("c", 2)]
+
+    def test_equal_labels_keep_code_order(self):
+        rows = boxplot_aggregate([5.0, 1.0], [0, 1], ["3", "3"])
+        assert [r.median for r in rows] == [5.0, 1.0]
+
+    @pytest.mark.parametrize("codes", [[0, 2], [-1, 0]])
+    def test_codes_outside_labels(self, codes):
+        with pytest.raises(ValueError):
+            boxplot_aggregate([1.0, 2.0], codes, ["a", "b"])
+
+    def test_length_mismatch(self):
+        with pytest.raises(errors.DimensionMismatch):
+            boxplot_aggregate([1.0, 2.0], [0], ["a"])

@@ -7,6 +7,7 @@ the row-based implementation did.  Every scenario runs on 30 seeded
 cohorts.
 """
 
+import math
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from citegauge import errors
+from citegauge.report import anova_csv
 from citegauge.model import (
     MISC_VENUE,
     PercentileFrame,
@@ -148,16 +150,18 @@ def test_cells_match_dense_rows(name, seed):
 
     ss_total, (venue_first, early_first) = dense_anova(
         X, y, len(design.venue_levels))
+    if not ss_total:
+        # every future count ties: nothing to fit or decompose
+        for fn in (anova_decompose, fit_ols):
+            with pytest.raises(errors.ConstantOutcome):
+                fn(design, frame)
+        return
     table = anova_decompose(design, frame)
     assert_close(table.ss_total, ss_total, ss_total)
     for rows, want in ((table.venue_first, venue_first),
                        (table.early_first, early_first)):
         assert_close([r.ss for r in rows], want, ss_total)
-        if ss_total:
-            assert_close([r.eta_squared for r in rows],
-                         np.array(want) / ss_total)
-        else:
-            assert [r.eta_squared for r in rows] == [0.0, 0.0, 0.0]
+        assert_close([r.eta_squared for r in rows], np.array(want) / ss_total)
 
     bad = dense_rank_deficient_columns(X, design.column_names)
     if bad:
@@ -174,7 +178,7 @@ def test_cells_match_dense_rows(name, seed):
     assert_close(got, beta)
     rss = dense_rss(X, y)
     assert_close(fitted.rss, rss, ss_total)
-    assert_close(fitted.r_squared, 1.0 - rss / ss_total if ss_total else 1.0)
+    assert_close(fitted.r_squared, 1.0 - rss / ss_total)
     assert_close(predict_cohort(fitted, design), X @ beta)
 
 
@@ -189,10 +193,30 @@ def test_rank_deficient_cases_occur():
 
 
 def test_tied_percentiles_have_zero_total():
+    """Every future count ties, so every percentile is 50 and the total sum
+    of squares is 0: the fit and the decomposition refuse the outcome
+    instead of reporting R^2 1.0 and a table of zeros."""
     _, design, frame = build_case("tied", 0)
+    assert frame.percentiles.tolist() == [50.0] * design.n_rows
+    with pytest.raises(errors.ConstantOutcome, match="no variance"):
+        anova_decompose(design, frame)
+    with pytest.raises(errors.ConstantOutcome, match="no variance"):
+        fit_ols(design, frame)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_venue_anova_has_no_negative_value(seed):
+    """With one venue the venue factor explains nothing, and its SS, a
+    difference of two residual sums of squares, used to come out a rounding
+    error below zero."""
+    _, design, frame = build_case("single_venue", seed)
     table = anova_decompose(design, frame)
-    assert table.ss_total == 0.0
-    assert fit_ols(design, frame).r_squared == 1.0
+    for ordering in (table.venue_first, table.early_first):
+        for row in ordering:
+            assert row.ss >= 0.0 and row.eta_squared >= 0.0, row
+            assert math.copysign(1.0, row.ss) == 1.0, row
+    for line in anova_csv(table).splitlines()[1:]:
+        assert not any(field.startswith("-") for field in line.split(",")), line
 
 
 @pytest.mark.parametrize("seed", range(40))
