@@ -3,7 +3,12 @@
 A ``Cohort`` keeps its venues as ``venue_codes`` (one int32 code per
 paper) into ``venue_names``; it has no per-paper ``venues`` tuple, and
 neither has ``triage.Ranking``.  ``boxplot_aggregate`` takes group codes
-and one label per code.
+and one label per code.  ``PaperRecord.citations_in``,
+``CorrelationTable.at``, ``NominationLedger.replay`` and its ``events``
+list are gone; a ``NominationLedger`` needs its file path,
+``percentile_transform`` its ``future_year`` and ``ApiClient`` its
+``ClientConfig``, which no longer has ``retry_cap`` or ``backoff_base``
+(``ingest.RETRY_CAP`` and ``ingest.BACKOFF_BASE``).
 """
 
 from .corpus import Cohort, PaperRecord, Source, filter_cohort, load_corpus, write_corpus

@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import ingest as ingest_mod
 from . import metrics as metrics_mod
@@ -34,9 +36,10 @@ BOXPLOT_T = 30
 #: The largest --T: early counts are int64, and T clips them.
 MAX_T = 2 ** 63 - 1
 #: The report set's fixed parameters: as many correlation years, the early
-#: thresholds, and the venue-group size below which venues pool.
+#: thresholds (also groupstats' default), and the venue-group size below
+#: which venues pool.
 REPORT_YEARS = 8
-REPORT_THRESHOLDS = [1, 2, 3, 10, 20]
+REPORT_THRESHOLDS = (1, 2, 3, 10, 20)
 REPORT_VENUE_MIN_SIZE = 40
 
 
@@ -210,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--by", choices=["early", "venue"], default="early")
     p.add_argument("--thresholds", type=_positive_int_list,
-                   default="1,2,3,10,20",
+                   default=REPORT_THRESHOLDS,
                    help="early-citation thresholds, each >= 1 (by=early)")
     p.add_argument("--min-size", type=_positive_int, default=1,
                    help="venues below this pool into 'All other venues' (by=venue)")
@@ -342,9 +345,12 @@ def _triage_text(cohort, threshold_stats, min_venue_size=1,
     ranking = triage_mod.ddi_rank(cohort, early_offset, fitted)
     comparisons = None
     if threshold_stats is not None:
-        venue_stats = [s for s in metrics_mod.group_by_venue(
+        venue_stats = metrics_mod.group_by_venue(
             cohort, min_size=min_venue_size, future_offset=future_offset)
-            if s.label != metrics_mod.OTHER_VENUES_LABEL]
+        # the last row pools the venues below min_venue_size, if there are
+        # any; a real venue may carry the pooled row's label
+        if np.bincount(cohort.venue_codes).min() < min_venue_size:
+            venue_stats.pop()
         comparisons = triage_mod.rule_of_thumb(
             [s for s in threshold_stats if s.threshold != 0], venue_stats)
     return report_mod.triage_csv(ranking, comparisons)
@@ -392,9 +398,9 @@ def _boxplot(cohort, args) -> str:
 
 def _triage(cohort, args) -> str:
     fitted = model_mod.load_model(args.model) if args.model else None
-    threshold_stats = (metrics_mod.group_by_early_threshold(
-        cohort, args.thresholds, args.early_offset, args.future_offset)
-        if args.thresholds else None)
+    threshold_stats = (_threshold_groups(cohort, args.thresholds,
+                                         args.early_offset, args.future_offset)
+                       if args.thresholds else None)
     return _triage_text(cohort, threshold_stats, args.min_venue_size,
                         args.early_offset, args.future_offset, fitted)
 

@@ -72,10 +72,6 @@ class PaperRecord:
     pub_year: int
     counts: Mapping[int, int]
 
-    def citations_in(self, year: int) -> int:
-        """Citation count for a calendar year; absent years are zero."""
-        return self.counts.get(year, 0)
-
 
 @dataclass(frozen=True, eq=False)
 class Cohort:

@@ -39,8 +39,8 @@ from .errors import (
 API_KEY_ENV = "CITEGAUGE_API_KEY"
 
 DEFAULT_PAGE_SIZE = 100
-DEFAULT_RETRY_CAP = 5
-DEFAULT_BACKOFF_BASE = 1.0  # seconds
+RETRY_CAP = 5
+BACKOFF_BASE = 1.0  # seconds
 
 #: Counts bucket for citing papers whose publication year is missing.
 UNKNOWN_YEAR = "unknown"
@@ -82,8 +82,6 @@ class RateBudget:
 class ClientConfig:
     base_url: str = "https://api.semanticscholar.org/graph/v1"
     page_size: int = DEFAULT_PAGE_SIZE
-    retry_cap: int = DEFAULT_RETRY_CAP
-    backoff_base: float = DEFAULT_BACKOFF_BASE
     rate_budget: RateBudget | None = None
 
 
@@ -129,9 +127,9 @@ class ApiClient:
     HttpError(429) and transient failures with ConnectionError.
     """
 
-    def __init__(self, config: ClientConfig | None = None, transport=None,
+    def __init__(self, config: ClientConfig, transport=None,
                  clock=time.monotonic, sleep=time.sleep, rng=None):
-        self.config = config or ClientConfig()
+        self.config = config
         self.transport = transport or HttpTransport(self.config)
         self.clock = clock
         self.sleep = sleep
@@ -158,12 +156,12 @@ class ApiClient:
                 retryable = status == 429 or isinstance(exc, ConnectionError)
                 if not retryable:
                     raise
-                if attempt >= self.config.retry_cap:
+                if attempt >= RETRY_CAP:
                     if status == 429:
                         raise RateLimited(
                             f"still throttled after {attempt} retries") from exc
                     raise
-                backoff = self.config.backoff_base * (2 ** attempt)
+                backoff = BACKOFF_BASE * (2 ** attempt)
                 self.sleep(backoff * (1.0 + self.rng.random()))
                 attempt += 1
 
@@ -408,9 +406,10 @@ def import_table(path) -> list[PaperRecord]:
 
     Expected header: id, venue, source, pub_year, then one 4-digit-year
     column per citation year.  Blank count cells mean zero (entry absent).
-    An id on a second row raises DuplicateId naming both rows.
+    An id on a second row raises DuplicateId naming both rows.  A leading
+    UTF-8 byte order mark, as spreadsheets write one, is skipped.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]

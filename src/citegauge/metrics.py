@@ -51,11 +51,6 @@ class CorrelationTable:
     col_labels: tuple
     entries: tuple  # tuple of row tuples
 
-    def at(self, row_label, col_label):
-        i = self.row_labels.index(row_label)
-        j = self.col_labels.index(col_label)
-        return self.entries[i][j]
-
 
 def h_index(counts: Sequence[int]) -> int:
     """Largest h such that at least h of the counts are >= h.

@@ -38,11 +38,7 @@ from .errors import (
     RankDeficient,
     TooFewRows,
 )
-from .metrics import (
-    DEFAULT_EARLY_OFFSET,
-    DEFAULT_FUTURE_OFFSET,
-    split_by_code,
-)
+from .metrics import DEFAULT_EARLY_OFFSET, split_by_code
 
 MISC_VENUE = "misc"
 DEFAULT_MIN_VENUE_SIZE = 40
@@ -215,14 +211,11 @@ class BoxplotRow:
     n: int
 
 
-def percentile_transform(cohort: Cohort,
-                         future_year: int | None = None) -> PercentileFrame:
+def percentile_transform(cohort: Cohort, future_year: int) -> PercentileFrame:
     """Hazen percentiles 100*(r - 0.5)/N of counts at future_year, average
     rank over ties."""
     if len(cohort) == 0:
         raise EmptyCohort("cannot compute percentiles of an empty cohort")
-    if future_year is None:
-        future_year = cohort.pub_year + DEFAULT_FUTURE_OFFSET
     counts = cohort.counts_in(future_year)
     # average rank of a tie group: its last 1-based position minus
     # (size - 1) / 2; exact in float64 for any realistic cohort size

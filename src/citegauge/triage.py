@@ -2,7 +2,7 @@
 and the nomination/review-debt ledger.
 
 The ledger is an append-only JSONL event file; a nominator's balance is
-4 * nominations - reviews, recomputable by replaying the log.  A last line
+4 * nominations - reviews, recomputed from the file on load.  A last line
 without its newline is a torn append unless it parses: loading ignores a
 torn line and the next append truncates it; it ends a kept one first.
 """
@@ -108,18 +108,16 @@ class NominatorState:
 
 
 class NominationLedger:
-    """Append-only event log of nominations and completed reviews."""
+    """Append-only event log of nominations and completed reviews in the
+    JSONL file at `path`; a missing file is an empty ledger."""
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self.path = path
-        self.events: list[dict] = []
         self._state: dict[str, NominatorState] = {}
         # the file's last line lacks its newline: the next append first
         # truncates the file to _torn_at (a torn append) or ends the line
         self._torn_at: int | None = None
         self._unterminated = False
-        if path is None:
-            return
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -165,8 +163,7 @@ class NominationLedger:
         else:
             raise ValueError(f"unknown event kind: {event['kind']!r}")
         self._state[nominator] = state
-        self.events.append(event)
-        if persist and self.path is not None:
+        if persist:
             line = json.dumps(event, sort_keys=True) + "\n"
             with open(self.path, "ab") as handle:
                 if self._torn_at is not None:
@@ -196,10 +193,3 @@ class NominationLedger:
 
     def balances(self) -> dict[str, int]:
         return {name: s.balance for name, s in sorted(self._state.items())}
-
-    @classmethod
-    def replay(cls, events: Sequence[dict]) -> "NominationLedger":
-        ledger = cls()
-        for event in events:
-            ledger._apply(dict(event), persist=False)
-        return ledger

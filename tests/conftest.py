@@ -66,6 +66,12 @@ def venues_of(columns):
     return tuple(columns.venue_names[c] for c in columns.venue_codes.tolist())
 
 
+def entry(table, row_label, col_label):
+    """The entry of a CorrelationTable at a row and a column label."""
+    return table.entries[table.row_labels.index(row_label)][
+        table.col_labels.index(col_label)]
+
+
 def group_codes(groups):
     """(codes, labels) of a list of group keys for boxplot_aggregate: keys
     numbered by first appearance, as dict keys tell them apart, each

@@ -40,7 +40,7 @@ from citegauge.model import (
     percentile_transform,
 )
 
-from conftest import DATA_DIR, make_cohort, random_cohort, random_records
+from conftest import DATA_DIR, entry, make_cohort, random_cohort, random_records
 from ingest_harness import make_papers
 from test_ingest import run_randomized_schedule
 from test_metrics import h_index_oracle, pearson_oracle
@@ -85,18 +85,18 @@ def test_criterion_2_pearson_oracle():
                 got = table.entries[i][j]
                 assert got == table.entries[j][i]
                 expected = pearson_oracle(
-                    [p.citations_in(a) for p in records],
-                    [p.citations_in(b) for p in records])
+                    [p.counts.get(a, 0) for p in records],
+                    [p.counts.get(b, 0) for p in records])
                 if expected is None:
                     assert got is DEGENERATE
                 else:
                     assert abs(got - expected) <= 1e-12
                     assert -1.0 <= got <= 1.0
         pred = lambda p: p.venue == "A"
-        got = venue_correlation_table(cohort, ["A"], [2017]).at("A", 2017)
+        got = entry(venue_correlation_table(cohort, ["A"], [2017]), "A", 2017)
         expected = pearson_oracle(
             [1 if pred(p) else 0 for p in records],
-            [p.citations_in(2017) for p in records])
+            [p.counts.get(2017, 0) for p in records])
         if expected is None:
             assert got is DEGENERATE
         else:
@@ -198,8 +198,8 @@ def test_criterion_5_table1_round_trip(table1_path, tmp_path):
     reloaded = {r.id: r for r in load_corpus(out)}
     for paper_id, cells in TABLE1_CELLS.items():
         for year, count in cells.items():
-            assert reloaded[paper_id].citations_in(year) == count
-    assert reloaded["1380793"].citations_in(2018) == 16
+            assert reloaded[paper_id].counts.get(year, 0) == count
+    assert reloaded["1380793"].counts.get(2018, 0) == 16
 
 
 @criterion(6, "fixture cohort reproduces the frozen reference tables, < 60 s")
@@ -219,7 +219,7 @@ def test_criterion_6_fixture_tables(fixture_corpus_path,
             sub = filter_cohort(records, expected["pub_year"],
                                 {Source.parse(source_name)})
         table = year_correlation_matrix(sub, [2016, 2017])
-        assert abs(table.at(2016, 2017) - rho) <= 0.01
+        assert abs(entry(table, 2016, 2017) - rho) <= 0.01
 
     # early-threshold group rows: h, median, N exact; mu, sigma within 0.1
     rows = {s.label: s for s in group_by_early_threshold(

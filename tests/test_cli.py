@@ -8,7 +8,7 @@ from citegauge import corpus as corpus_mod
 from citegauge import metrics as metrics_mod
 from citegauge import model as model_mod
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
-from citegauge.corpus import filter_cohort, load_corpus
+from citegauge.corpus import filter_cohort, load_corpus, write_corpus
 from citegauge.ingest import ids_sha256
 from citegauge.model import (
     anova_decompose,
@@ -16,6 +16,8 @@ from citegauge.model import (
     percentile_transform,
 )
 from citegauge.report import anova_csv
+
+from conftest import make_records
 
 
 def run(args, capsys):
@@ -283,10 +285,24 @@ class TestGroupStats:
         assert "TopJournal" in labels
 
     def test_empty_threshold_noted_on_stderr(self, fixture_args, capsys):
-        code, out, err = run(["groupstats", *fixture_args,
-                              "--thresholds", "5000"], capsys)
+        for subcommand in ("groupstats", "triage"):
+            code, out, err = run([subcommand, *fixture_args,
+                                  "--thresholds", "1,500"], capsys)
+            assert code == EXIT_OK
+            assert err == "note: threshold 500+ group is empty, row omitted\n"
+            assert run([subcommand, *fixture_args, "--thresholds", "1"],
+                       capsys) == (EXIT_OK, out, "")
+
+    def test_default_thresholds_are_the_report_set(self, fixture_args,
+                                                   tmp_path, capsys):
+        code, default, _ = run(["groupstats", *fixture_args], capsys)
         assert code == EXIT_OK
-        assert "5000+" in err and "empty" in err
+        assert run(["groupstats", *fixture_args, "--thresholds",
+                    "1,2,3,10,20"], capsys)[1] == default
+        outdir = tmp_path / "reports"
+        assert run(["report", *fixture_args, "--outdir", str(outdir)],
+                   capsys)[0] == EXIT_OK
+        assert (outdir / "early_threshold_groups.csv").read_text() == default
 
     def test_aliases_merge_venues(self, fixture_args, tmp_path, capsys):
         aliases = tmp_path / "aliases.json"
@@ -460,6 +476,34 @@ class TestTriageAndLedger:
                 break
             early.append(int(line.split(",")[2]))
         assert early == sorted(early, reverse=True)
+
+    @pytest.mark.parametrize("min_venue_size,small_venue", [
+        (1, 0), (10, 5)], ids=["no-pool", "pooled-small-venue"])
+    def test_venue_named_like_the_pooled_row_is_compared(
+            self, min_venue_size, small_venue, tmp_path, capsys):
+        # mu 14.9, 2.4 and 2.1 at 2020 (h 15, 6, 6); the 12 papers with 3
+        # citations in 2017 have mu 6.0 and h 6, so each threshold group
+        # beats 2 of the 3 real venues on mu.  The pooled row (venue C, mu
+        # 20) is not a venue.
+        rows = ([{2020: 15}] * 27 + [{2020: 14}] * 3
+                + [{2017: 3, 2020: 6}] * 6 + [{2020: 1}] * 12
+                + [{2020: 2}] * 12
+                + [{2017: 3, 2020: 6}] * 6 + [{2020: 1}] * 21
+                + [{2020: 2}] * 3
+                + [{2020: 20}] * small_venue)
+        venues = (["All other venues"] * 30 + ["A"] * 30 + ["B"] * 30
+                  + ["C"] * small_venue)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(make_records(rows, venues=venues), corpus)
+        code, out, _ = run(["triage", "--corpus", str(corpus), "--pub-year",
+                            "2016", "--thresholds", "1,3", "--min-venue-size",
+                            str(min_venue_size)], capsys)
+        assert code == EXIT_OK
+        comparisons = out.split("\n\n")[1].splitlines()
+        assert comparisons == [
+            "threshold,group_mu,group_h,frac_venues_below_mu,"
+            "frac_venues_below_h",
+            f"1,6.0,6,{2 / 3!r},0.0", f"3,6.0,6,{2 / 3!r},0.0"]
 
     def test_ledger_flow(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
@@ -635,7 +679,7 @@ def test_report_model_json_is_save_model_bytes(fixture_args, tmp_path,
                capsys)[0] == EXIT_OK
     cohort = corpus_mod.load_cohort(fixture_args[1], 2016)
     fitted = model_mod.fit_ols(build_design_matrix(cohort),
-                               percentile_transform(cohort))
+                               percentile_transform(cohort, 2020))
     model_mod.save_model(fitted, tmp_path / "saved.json")
     assert (outdir / "model.json").read_bytes() == \
         (tmp_path / "saved.json").read_bytes()

@@ -90,7 +90,7 @@ def old_h_index(counts):
 
 
 def old_future_counts(group, future_year):
-    return np.array([p.citations_in(future_year) for p in group], dtype=float)
+    return np.array([p.counts.get(future_year, 0) for p in group], dtype=float)
 
 
 def old_group_stats(group, future_year, label="", threshold=None):
@@ -116,12 +116,12 @@ def old_group_by_early_threshold(cohort, thresholds,
     early_year = cohort.pub_year + early_offset
     future_year = cohort.pub_year + future_offset
     rows = []
-    zero_group = [p for p in cohort if p.citations_in(early_year) == 0]
+    zero_group = [p for p in cohort if p.counts.get(early_year, 0) == 0]
     if zero_group:
         rows.append(old_group_stats(zero_group, future_year,
                                     label="0 citations", threshold=0))
     for t in thresholds:
-        members = [p for p in cohort if p.citations_in(early_year) >= t]
+        members = [p for p in cohort if p.counts.get(early_year, 0) >= t]
         if not members:
             continue
         rows.append(old_group_stats(members, future_year,
@@ -197,7 +197,7 @@ def old_percentile_transform(cohort, future_year=None):
         raise EmptyCohort("cannot compute percentiles of an empty cohort")
     if future_year is None:
         future_year = cohort.pub_year + DEFAULT_FUTURE_OFFSET
-    counts = np.array([p.citations_in(future_year) for p in cohort], dtype=np.int64)
+    counts = np.array([p.counts.get(future_year, 0) for p in cohort], dtype=np.int64)
     _, group, size = np.unique(counts, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(size) - (size - 1) / 2.0)[group]
     percentiles = 100.0 * (ranks - 0.5) / len(counts)
@@ -227,7 +227,7 @@ def old_build_design_matrix(cohort, T=DEFAULT_T, early_offset=DEFAULT_EARLY_OFFS
                          f"of this cohort (levels: {sorted(level_sizes)})")
 
     venue_levels = tuple(sorted(v for v in level_sizes if v != reference_venue))
-    early = np.array([p.citations_in(early_year) for p in cohort], dtype=np.int64)
+    early = np.array([p.counts.get(early_year, 0) for p in cohort], dtype=np.int64)
     if np.any(early < 0):
         raise ValueError("count must be non-negative")
     row_early = np.minimum(early, T)
@@ -250,7 +250,7 @@ def old_ddi_rank(cohort, early_offset=DEFAULT_EARLY_OFFSET, model=None):
     early_year = cohort.pub_year + early_offset
     rows = []
     for p in cohort:
-        early = p.citations_in(early_year)
+        early = p.counts.get(early_year, 0)
         predicted = model.predict(p.venue, early) if model is not None else None
         rows.append((p.id, early, p.venue, predicted))
     rows.sort(key=lambda r: (
@@ -341,7 +341,7 @@ LARGE = [(1000, 9000, 1), (1001, 10500, 1), (1002, 9000, 10 ** 12 + 1)]
 
 
 def check_all(rng, cohort, old):
-    max_early = max((p.citations_in(PUB_YEAR + 1) for p in old), default=0)
+    max_early = max((p.counts.get(PUB_YEAR + 1, 0) for p in old), default=0)
     thresholds = sorted(rng.sample(range(1, max_early + 3), min(5, max_early + 2)))
     thresholds += [max_early, max_early + 1, 10 ** 6]   # one paper, then none
     early_offset = rng.randint(1, 3)
@@ -387,7 +387,7 @@ def check_all(rng, cohort, old):
 
     values = [rng.choice([rng.uniform(0, 100), 25.0, 50.0]) for _ in old]
     for groups in ([p.venue for p in old],
-                   [f"{min(p.citations_in(PUB_YEAR + 1), 30):02d}"
+                   [f"{min(p.counts.get(PUB_YEAR + 1, 0), 30):02d}"
                     for p in old],
                    [rng.choice([3, "3", 12, "b"]) for _ in old]):
         for by_median in (False, True):
@@ -430,7 +430,7 @@ def test_counts_in_reads_cohort_order():
     for year in YEARS:
         got = cohort.counts_in(year)
         assert got.dtype == np.int64
-        assert got.tolist() == [p.citations_in(year) for p in old]
+        assert got.tolist() == [p.counts.get(year, 0) for p in old]
     assert venues_of(cohort) == tuple(p.venue for p in old)
     assert cohort.ids == tuple(p.id for p in old)
 

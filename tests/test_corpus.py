@@ -38,7 +38,7 @@ class TestValidateRecord:
     def test_empty_counts_is_valid(self):
         rec = validate_record(raw_record(id="x", counts={}))
         assert rec.counts == {}
-        assert rec.citations_in(2019) == 0
+        assert filter_cohort([rec], 2016).counts_in(2019).tolist() == [0]
 
     def test_citation_before_publication(self):
         with pytest.raises(errors.CitationBeforePublication):

@@ -74,11 +74,11 @@ class TestFetchCitationYears:
 
     def test_retry_cap_surfaces_rate_limited(self):
         papers = {"a": {"year": 2016, "citing_years": []}}
-        client, _, _ = make_client(papers,
-                                   faults=lambda: errors.HttpError(429),
-                                   retry_cap=3)
+        client, transport, _ = make_client(
+            papers, faults=lambda: errors.HttpError(429))
         with pytest.raises(errors.RateLimited):
             client.fetch_citation_years("a")
+        assert len(transport.request_log) == ingest.RETRY_CAP + 1
 
     def test_not_found(self):
         client, _, _ = make_client({})
@@ -578,8 +578,8 @@ def fake_urlopen(monkeypatch, *outcomes):
     return calls
 
 
-def http_client(retry_cap=5):
-    config = ClientConfig(base_url="http://api/graph/v1", retry_cap=retry_cap)
+def http_client():
+    config = ClientConfig(base_url="http://api/graph/v1")
     clock = VirtualClock()
     return ApiClient(config, transport=HttpTransport(config), clock=clock,
                      sleep=clock.sleep, rng=random.Random(0))
@@ -645,8 +645,8 @@ class TestHttpTransport:
     def test_refused_past_retry_cap_raises_connection_error(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, REFUSED)
         with pytest.raises(ConnectionError, match="GET http://api/graph/v1/paper/p"):
-            http_client(retry_cap=5).fetch_paper_meta("p")
-        assert len(calls) == 6
+            http_client().fetch_paper_meta("p")
+        assert len(calls) == ingest.RETRY_CAP + 1 == 6
 
     def test_body_not_json(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, FakeResponse(b"<html>busy</html>"))
@@ -673,7 +673,7 @@ def run_randomized_schedule(seed, tmp_path, n_papers=8):
             papers, clock=clock,
             faults=flaky_faults(rng, p_conn=0.05, p_429=0.05,
                                 p_restart=0.02))
-        config = ClientConfig(page_size=5, retry_cap=5, backoff_base=0.1,
+        config = ClientConfig(page_size=5,
                               rate_budget=RateBudget(budget_max, budget_window))
         client = ApiClient(config, transport=transport, clock=clock,
                            sleep=clock.sleep, rng=rng)
@@ -717,13 +717,18 @@ class TestImportTable:
         assert by_id["9724599"].counts == {2016: 5, 2017: 7, 2018: 5,
                                            2019: 1, 2020: 3, 2021: 1}
 
+    def test_leading_byte_order_mark_skipped(self, table1_path, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + table1_path.read_bytes())
+        assert import_table(path) == import_table(table1_path)
+
     def test_blank_cell_means_absent(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,venue,source,pub_year,2016,2017\n"
                         "a,V,ACL,2016,,3\n")
         records = import_table(path)
         assert records[0].counts == {2017: 3}
-        assert records[0].citations_in(2016) == 0
+        assert records[0].counts.get(2016, 0) == 0
 
     def test_bad_year_header(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -18,7 +18,7 @@ from citegauge.metrics import (
     year_correlation_matrix,
 )
 
-from conftest import make_cohort, random_cohort, random_records
+from conftest import entry, make_cohort, random_cohort, random_records
 
 
 def h_index_oracle(counts):
@@ -194,7 +194,7 @@ class TestYearCorrelationMatrix:
         cohort = random_cohort(rng, 30)
         table = year_correlation_matrix(cohort, [2016, 2017, 2018])
         for y in (2016, 2017, 2018):
-            assert table.at(y, y) == pytest.approx(1.0, abs=1e-12)
+            assert entry(table, y, y) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_and_matches_oracle(self):
         rng = random.Random(42)
@@ -206,8 +206,8 @@ class TestYearCorrelationMatrix:
             for i, a in enumerate(years):
                 for j, b in enumerate(years):
                     assert table.entries[i][j] == table.entries[j][i]
-                    x = [p.citations_in(a) for p in records]
-                    y = [p.citations_in(b) for p in records]
+                    x = [p.counts.get(a, 0) for p in records]
+                    y = [p.counts.get(b, 0) for p in records]
                     expected = pearson_oracle(x, y)
                     got = table.entries[i][j]
                     if expected is None:
@@ -218,9 +218,9 @@ class TestYearCorrelationMatrix:
     def test_degenerate_year_marked(self):
         cohort = make_cohort([{2016: 1, 2019: 5}, {2016: 2, 2019: 5}])
         table = year_correlation_matrix(cohort, [2016, 2019])
-        assert table.at(2019, 2019) is DEGENERATE
-        assert table.at(2016, 2019) is DEGENERATE
-        assert table.at(2016, 2016) == pytest.approx(1.0)
+        assert entry(table, 2019, 2019) is DEGENERATE
+        assert entry(table, 2016, 2019) is DEGENERATE
+        assert entry(table, 2016, 2016) == pytest.approx(1.0)
 
     def test_too_small_cohort(self):
         with pytest.raises(errors.EmptyCohort):
@@ -228,7 +228,7 @@ class TestYearCorrelationMatrix:
 
 
 def venue_indicator_r(cohort, venue, year):
-    return venue_correlation_table(cohort, [venue], [year]).at(venue, year)
+    return entry(venue_correlation_table(cohort, [venue], [year]), venue, year)
 
 
 class TestIndicatorCorrelation:
@@ -249,7 +249,7 @@ class TestIndicatorCorrelation:
             pred = lambda p: p.venue == "A"
             got = venue_indicator_r(filter_cohort(records, 2016), "A", 2017)
             x = [1 if pred(p) else 0 for p in records]
-            y = [p.citations_in(2017) for p in records]
+            y = [p.counts.get(2017, 0) for p in records]
             expected = pearson_oracle(x, y)
             if expected is None:
                 assert got is DEGENERATE

@@ -86,7 +86,7 @@ class TestPercentileTransform:
         rng = random.Random(1)
         records = random_records(rng, 50)
         frame = percentile_transform(filter_cohort(records, 2016), 2020)
-        counts = [p.citations_in(2020) for p in records]
+        counts = [p.counts.get(2020, 0) for p in records]
         for i in range(len(counts)):
             assert 0.0 <= frame.percentiles[i] <= 100.0
             for j in range(len(counts)):

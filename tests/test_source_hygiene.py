@@ -1,12 +1,16 @@
-"""Every module-level import in the package and the scripts is used, the
-package's third-party imports are its declared dependencies, and README.md
-shows every subcommand.
+"""Every module-level import in the package and the scripts is used, every
+function, method, property and class of the package is used by the
+program, the package's third-party imports are its declared dependencies,
+and README.md shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
 in its module.  A name that `citegauge/__init__.py` imports from a module is
 re-exported, so it counts as used there, and `__init__`'s own imports are
-the package's public names.
+the package's public names.  A definition counts as used when src/,
+scripts/ or perfbench/ reads it as a name or an attribute, imports it, or
+holds it as an identifier string (the benchmark wraps functions by name);
+a caller in the tests alone does not count.
 """
 
 import ast
@@ -21,6 +25,8 @@ from citegauge.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "citegauge"
 MODULES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+PROGRAM = [path for top in ("src", "scripts", "perfbench")
+           for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def imported_names(tree):
@@ -88,6 +94,60 @@ def test_the_scan_sees_an_unused_import():
                      "def f() -> 'Callable':\n    return sys.argv, 'json'\n")
     used = read_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["json"]
+
+
+def definitions(tree):
+    """(name, line) of every function, method, property and class, at any
+    depth; dunder methods are left out, as Python calls them."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) \
+                and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node.lineno
+
+
+def references(tree):
+    """Every name and attribute the tree reads, every name it imports and
+    every string constant that is an identifier."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_definition_is_used_by_the_program():
+    used = set()
+    for path in PROGRAM:
+        used.update(references(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = [f"{path.name}:{line}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, line in definitions(ast.parse(
+                  path.read_text(encoding="utf-8")))
+              if name not in used]
+    assert not unused, "defined but used by no program path: " + ", ".join(unused)
+
+
+def test_the_scan_sees_an_unused_definition():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __len__(self): return 0\n"
+        "    def read(self): pass\n"
+        "    def unread(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "def wrapped(): pass\n"
+        "def stored(): pass\n"
+        "a = A()\n"
+        "a.stored = a.read(), a.size, getattr(a, 'wrapped'), 'not an id'\n")
+    used = set(references(tree))
+    assert sorted(n for n, _ in definitions(tree) if n not in used) == [
+        "stored", "unread"]
 
 
 def third_party_imports():
