@@ -1,14 +1,12 @@
 """citegauge: citation forecasting and bibliometrics toolkit.
 
-A ``Cohort`` keeps its venues as ``venue_codes`` (one int32 code per
-paper) into ``venue_names``; it has no per-paper ``venues`` tuple, and
-neither has ``triage.Ranking``.  ``boxplot_aggregate`` takes group codes
-and one label per code.  ``PaperRecord.citations_in``,
-``CorrelationTable.at``, ``NominationLedger.replay`` and its ``events``
-list are gone; a ``NominationLedger`` needs its file path,
-``percentile_transform`` its ``future_year`` and ``ApiClient`` its
-``ClientConfig``, which no longer has ``retry_cap`` or ``backoff_base``
-(``ingest.RETRY_CAP`` and ``ingest.BACKOFF_BASE``).
+Load a corpus (``load_corpus``, ``write_corpus``) and select one
+publication-year ``Cohort`` (``filter_cohort``); summarise it by venue or
+early-citation threshold (``group_by_venue``, ``group_by_early_threshold``,
+``h_index``, ``year_correlation_matrix``); fit and explain the percentile
+model (``percentile_transform``, ``build_design_matrix``, ``fit_ols``,
+``anova_decompose``, ``boxplot_aggregate``); rank papers for triage
+(``ddi_rank``, ``rule_of_thumb``) and keep the ``NominationLedger``.
 """
 
 from .corpus import Cohort, PaperRecord, Source, filter_cohort, load_corpus, write_corpus

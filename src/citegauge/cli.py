@@ -11,10 +11,9 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import corpus as corpus_mod
 from . import ingest as ingest_mod
@@ -43,28 +42,16 @@ REPORT_THRESHOLDS = (1, 2, 3, 10, 20)
 REPORT_VENUE_MIN_SIZE = 40
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _early_levels(text: str) -> int:
-    """argparse type for --T: an integer in [1, 2**63 - 1]."""
-    value = _positive_int(text)
-    if value > MAX_T:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_T}, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high]."""
+    def integer(text: str) -> int:  # named in "invalid integer value: ..."
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return integer
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -72,7 +59,7 @@ def _positive_int_list(text: str) -> list[int]:
     values = []
     for item in text.split(","):
         try:
-            values.append(_positive_int(item))
+            values.append(_int_in(1)(item))
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"item {item!r} is not an integer >= 1") from None
@@ -163,13 +150,13 @@ def _add_cohort_flags(parser, offsets=False, model_params=False, out=True,
         parser.add_argument("--out", default=None,
                             help="output path (default stdout)")
     if offsets or model_params:
-        parser.add_argument("--early-offset", type=_positive_int,
+        parser.add_argument("--early-offset", type=_int_in(1),
                             default=DEFAULT_EARLY_OFFSET)
-        parser.add_argument("--future-offset", type=_positive_int,
+        parser.add_argument("--future-offset", type=_int_in(1),
                             default=DEFAULT_FUTURE_OFFSET)
     if model_params:
-        parser.add_argument("--T", type=_early_levels, default=DEFAULT_T)
-        parser.add_argument("--min-venue-size", type=_positive_int,
+        parser.add_argument("--T", type=_int_in(1, MAX_T), default=DEFAULT_T)
+        parser.add_argument("--min-venue-size", type=_int_in(1),
                             default=DEFAULT_MIN_VENUE_SIZE)
         parser.add_argument("--reference-venue", default=None)
 
@@ -186,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus JSONL to write")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--base-url", default=ingest_mod.ClientConfig.base_url)
-    p.add_argument("--page-size", type=_positive_int,
+    p.add_argument("--page-size", type=_int_in(1),
                    default=ingest_mod.DEFAULT_PAGE_SIZE)
     p.add_argument("--rate", type=_parse_rate, default=None,
                    help="budget as REQUESTS/SECONDS, e.g. 100/300")
-    p.add_argument("--workers", type=_positive_int, default=4)
+    p.add_argument("--workers", type=_int_in(1), default=4)
 
     p = sub.add_parser("import", help="import a pre-aggregated count table")
     p.add_argument("--table", required=True, help="CSV: id,venue,source,pub_year,<years...>")
@@ -215,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=_positive_int_list,
                    default=REPORT_THRESHOLDS,
                    help="early-citation thresholds, each >= 1 (by=early)")
-    p.add_argument("--min-size", type=_positive_int, default=1,
+    p.add_argument("--min-size", type=_int_in(1), default=1,
                    help="venues below this pool into 'All other venues' (by=venue)")
 
     p = sub.add_parser("fit", help="fit the percentile regression for one year")
@@ -225,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict a percentile from a saved model")
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.add_argument("--venue", required=True)
-    p.add_argument("--early", type=_non_negative_int, required=True)
+    p.add_argument("--early", type=_int_in(0), required=True)
 
     p = sub.add_parser("anova", help="variance attribution for a fitted year")
     _add_cohort_flags(p, model_params=True)
@@ -240,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="optional fitted model JSON")
     p.add_argument("--thresholds", type=_positive_int_list, default=None,
                    help="also emit threshold-vs-venue comparison rows")
-    p.add_argument("--min-venue-size", type=_positive_int, default=1)
+    p.add_argument("--min-venue-size", type=_int_in(1), default=1)
 
     p = sub.add_parser(
         "report", help="write every report table from one pass over the corpus",
@@ -250,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"--outdir.  --T shapes the fitted model; the boxplots use "
         f"T={BOXPLOT_T}.")
     _add_cohort_flags(p, out=False, pub_year=_report_pub_year)
-    p.add_argument("--T", type=_early_levels, default=DEFAULT_T)
+    p.add_argument("--T", type=_int_in(1, MAX_T), default=DEFAULT_T)
     p.add_argument("--outdir", required=True, help="directory to write into")
 
     p = sub.add_parser("ledger", help="nomination/review accounting")
@@ -345,12 +332,8 @@ def _triage_text(cohort, threshold_stats, min_venue_size=1,
     ranking = triage_mod.ddi_rank(cohort, early_offset, fitted)
     comparisons = None
     if threshold_stats is not None:
-        venue_stats = metrics_mod.group_by_venue(
-            cohort, min_size=min_venue_size, future_offset=future_offset)
-        # the last row pools the venues below min_venue_size, if there are
-        # any; a real venue may carry the pooled row's label
-        if np.bincount(cohort.venue_codes).min() < min_venue_size:
-            venue_stats.pop()
+        venue_stats = [s for s in metrics_mod.group_by_venue(
+            cohort, future_offset=future_offset) if s.n >= min_venue_size]
         comparisons = triage_mod.rule_of_thumb(
             [s for s in threshold_stats if s.threshold != 0], venue_stats)
     return report_mod.triage_csv(ranking, comparisons)
@@ -467,9 +450,9 @@ def _cmd_ledger(args) -> int:
         return EXIT_USAGE
     ledger = triage_mod.NominationLedger(args.file)
     if recording:
-        record = (ledger.record_nomination if args.action == "nominate"
-                  else ledger.record_review)
-        states = {args.nominator: record(args.nominator, args.paper)}
+        kind = "nomination" if args.action == "nominate" else "review"
+        states = {args.nominator: ledger.record(kind, args.nominator,
+                                                args.paper)}
     else:
         states = {name: ledger.state(name) for name in ledger.balances()}
     for name, state in states.items():

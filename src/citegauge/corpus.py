@@ -2,8 +2,8 @@
 
 A corpus is a UTF-8 JSONL file, one paper per line, with keys exactly
 {"id", "source", "venue", "year", "counts"}.  "counts" maps 4-digit year
-strings to non-negative integers; missing years mean zero citations that
-year.  Records are immutable after construction.
+strings to non-negative integers, each year at most once; missing years
+mean zero citations that year.  Records are immutable after construction.
 
 The reports read one publication-year cohort, never the whole corpus:
 ``load_cohort`` validates every line in one streaming pass and keeps only
@@ -168,8 +168,13 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     raw_counts = raw["counts"]
     if not isinstance(raw_counts, dict):
         raise ParseError("field 'counts' must be an object", line=line)
-    counts = dict(_check_count(key, value, pub_year, line)
-                  for key, value in raw_counts.items())
+    counts = {}
+    for key, value in raw_counts.items():
+        year, value = _check_count(key, value, pub_year, line)
+        if year in counts:
+            raise ParseError(f"counts key {key!r} names year {year} again",
+                             line=line)
+        counts[year] = value
     return paper_id, source, venue, pub_year, counts.keys(), counts.values()
 
 
@@ -182,8 +187,8 @@ def _fields(raw, line=None, strict: bool = True) -> tuple:
     strings whose least (text order is year order for 4-digit keys) is not
     before pub_year, and int values with a non-negative minimum.
     A line it does not accept goes through the full checks, which accept or
-    reject it exactly as they always have.  The count years come back lazily,
-    so a line outside the cohort never builds them.
+    reject it.  The count years come back lazily, so a line outside the
+    cohort never builds them.
     """
     if type(raw) is dict and raw.keys() == CORPUS_KEYS:
         paper_id, source, venue = raw["id"], raw["source"], raw["venue"]
@@ -382,6 +387,26 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
     """
     return _select(((r.id, r.source, r.venue, r.pub_year, r.counts.keys(),
                      r.counts.values()) for r in records), pub_year, sources)
+
+
+def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
+    """(lines, torn_at, lead) of an append-only JSONL file: the lines that
+    count, without newlines; the offset the next append must first truncate
+    the file to, or None; and the bytes it must write first.
+
+    Every complete line counts, blank ones too.  A last line without its
+    newline, as a crash mid-append leaves, counts if it parses as JSON (lead
+    b"\\n"), else it is a torn append at torn_at; a blank one is neither."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    *lines, last = data.split(b"\n")
+    if not last.strip():
+        return lines, None, b""
+    try:
+        json.loads(last.decode("utf-8"))
+    except ValueError:  # bad JSON or a cut UTF-8 sequence
+        return lines, len(data) - len(last), b""
+    return [*lines, last], None, b"\n"
 
 
 def load_venue_aliases(path) -> dict[str, str]:

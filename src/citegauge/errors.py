@@ -110,6 +110,10 @@ class TooFewRows(StatsError):
     pass
 
 
+class PooledLabelClash(StatsError):
+    """A kept venue carries the label of the level smaller venues pool into."""
+
+
 class RankDeficient(StatsError):
     def __init__(self, columns):
         self.columns = list(columns)

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import PaperRecord, Source, record_to_json, validate_record
+from .corpus import PaperRecord, Source, read_journal, record_to_json, validate_record
 from .errors import (
     DuplicateId,
     EmptyInput,
@@ -239,30 +239,21 @@ class FetchCheckpoint:
 
     @classmethod
     def load(cls, path) -> "FetchCheckpoint":
-        """Read a checkpoint journal's last line; an unterminated last line
-        that is not JSON, after a complete line, is a torn append and the
-        line before it counts.  An unreadable checkpoint raises IngestError
-        naming the path."""
-        with open(path, encoding="utf-8") as handle:
-            *complete, last = handle.read().split("\n")
-        if complete and not _is_json(last):
-            # "" when the file ends in a newline, else a torn append
-            last = complete[-1]
+        """Read the last line that counts (corpus.read_journal) of a
+        checkpoint journal.  A run writes its first line whole, so a file
+        with no such line is refused; an unreadable checkpoint raises
+        IngestError naming the path."""
+        lines, _, _ = read_journal(path)
+        if not lines:  # parsed whole, so it raises its own JSON error
+            with open(path, "rb") as handle:
+                lines = [handle.read()]
         try:
-            return cls(**json.loads(last))
+            return cls(**json.loads(lines[-1].decode("utf-8")))
         except json.JSONDecodeError as exc:
             raise IngestError(
                 f"checkpoint {path}: invalid JSON: {exc}") from None
         except TypeError as exc:  # not an object, or unknown/missing keys
             raise IngestError(f"checkpoint {path}: {exc}") from None
-
-
-def _is_json(text: str) -> bool:
-    try:
-        json.loads(text)
-    except json.JSONDecodeError:
-        return False
-    return True
 
 
 def _resume_point(checkpoint_path, out_path, paper_ids: list[str],
@@ -405,7 +396,8 @@ def import_table(path) -> list[PaperRecord]:
     """Import a pre-aggregated count table.
 
     Expected header: id, venue, source, pub_year, then one 4-digit-year
-    column per citation year.  Blank count cells mean zero (entry absent).
+    column per citation year (a second raises HeaderMismatch).  Blank count
+    cells mean zero (entry absent).
     An id on a second row raises DuplicateId naming both rows.  A leading
     UTF-8 byte order mark, as spreadsheets write one, is skipped.
     """
@@ -422,7 +414,10 @@ def import_table(path) -> list[PaperRecord]:
         for col in header[4:]:
             if not (len(col) == 4 and col.isdecimal()):
                 raise HeaderMismatch(f"year column {col!r} is not a 4-digit year")
-            year_cols.append(int(col))
+            year = int(col)
+            if year in year_cols:
+                raise HeaderMismatch(f"year column {col!r} repeats year {year}")
+            year_cols.append(year)
         if not year_cols:
             raise HeaderMismatch("no citation-year columns")
 

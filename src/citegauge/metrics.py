@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Cohort
-from .errors import EmptyCohort
+from .errors import EmptyCohort, PooledLabelClash
 
 #: Marker for correlations undefined because a variable has zero variance.
 DEGENERATE = "degenerate"
@@ -110,10 +110,22 @@ def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
 OTHER_VENUES_LABEL = "All other venues"
 
 
+def refuse_pooled_label(venue_names: Sequence[str], sizes: Sequence[int],
+                        min_size: int, label: str) -> None:
+    """Raise PooledLabelClash if some venue pools into the level `label`
+    and a venue of >= min_size papers, kept apart, has that name."""
+    if min(sizes) < min_size <= dict(zip(venue_names, sizes)).get(label, 0):
+        raise PooledLabelClash(
+            f"venue {label!r} is named like the level that venues with "
+            f"fewer than {min_size} papers pool into; rename it with "
+            f"--aliases")
+
+
 def group_by_venue(cohort: Cohort, min_size: int = 1,
                    future_offset: int = DEFAULT_FUTURE_OFFSET) -> list[GroupStats]:
     """One stats row per venue with >= min_size members, sorted by mu descending;
-    smaller venues pool into a final "All other venues" row.
+    smaller venues pool into a final "All other venues" row, and a kept
+    venue of that name raises PooledLabelClash.
 
     The pooled counts come venue by venue in order of first appearance, and
     in id order within a venue.
@@ -122,9 +134,11 @@ def group_by_venue(cohort: Cohort, min_size: int = 1,
         raise EmptyCohort("cannot group an empty cohort")
     future = cohort.counts_in(cohort.pub_year + future_offset)
     names = cohort.venue_names
+    groups = split_by_code(future, cohort.venue_codes, len(names))
+    refuse_pooled_label(names, [len(g) for g in groups], min_size,
+                        OTHER_VENUES_LABEL)
     rows, other = [], []
-    for venue, counts in zip(names, split_by_code(future, cohort.venue_codes,
-                                                  len(names))):
+    for venue, counts in zip(names, groups):
         if len(counts) >= min_size:
             rows.append(_count_stats(counts, venue))
         else:

@@ -38,7 +38,7 @@ from .errors import (
     RankDeficient,
     TooFewRows,
 )
-from .metrics import DEFAULT_EARLY_OFFSET, split_by_code
+from .metrics import DEFAULT_EARLY_OFFSET, refuse_pooled_label, split_by_code
 
 MISC_VENUE = "misc"
 DEFAULT_MIN_VENUE_SIZE = 40
@@ -252,6 +252,7 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
 
     venues, codes = cohort.venue_names, cohort.venue_codes
     sizes = np.bincount(codes, minlength=len(venues)).tolist()
+    refuse_pooled_label(venues, sizes, min_venue_size, MISC_VENUE)
     level_of = [v if size >= min_venue_size else MISC_VENUE
                 for v, size in zip(venues, sizes)]
     level_sizes = Counter()

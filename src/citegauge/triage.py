@@ -3,8 +3,8 @@ and the nomination/review-debt ledger.
 
 The ledger is an append-only JSONL event file; a nominator's balance is
 4 * nominations - reviews, recomputed from the file on load.  A last line
-without its newline is a torn append unless it parses: loading ignores a
-torn line and the next append truncates it; it ends a kept one first.
+without its newline follows corpus.read_journal's rule: loading ignores a
+torn append and the next append truncates it; it ends a kept line first.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Cohort
+from .corpus import Cohort, read_journal
 from .errors import EmptyCohort, EmptyGroup, LedgerError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
 from .model import FittedModel
@@ -114,37 +114,22 @@ class NominationLedger:
     def __init__(self, path):
         self.path = path
         self._state: dict[str, NominatorState] = {}
-        # the file's last line lacks its newline: the next append first
-        # truncates the file to _torn_at (a torn append) or ends the line
-        self._torn_at: int | None = None
-        self._unterminated = False
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            lines, self._torn_at, self._lead = read_journal(path)
         except FileNotFoundError:
-            return
-        *lines, last = data.split(b"\n")
+            lines, self._torn_at, self._lead = [], None, b""
         for line_num, line in enumerate(lines, 1):
-            self._load_line(line, line_num)
-        if last.strip():
-            try:
-                json.loads(last.decode("utf-8"))
-            except ValueError:  # bad JSON or a cut UTF-8 sequence
-                self._torn_at = len(data) - len(last)
-                return
-            self._load_line(last, len(lines) + 1)
-            self._unterminated = True
+            if line.strip():
+                self._load_line(line, line_num)
 
     def _load_line(self, line: bytes, line_num: int) -> None:
-        """Apply one ledger file line; a bad line raises LedgerError."""
-        if not line.strip():
-            return
+        """Count one ledger file line; a bad line raises LedgerError."""
         try:
             event = json.loads(line.decode("utf-8"))
             if not isinstance(event, dict):
                 raise TypeError(
                     f"event must be an object, got {type(event).__name__}")
-            self._apply(event, persist=False)
+            self._count(event)
         except json.JSONDecodeError as exc:
             raise LedgerError(f"invalid JSON: {exc.msg}", line=line_num) from None
         except KeyError as exc:
@@ -153,9 +138,10 @@ class NominationLedger:
         except (ValueError, TypeError) as exc:
             raise LedgerError(str(exc), line=line_num) from None
 
-    def _apply(self, event: dict, persist: bool) -> None:
+    def _count(self, event: dict) -> NominatorState:
+        """Count one event; an unknown kind raises ValueError."""
         nominator = event["nominator"]
-        state = self._state.get(nominator, NominatorState())
+        state = self.state(nominator)
         if event["kind"] == "nomination":
             state = NominatorState(state.nominations + 1, state.reviews)
         elif event["kind"] == "review":
@@ -163,30 +149,23 @@ class NominationLedger:
         else:
             raise ValueError(f"unknown event kind: {event['kind']!r}")
         self._state[nominator] = state
-        if persist:
-            line = json.dumps(event, sort_keys=True) + "\n"
-            with open(self.path, "ab") as handle:
-                if self._torn_at is not None:
-                    handle.truncate(self._torn_at)
-                elif self._unterminated:
-                    line = "\n" + line
-                handle.write(line.encode("utf-8"))
-            self._torn_at, self._unterminated = None, False
+        return state
 
-    def record_nomination(self, nominator: str, paper_id: str) -> NominatorState:
+    def record(self, kind: str, nominator: str, paper_id: str) -> NominatorState:
+        """Count one event of `kind`, "nomination" or "review", and append
+        it to the file; returns the nominator's new state.  The balance may
+        go negative: reviews before nominations count as credit."""
         if not nominator:
             raise ValueError("nominator id must be non-empty")
-        self._apply({"kind": "nomination", "nominator": nominator,
-                     "paper": paper_id}, persist=True)
-        return self._state[nominator]
-
-    def record_review(self, nominator: str, paper_id: str) -> NominatorState:
-        """Balance may go negative: reviews before nominations count as credit."""
-        if not nominator:
-            raise ValueError("nominator id must be non-empty")
-        self._apply({"kind": "review", "nominator": nominator,
-                     "paper": paper_id}, persist=True)
-        return self._state[nominator]
+        event = {"kind": kind, "nominator": nominator, "paper": paper_id}
+        state = self._count(event)
+        with open(self.path, "ab") as handle:
+            if self._torn_at is not None:
+                handle.truncate(self._torn_at)
+            handle.write(self._lead + (json.dumps(event, sort_keys=True)
+                                       + "\n").encode("utf-8"))
+        self._torn_at, self._lead = None, b""
+        return state
 
     def state(self, nominator: str) -> NominatorState:
         return self._state.get(nominator, NominatorState())

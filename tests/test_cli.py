@@ -256,6 +256,23 @@ class TestImportAndCorr:
                        "(first on row 2)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("years,cells,second", [
+        ("2020,2020", "5,7", "2020"),
+        ("2020,2021,\uff12\uff10\uff12\uff10", "5,6,7",
+         "\uff12\uff10\uff12\uff10")], ids=["same", "fullwidth"])
+    def test_import_year_with_two_columns_exit_1(self, years, cells, second,
+                                                 tmp_path, capsys):
+        table, out = tmp_path / "t.csv", tmp_path / "c.jsonl"
+        table.write_text(f"id,venue,source,pub_year,{years}\n"
+                         f"p1,V,ACL,2016,{cells}\n", encoding="utf-8")
+        code, stdout, err = run(["import", "--table", str(table),
+                                 "--out", str(out)], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert stdout == ""
+        assert err == (f"citegauge import: error: year column {second!r} "
+                       f"repeats year 2020\n")
+        assert not out.exists()
+
     def test_venuecorr(self, table1_path, tmp_path, capsys):
         corpus = tmp_path / "acl.jsonl"
         run(["import", "--table", str(table1_path), "--out", str(corpus)],
@@ -363,6 +380,51 @@ class TestGroupStats:
         assert code == EXIT_DATA_ERROR
         assert out == ""
         assert "citation count in 2020 does not fit in 64 bits" in err
+
+
+class TestPooledLabelClash:
+    """A kept venue named like the level smaller venues pool into is
+    refused, not merged with them or printed as a second row."""
+
+    def test_groupstats_by_venue(self, tmp_path, capsys):
+        venues = ["All other venues"] * 30 + ["A"] * 30 + ["C"] * 5
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(make_records([{2020: 1}] * len(venues), venues=venues),
+                     corpus)
+        args = ["groupstats", "--corpus", str(corpus), "--pub-year", "2016",
+                "--by", "venue", "--min-size"]
+        code, out, err = run([*args, "10"], capsys)
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err == (
+            "citegauge groupstats: error: venue 'All other venues' is named "
+            "like the level that venues with fewer than 10 papers pool into; "
+            "rename it with --aliases\n")
+        # nothing pools: the venue is one row like any other
+        code, out, _ = run([*args, "5"], capsys)
+        assert code == EXIT_OK
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+            "A", "All other venues", "C"]
+
+    def test_fit_misc_reference(self, tmp_path, capsys):
+        venues = ["misc"] * 60 + ["A"] * 60 + ["B"] * 10 + ["C"] * 10
+        rows = [{2017: i % 3, 2020: i % 7} for i in range(len(venues))]
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(make_records(rows, venues=venues), corpus)
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text('{"misc": "Misc journal"}')
+        args = ["fit", "--corpus", str(corpus), "--pub-year", "2016",
+                "--min-venue-size", "40"]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err == (
+            "citegauge fit: error: venue 'misc' is named like the level that "
+            "venues with fewer than 40 papers pool into; rename it with "
+            "--aliases\n")
+        code, out, _ = run([*args, "--aliases", str(aliases)], capsys)
+        assert code == EXIT_OK
+        # reference A; the renamed venue and the folded B and C apart
+        assert [line.split(",")[0] for line in out.splitlines()[1:4]] == [
+            "Intercept", "Misc journal", "misc"]
 
 
 class TestFitPredictAnovaBoxplot:

@@ -3,7 +3,9 @@
 replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
-from their names: each walked the cohort paper by paper.  They read a
+from their names and one later rule (the design refuses a kept venue named
+misc while smaller venues fold into misc): each walked the cohort paper by
+paper.  They read a
 PaperCohort, the record tuple a Cohort was before it became columns, built
 from the same records as the Cohort under test.  The percentile,
 design and ranking oracles return plain tuples of the fields they built,
@@ -32,7 +34,12 @@ from citegauge.corpus import (
     load_cohort,
     write_corpus,
 )
-from citegauge.errors import EmptyCohort, EmptyGroup, TooFewRows
+from citegauge.errors import (
+    EmptyCohort,
+    EmptyGroup,
+    PooledLabelClash,
+    TooFewRows,
+)
 from citegauge.metrics import (
     DEFAULT_EARLY_OFFSET,
     DEFAULT_FUTURE_OFFSET,
@@ -214,6 +221,11 @@ def old_build_design_matrix(cohort, T=DEFAULT_T, early_offset=DEFAULT_EARLY_OFFS
     early_year = cohort.pub_year + early_offset
 
     venue_sizes = Counter(p.venue for p in cohort)
+    if venue_sizes[MISC_VENUE] >= min_venue_size > min(venue_sizes.values()):
+        raise PooledLabelClash(
+            f"venue {MISC_VENUE!r} is named like the level that venues with "
+            f"fewer than {min_venue_size} papers pool into; rename it with "
+            f"--aliases")
     row_venues = tuple(
         p.venue if venue_sizes[p.venue] >= min_venue_size else MISC_VENUE
         for p in cohort

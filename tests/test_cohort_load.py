@@ -7,8 +7,8 @@ that validator verbatim), duplicate ids rejected, venues rewritten through
 the alias map, and the cohort a tuple of records sorted by id whose
 counts_in built each year's vector paper by paper.  Seeded random corpora
 mix source subsets, --lenient extra keys, aliases, odd but valid count keys
-(two of which may name the same year) and counts past int64, with each kind
-of bad line placed before, inside and after the cohort's lines.  The loader
+and counts past int64, with each kind of bad line (two count keys naming
+one year among them) placed before, inside and after the cohort's lines.  The loader
 under test must give equal columns, or raise the same exception class with
 the same message and line.
 """
@@ -109,9 +109,6 @@ def counts_of(rng, pub_year, overflow=False):
         if rng.random() < 0.1:
             key = rng.choice(ODD_KEYS).format(year)
         counts[key] = rng.choice([0, 1, rng.randint(2, 500)])
-        if rng.random() < 0.05:
-            # a second key naming the same year; the later one is kept
-            counts[rng.choice(ODD_KEYS).format(year)] = rng.randint(0, 9)
     if overflow and counts:
         counts[rng.choice(list(counts))] = rng.choice([2 ** 63, 2 ** 64 + 5])
     return counts
@@ -141,6 +138,7 @@ def bad_lines(rng, first_id, year):
                                      "year": year, "counts": {}}),
         "negative count": valid.replace(": 1}", ": -4}"),
         "before publication": valid.replace(f'"{year + 1}"', f'"{year - 1}"'),
+        "year named twice": valid.replace(": 1}", f': 1, " {year + 1}": 2}}'),
         "duplicate": json.dumps({"id": first_id, "source": "ACL", "venue": "A",
                                  "year": year, "counts": {}}),
         "torn line": valid[:rng.randint(1, len(valid) - 1)],
@@ -213,15 +211,21 @@ def test_bad_line_fails_as_per_record_path(bad, where, tmp_path):
         assert outcome(new_columns, path, **kwargs) == expected
 
 
-def test_odd_keys_naming_one_year_keep_the_last(tmp_path):
+def test_odd_keys_naming_one_year_are_refused(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps({
-        "id": "p", "source": "ACL", "venue": "A", "year": PUB_YEAR,
-        "counts": {"2018": 3, " 2018": 5, "02019": 7, "2019": 1}}) + "\n")
-    cohort = load_cohort(path, PUB_YEAR)
-    assert cohort.counts_in(2018).tolist() == [5]
-    assert cohort.counts_in(2019).tolist() == [1]
-    assert new_columns(path) == old_columns(path)
+    for counts, key in [({"2018": 3, " 2018": 5}, " 2018"),
+                        ({"02019": 7, "2019": 1}, "2019"),
+                        ({"2020": 1, "2_020": 2}, "2_020"),
+                        ({"2020": 1, "２０２０": 2}, "２０２０")]:
+        path.write_text(json.dumps({
+            "id": "p", "source": "ACL", "venue": "A", "year": PUB_YEAR,
+            "counts": counts}) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_cohort(path, PUB_YEAR)
+        year = int(key)
+        assert str(info.value) == \
+            f"line 1: counts key {key!r} names year {year} again"
+        assert outcome(new_columns, path) == outcome(old_columns, path)
 
 
 def test_counts_are_a_read_only_matrix(tmp_path):

@@ -10,6 +10,7 @@ from citegauge.corpus import (
     Source,
     filter_cohort,
     load_corpus,
+    read_journal,
     record_to_json,
     validate_record,
     write_corpus,
@@ -216,3 +217,42 @@ class TestFilterCohort:
                    make_record("b", counts={year: 2})]
         with pytest.raises(ValueError, match=r"outside \[1900, 2100\]"):
             filter_cohort(records, 2016)
+
+
+class TestReadJournal:
+    LINES = [b'{"kind": "a"}', b'{"kind": "b"}', '{"kind": "\u00e9"}'.encode()]
+    NEW = b'{"kind": "new"}'
+
+    def test_every_cut_then_an_append(self, tmp_path):
+        """Cut at every byte, the last line's two-byte character included:
+        complete lines count, an unterminated tail counts only if it is a
+        whole line, and an append after read_journal's advice leaves the
+        lines that counted plus the new one."""
+        path = tmp_path / "journal.jsonl"
+        data = b"".join(line + b"\n" for line in self.LINES)
+        kinds = set()
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            start = data.rfind(b"\n", 0, cut) + 1   # where the tail begins
+            complete, tail = data[:start].split(b"\n")[:-1], data[start:cut]
+            if not tail:
+                expected = complete, None, b""
+            elif tail in self.LINES:
+                expected = [*complete, tail], None, b"\n"
+            else:
+                expected = complete, start, b""
+            kinds.add((expected[1] is None, expected[2]))
+            lines, torn_at, lead = read_journal(path)
+            assert (lines, torn_at, lead) == expected, cut
+            with open(path, "ab") as handle:
+                if torn_at is not None:
+                    handle.truncate(torn_at)
+                handle.write(lead + self.NEW + b"\n")
+            assert read_journal(path) == ([*lines, self.NEW], None, b""), cut
+        assert len(kinds) == 3
+
+    def test_blank_lines_count_and_a_blank_tail_is_neither(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"b": 2}\n  ')
+        assert read_journal(path) == ([b'{"a": 1}', b"", b'{"b": 2}'], None,
+                                      b"")

@@ -1,7 +1,9 @@
 """Differential test of corpus.validate_record against the full-check validator.
 
 The oracle below is validate_record as it was before its accept path became
-table lookups, copied verbatim together with the two helpers it calls.
+table lookups, copied verbatim together with the two helpers it calls, with
+one later rule: two count keys naming one year are refused, where the later
+one used to be kept.
 Records are generated valid and then mutated in one field at a time; the
 validator under test must return an equal record, or raise the same
 exception class with the same message and line.
@@ -110,6 +112,9 @@ def oracle_validate_record(raw: dict, line=None, strict: bool = True) -> PaperRe
             raise CitationBeforePublication(
                 f"counts[{year}] precedes publication year {pub_year}", line=line
             )
+        if year in counts:
+            raise ParseError(f"counts key {key!r} names year {year} again",
+                             line=line)
         counts[year] = value
 
     return PaperRecord(id=paper_id, source=source, venue=venue,

@@ -496,6 +496,16 @@ class TestCheckpointJournal:
         assert (report.skipped, report.written) == (4, 2)
         assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
 
+    def test_unterminated_line_after_complete_lines_counts(self, tmp_path):
+        papers = make_papers(6)
+        ids = sorted(papers)
+        out, ckpt = self.crashed_run(tmp_path, papers, ids, 4)
+        ckpt.write_text(ckpt.read_text().removesuffix("\n"))
+        assert len(ckpt.read_text().splitlines()) == 4
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (4, 2)
+        assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
+
     @pytest.mark.parametrize("resumed", [False, True])
     def test_finished_run_leaves_one_line(self, resumed, tmp_path):
         papers = make_papers(6)

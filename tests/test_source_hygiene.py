@@ -1,7 +1,7 @@
 """Every module-level import in the package and the scripts is used, every
 function, method, property and class of the package is used by the
 program, the package's third-party imports are its declared dependencies,
-and README.md shows every subcommand.
+cli.py imports none, and README.md shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -150,11 +150,11 @@ def test_the_scan_sees_an_unused_definition():
         "stored", "unread"]
 
 
-def third_party_imports():
-    """Top-level modules the package imports, anywhere in a module, that
-    are neither the standard library nor the package itself."""
+def third_party_imports(paths):
+    """Top-level modules the files import, anywhere in a file, that are
+    neither the standard library nor the package itself."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -169,7 +169,13 @@ def test_dependencies_are_the_third_party_imports():
         project = tomllib.load(handle)["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
                 for dep in project["dependencies"]}
-    assert third_party_imports() == declared
+    assert third_party_imports(PACKAGE.glob("*.py")) == declared
+
+
+def test_cli_imports_no_third_party_module():
+    """cli.py is wiring: the computing, and the libraries it takes, stay in
+    the modules it calls."""
+    assert third_party_imports([PACKAGE / "cli.py"]) == set()
 
 
 def test_readme_shows_every_subcommand(capsys):

@@ -131,16 +131,16 @@ def ledger_path(tmp_path):
 class TestNominationLedger:
     def test_one_nomination_balance_four(self, ledger_path):
         ledger = NominationLedger(ledger_path)
-        state = ledger.record_nomination("alice", "paper1")
+        state = ledger.record("nomination", "alice", "paper1")
         assert state.balance == 4
 
     def test_two_nominations_three_reviews(self, ledger_path):
         ledger = NominationLedger(ledger_path)
-        ledger.record_nomination("alice", "p1")
-        ledger.record_nomination("alice", "p2")
-        ledger.record_review("alice", "q1")
-        ledger.record_review("alice", "q2")
-        state = ledger.record_review("alice", "q3")
+        ledger.record("nomination", "alice", "p1")
+        ledger.record("nomination", "alice", "p2")
+        ledger.record("review", "alice", "q1")
+        ledger.record("review", "alice", "q2")
+        state = ledger.record("review", "alice", "q3")
         assert state.balance == 4 * 2 - 3 == 5
 
     def test_zero_activity(self, ledger_path):
@@ -148,7 +148,7 @@ class TestNominationLedger:
 
     def test_review_before_nomination_is_credit(self, ledger_path):
         ledger = NominationLedger(ledger_path)
-        state = ledger.record_review("bob", "p1")
+        state = ledger.record("review", "bob", "p1")
         assert state.balance == -1
 
     def test_replay_reproduces_balances(self, ledger_path):
@@ -157,9 +157,9 @@ class TestNominationLedger:
         for _ in range(200):
             name = rng.choice(["a", "b", "c"])
             if rng.random() < 0.4:
-                ledger.record_nomination(name, "p")
+                ledger.record("nomination", name, "p")
             else:
-                ledger.record_review(name, "p")
+                ledger.record("review", name, "p")
         reloaded = NominationLedger(ledger_path)
         assert reloaded.balances() == ledger.balances()
         for name in "abc":
@@ -168,9 +168,9 @@ class TestNominationLedger:
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = NominationLedger(path)
-        ledger.record_nomination("alice", "p1")
-        ledger.record_review("alice", "q1")
-        ledger.record_review("bob", "q2")
+        ledger.record("nomination", "alice", "p1")
+        ledger.record("review", "alice", "q1")
+        ledger.record("review", "bob", "q2")
         reloaded = NominationLedger(path)
         assert reloaded.balances() == {"alice": 3, "bob": -1}
         # file is append-only JSONL, one event per line
@@ -196,4 +196,4 @@ class TestNominationLedger:
     def test_empty_nominator_rejected(self, ledger_path):
         ledger = NominationLedger(ledger_path)
         with pytest.raises(ValueError):
-            ledger.record_nomination("", "p")
+            ledger.record("nomination", "", "p")
