@@ -34,12 +34,11 @@ EXIT_USAGE = 2
 BOXPLOT_T = 30
 #: The largest --T: early counts are int64, and T clips them.
 MAX_T = 2 ** 63 - 1
-#: The report set's fixed parameters: as many correlation years, the early
-#: thresholds (also groupstats' default), and the venue-group size below
-#: which venues pool.
+#: The report set's fixed parameters: as many correlation years and the
+#: early thresholds (also groupstats' default).  Its venue groups pool the
+#: venues below the model's DEFAULT_MIN_VENUE_SIZE.
 REPORT_YEARS = 8
 REPORT_THRESHOLDS = (1, 2, 3, 10, 20)
-REPORT_VENUE_MIN_SIZE = 40
 
 
 def _int_in(low: int, high: float = math.inf):
@@ -78,8 +77,11 @@ def _parse_years(text: str) -> list[int]:
 
 
 def _year(text: str) -> int:
-    """One year of --years, inside the corpus's year bounds."""
-    year = int(text)
+    """One year of --years or --pub-year, inside the corpus's year bounds."""
+    try:
+        year = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid year value: {text!r}") from None
     if not corpus_mod.YEAR_MIN <= year <= corpus_mod.YEAR_MAX:
         raise argparse.ArgumentTypeError(
             f"year {year} outside [{corpus_mod.YEAR_MIN}, {corpus_mod.YEAR_MAX}]")
@@ -363,7 +365,7 @@ def _groupstats(cohort, args) -> str:
 def _fit(cohort, args) -> str:
     fitted = model_mod.fit_ols(*_flag_model_inputs(cohort, args))
     if args.model_out:
-        model_mod.save_model(fitted, args.model_out)
+        _emit(model_mod.model_json(fitted), args.model_out)
     return report_mod.coefficients_csv(fitted)
 
 
@@ -421,7 +423,7 @@ def _cmd_report(args) -> int:
     texts["early_threshold_groups.csv"] = report_mod.group_stats_csv(
         threshold_stats)
     texts["venue_groups.csv"] = report_mod.group_stats_csv(
-        metrics_mod.group_by_venue(cohort, min_size=REPORT_VENUE_MIN_SIZE))
+        metrics_mod.group_by_venue(cohort, min_size=DEFAULT_MIN_VENUE_SIZE))
     design, frame = _model_inputs(cohort, args.T)
     fitted = model_mod.fit_ols(design, frame)
     texts["model.json"] = model_mod.model_json(fitted)

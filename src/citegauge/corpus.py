@@ -244,13 +244,14 @@ def _validated_lines(path, strict: bool) -> Iterator[tuple]:
                 continue
             try:
                 raw, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 end = None
             if end != len(line):
                 try:
                     raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}",
+                except (ValueError, RecursionError) as exc:
+                    # a JSONDecodeError's msg leaves out its position
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                      line=line_num) from None
             fields = _fields(raw, line_num, strict)
             if fields[0] in seen:
@@ -404,18 +405,24 @@ def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
         return lines, None, b""
     try:
         json.loads(last.decode("utf-8"))
-    except ValueError:  # bad JSON or a cut UTF-8 sequence
+    except (ValueError, RecursionError):
         return lines, len(data) - len(last), b""
     return [*lines, last], None, b"\n"
 
 
-def load_venue_aliases(path) -> dict[str, str]:
-    """Optional alias file: JSON object mapping raw venue string -> canonical name."""
+def read_json(path, error, what: str):
+    """The JSON value of the file at `path`; text that does not decode
+    raises error("{what} {path}: invalid JSON: ...")."""
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"alias file {path}: invalid JSON: {exc}") from None
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what} {path}: invalid JSON: {exc}") from None
+
+
+def load_venue_aliases(path) -> dict[str, str]:
+    """Optional alias file: JSON object mapping raw venue string -> canonical name."""
+    raw = read_json(path, ParseError, "alias file")
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
     ):

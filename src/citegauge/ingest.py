@@ -24,7 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import PaperRecord, Source, read_journal, record_to_json, validate_record
+from .corpus import (PaperRecord, Source, read_journal, read_json,
+                     record_to_json, validate_record)
 from .errors import (
     DuplicateId,
     EmptyInput,
@@ -244,14 +245,13 @@ class FetchCheckpoint:
         with no such line is refused; an unreadable checkpoint raises
         IngestError naming the path."""
         lines, _, _ = read_journal(path)
-        if not lines:  # parsed whole, so it raises its own JSON error
-            with open(path, "rb") as handle:
-                lines = [handle.read()]
         try:
-            return cls(**json.loads(lines[-1].decode("utf-8")))
-        except json.JSONDecodeError as exc:
-            raise IngestError(
-                f"checkpoint {path}: invalid JSON: {exc}") from None
+            # a file with no such line is decoded whole, to raise its error
+            raw = (json.loads(lines[-1].decode("utf-8")) if lines
+                   else read_json(path, IngestError, "checkpoint"))
+            return cls(**raw)
+        except (ValueError, RecursionError) as exc:
+            raise IngestError(f"checkpoint {path}: invalid JSON: {exc}") from None
         except TypeError as exc:  # not an object, or unknown/missing keys
             raise IngestError(f"checkpoint {path}: {exc}") from None
 

@@ -165,25 +165,23 @@ def pearson(x: Sequence[float], y: Sequence[float]):
     return min(1.0, max(-1.0, r))
 
 
+def _correlation_table(cohort: Cohort, rows: list,
+                       years: Sequence[int]) -> CorrelationTable:
+    """Each (label, vector) row's Pearson correlations with each year's counts."""
+    columns = [cohort.counts_in(y) for y in years]
+    return CorrelationTable(tuple(label for label, _ in rows), tuple(years),
+                            tuple(tuple(pearson(vector, c) for c in columns)
+                                  for _, vector in rows))
+
+
 def year_correlation_matrix(cohort: Cohort, years: Sequence[int]) -> CorrelationTable:
     """Symmetric year x year Pearson correlation table over cohort counts."""
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     if not years:
         raise ValueError("years must be non-empty")
-    vectors = {y: cohort.counts_in(y) for y in years}
-    n = len(years)
-    grid = [[None] * n for _ in range(n)]
-    for i, a in enumerate(years):
-        for j, b in enumerate(years[i:], start=i):
-            r = pearson(vectors[a], vectors[b])
-            grid[i][j] = r
-            grid[j][i] = r
-    return CorrelationTable(
-        row_labels=tuple(years),
-        col_labels=tuple(years),
-        entries=tuple(tuple(row) for row in grid),
-    )
+    return _correlation_table(cohort, [(y, cohort.counts_in(y)) for y in years],
+                              years)
 
 
 def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],
@@ -192,15 +190,7 @@ def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],
     equality)."""
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
-    vectors = {y: cohort.counts_in(y) for y in years}
     code_of = {name: code for code, name in enumerate(cohort.venue_names)}
-    entries = []
-    for venue in venue_names:
-        indicator = (cohort.venue_codes == code_of.get(venue, -1)).astype(
-            np.float64)
-        entries.append(tuple(pearson(indicator, vectors[y]) for y in years))
-    return CorrelationTable(
-        row_labels=tuple(venue_names),
-        col_labels=tuple(years),
-        entries=tuple(entries),
-    )
+    return _correlation_table(cohort, [
+        (venue, (cohort.venue_codes == code_of.get(venue, -1)).astype(np.float64))
+        for venue in venue_names], years)

@@ -23,13 +23,14 @@ the dense n x k design are expanded on request (``row_venues``,
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Cohort
+from .corpus import Cohort, read_json
 from .errors import (
     ConstantOutcome,
     DimensionMismatch,
@@ -162,7 +163,9 @@ class FittedModel:
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """A finite int or float, not a bool; JSON decodes NaN and Infinity."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) < math.inf)
 
 
 def _is_coefs(value, key_ok=lambda key: True) -> bool:
@@ -323,10 +326,10 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, column_names: Sequence[str]) -> np.n
     q, r = np.linalg.qr(X)
     diag = np.zeros(X.shape[1])
     diag[:min(X.shape)] = np.abs(np.diag(r))
-    scale = diag.max() if diag.size else 0.0
+    scale = diag.max()  # > 0, as the intercept column is positive
     bad = [column_names[j] for j in range(len(diag)) if diag[j] <= _RANK_TOL * scale]
-    if bad or scale == 0.0:
-        raise RankDeficient(bad or list(column_names))
+    if bad:
+        raise RankDeficient(bad)
     return np.linalg.solve(r, q.T @ y)
 
 
@@ -468,19 +471,11 @@ def model_json(model: FittedModel) -> str:
     return json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def save_model(model: FittedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(model_json(model))
-
-
 def load_model(path) -> FittedModel:
-    """Read a save_model file; a malformed one raises ModelFileError
+    """Read a model_json file; a malformed one raises ModelFileError
     naming the file and the field."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return FittedModel.from_dict(json.load(handle))
-        except json.JSONDecodeError as exc:
-            raise ModelFileError(
-                f"model file {path}: invalid JSON: {exc}") from None
-        except ModelFileError as exc:
-            raise ModelFileError(f"model file {path}: {exc}") from None
+    raw = read_json(path, ModelFileError, "model file")
+    try:
+        return FittedModel.from_dict(raw)
+    except ModelFileError as exc:
+        raise ModelFileError(f"model file {path}: {exc}") from None

@@ -126,37 +126,41 @@ class NominationLedger:
         """Count one ledger file line; a bad line raises LedgerError."""
         try:
             event = json.loads(line.decode("utf-8"))
-            if not isinstance(event, dict):
-                raise TypeError(
-                    f"event must be an object, got {type(event).__name__}")
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError's msg leaves out its position
+            raise LedgerError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                              line=line_num) from None
+        try:
             self._count(event)
-        except json.JSONDecodeError as exc:
-            raise LedgerError(f"invalid JSON: {exc.msg}", line=line_num) from None
         except KeyError as exc:
             raise LedgerError(f"missing field {exc.args[0]!r}",
                               line=line_num) from None
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise LedgerError(str(exc), line=line_num) from None
 
-    def _count(self, event: dict) -> NominatorState:
-        """Count one event; an unknown kind raises ValueError."""
-        nominator = event["nominator"]
+    def _count(self, event) -> NominatorState:
+        """Check and count one event, loaded or new: a missing field raises
+        KeyError, any other fault ValueError."""
+        if not isinstance(event, dict):
+            raise ValueError(f"event must be an object, got {type(event).__name__}")
+        nominator, kind, paper = event["nominator"], event["kind"], event["paper"]
+        if not isinstance(nominator, str) or not nominator:
+            raise ValueError(
+                f"nominator must be a non-empty string, got {nominator!r}")
+        if kind not in ("nomination", "review"):
+            raise ValueError(f"unknown event kind: {kind!r}")
+        if not isinstance(paper, str):
+            raise ValueError(f"paper must be a string, got {paper!r}")
         state = self.state(nominator)
-        if event["kind"] == "nomination":
-            state = NominatorState(state.nominations + 1, state.reviews)
-        elif event["kind"] == "review":
-            state = NominatorState(state.nominations, state.reviews + 1)
-        else:
-            raise ValueError(f"unknown event kind: {event['kind']!r}")
-        self._state[nominator] = state
+        self._state[nominator] = state = NominatorState(
+            state.nominations + (kind == "nomination"),
+            state.reviews + (kind == "review"))
         return state
 
     def record(self, kind: str, nominator: str, paper_id: str) -> NominatorState:
         """Count one event of `kind`, "nomination" or "review", and append
         it to the file; returns the nominator's new state.  The balance may
         go negative: reviews before nominations count as credit."""
-        if not nominator:
-            raise ValueError("nominator id must be non-empty")
         event = {"kind": kind, "nominator": nominator, "paper": paper_id}
         state = self._count(event)
         with open(self.path, "ab") as handle:

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,15 @@ import pytest
 from citegauge.corpus import PaperRecord, Source, filter_cohort
 
 DATA_DIR = Path(__file__).parent / "data"
+
+#: Text that json cannot decode, one per way it fails: bad syntax
+#: (JSONDecodeError), nesting past the recursion limit (RecursionError) and
+#: an integer past Python's 4300-digit limit (ValueError).
+UNDECODABLE = {
+    "syntax": '{"id": ',
+    "deep": "[" * (10 * sys.getrecursionlimit()),
+    "long-int": '{"id": ' + "1" * 5000 + "}",
+}
 
 
 @pytest.fixture

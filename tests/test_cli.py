@@ -17,7 +17,7 @@ from citegauge.model import (
 )
 from citegauge.report import anova_csv
 
-from conftest import make_records
+from conftest import UNDECODABLE, make_records
 
 
 def run(args, capsys):
@@ -114,6 +114,21 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"year {bad_year} outside [1900, 2100]" in err
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["corr", "--pub-year", "2016", "--years", "x"], "--years", "x"),
+        (["corr", "--pub-year", "2016", "--years", "2016..2x"], "--years",
+         "2x"),
+        (["report", "--outdir", "out", "--pub-year", "x"], "--pub-year", "x"),
+    ], ids=["years", "years-range", "report-pub-year"])
+    def test_unparseable_year_exit_2_names_the_value(
+            self, argv, flag, value, fixture_corpus_path, capsys):
+        code, out, err = run([argv[0], "--corpus", str(fixture_corpus_path),
+                              *argv[1:]], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == (f"citegauge {argv[0]}: error: "
+                                        f"argument {flag}: invalid year "
+                                        f"value: {value!r}")
 
     @pytest.mark.parametrize("subcommand", ["groupstats", "triage"])
     @pytest.mark.parametrize("value,bad_item", [
@@ -283,6 +298,16 @@ class TestImportAndCorr:
         assert code == EXIT_OK
         assert out.splitlines()[0] == ",2016,2017"
         assert out.splitlines()[1].startswith("EMNLP,")
+
+    def test_venuecorr_repeated_venue_prints_two_rows(self, fixture_args,
+                                                      capsys):
+        code, out, _ = run(["venuecorr", *fixture_args, "--years", "2016..2020",
+                            "--venues", "TopJournal,TopJournal"], capsys)
+        assert code == EXIT_OK
+        for block in out.split("\n\n"):    # the rounded and the full table
+            rows = [line for line in block.splitlines()
+                    if line.startswith("TopJournal,")]
+            assert len(rows) == 2 and rows[0] == rows[1]
 
 
 class TestGroupStats:
@@ -501,7 +526,11 @@ class TestModelFile:
         ([1], "expected a JSON object, got list"),
         (GOOD_MODEL | {"T": "x"}, "'T'"),
         (GOOD_MODEL | {"early_coefs": {"1": 2.0, "x": 3.0}}, "'early_coefs'"),
-    ], ids=["empty-object", "list", "T-not-int", "early-key-not-int"])
+        (GOOD_MODEL | {"intercept": float("nan")}, "'intercept'"),
+        (GOOD_MODEL | {"venue_coefs": {"B": float("inf")}}, "'venue_coefs'"),
+        (GOOD_MODEL | {"r_squared": -float("inf")}, "'r_squared'"),
+    ], ids=["empty-object", "list", "T-not-int", "early-key-not-int",
+            "intercept-nan", "coef-infinity", "r-squared-minus-infinity"])
     @pytest.mark.parametrize("subcommand", ["predict", "triage"])
     def test_malformed_model_exit_1_names_file_and_field(
             self, subcommand, model, field, fixture_args, tmp_path, capsys):
@@ -581,6 +610,8 @@ class TestTriageAndLedger:
     @pytest.mark.parametrize("bad_line", [
         '{"kind": "review", "paper": "p9"}',    # no nominator
         '{"kind": "nomination", "nomin',        # torn last line
+        '{"kind": "review", "nominator": 5, "paper": "p9"}',
+        '{"kind": "review", "nominator": null, "paper": "p9"}',
     ])
     def test_ledger_bad_line_exit_1_names_line(self, bad_line, tmp_path,
                                                capsys):
@@ -649,6 +680,48 @@ class TestTriageAndLedger:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--nominator and --paper are required" in err
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize("reader", [
+    "corpus-line", "journal-tail", "ledger-line", "checkpoint", "model-file",
+    "alias-file"])
+def test_undecodable_input_exit_1_names_it(reader, text, fixture_args,
+                                           tmp_path, capsys):
+    """Text that fails to decode in any way, in each input the program
+    reads as JSON, exits 1 naming the line or the file, with no traceback."""
+    bad = tmp_path / "bad.json"
+    ids = tmp_path / "ids.txt"
+    ids.write_text("p1\n")
+    ingest = ["ingest", "--ids-file", str(ids), "--out",
+              str(tmp_path / "c.jsonl"), "--checkpoint", str(bad),
+              # read before any request; a closed port keeps a regression
+              # off the network
+              "--base-url", "http://127.0.0.1:9"]
+    corpus_line = ('{"id": "a", "source": "ACL", "venue": "V", "year": 2016, '
+                   '"counts": {}}\n')
+    ledger_line = '{"kind": "review", "nominator": "alice", "paper": "p1"}\n'
+    # reader: (the file's text, the command, what the error names)
+    content, argv, named = {
+        "corpus-line": (corpus_line + text + "\n",
+                        ["groupstats", "--corpus", str(bad), "--pub-year",
+                         "2016"], "line 2"),
+        # an unterminated line and no complete one: the file decodes whole
+        "journal-tail": (text, ingest, f"checkpoint {bad}"),
+        "ledger-line": (ledger_line + text + "\n",
+                        ["ledger", "--file", str(bad), "show"], "line 2"),
+        "checkpoint": (_checkpoint("p1") + "\n" + text + "\n", ingest,
+                       f"checkpoint {bad}"),
+        "model-file": (text, ["predict", "--model", str(bad), "--venue", "A",
+                              "--early", "1"], f"model file {bad}"),
+        "alias-file": (text, ["groupstats", *fixture_args, "--aliases",
+                              str(bad)], f"alias file {bad}"),
+    }[reader]
+    bad.write_text(content, encoding="utf-8")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert f"citegauge {argv[0]}: error: {named}: invalid JSON: " in err
+    assert "Traceback" not in err
 
 
 #: The files `report` writes, in the order it announces them.
@@ -734,7 +807,7 @@ def test_constant_outcome_exit_1(subcommand, tmp_path, capsys):
                    f"explain\n")
 
 
-def test_report_model_json_is_save_model_bytes(fixture_args, tmp_path,
+def test_report_model_json_is_model_json_bytes(fixture_args, tmp_path,
                                                capsys):
     outdir = tmp_path / "reports"
     assert run(["report", *fixture_args, "--outdir", str(outdir)],
@@ -742,7 +815,8 @@ def test_report_model_json_is_save_model_bytes(fixture_args, tmp_path,
     cohort = corpus_mod.load_cohort(fixture_args[1], 2016)
     fitted = model_mod.fit_ols(build_design_matrix(cohort),
                                percentile_transform(cohort, 2020))
-    model_mod.save_model(fitted, tmp_path / "saved.json")
+    (tmp_path / "saved.json").write_text(model_mod.model_json(fitted),
+                                         encoding="utf-8")
     assert (outdir / "model.json").read_bytes() == \
         (tmp_path / "saved.json").read_bytes()
 

@@ -16,7 +16,7 @@ from citegauge.corpus import (
     write_corpus,
 )
 
-from conftest import make_record
+from conftest import UNDECODABLE, make_record
 
 
 def raw_record(**overrides):
@@ -250,6 +250,15 @@ class TestReadJournal:
                 handle.write(lead + self.NEW + b"\n")
             assert read_journal(path) == ([*lines, self.NEW], None, b""), cut
         assert len(kinds) == 3
+
+    @pytest.mark.parametrize("tail", UNDECODABLE.values(), ids=UNDECODABLE)
+    def test_undecodable_tail_is_torn(self, tail, tmp_path):
+        """An unterminated last line that fails to decode in any way is a
+        torn append, not an error."""
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(self.LINES[0] + b"\n" + tail.encode())
+        assert read_journal(path) == ([self.LINES[0]], len(self.LINES[0]) + 1,
+                                      b"")
 
     def test_blank_lines_count_and_a_blank_tail_is_neither(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -17,9 +17,9 @@ from citegauge.model import (
     clip_early,
     fit_ols,
     load_model,
+    model_json,
     percentile_transform,
     predict_cohort,
-    save_model,
 )
 
 from conftest import (
@@ -315,7 +315,7 @@ class TestPredict:
     def test_serialization_round_trip(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        path.write_text(model_json(model), encoding="utf-8")
         loaded = load_model(path)
         assert loaded == model
 

@@ -1,7 +1,8 @@
 """Every module-level import in the package and the scripts is used, every
 function, method, property and class of the package is used by the
 program, the package's third-party imports are its declared dependencies,
-cli.py imports none, and README.md shows every subcommand.
+cli.py imports none, every JSON decode in the package catches every way
+text can fail to decode, and README.md shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -148,6 +149,53 @@ def test_the_scan_sees_an_unused_definition():
     used = set(references(tree))
     assert sorted(n for n, _ in definitions(tree) if n not in used) == [
         "stored", "unread"]
+
+
+#: The calls that decode JSON, and what each can raise on text it cannot
+#: decode: ValueError for bad syntax or UTF-8 or an integer past the digit
+#: limit, RecursionError for nesting past the recursion limit.
+JSON_DECODERS = {"json.load", "json.loads", "_raw_decode"}
+JSON_DECODE_ERRORS = {"ValueError", "RecursionError"}
+
+
+def uncaught_decode_errors(tree):
+    """(line, errors missed) of each try whose body calls a JSON decoder
+    and whose handlers do not name every JSON decode error."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Try) and any(
+                isinstance(call, ast.Call)
+                and ast.unparse(call.func) in JSON_DECODERS
+                for statement in node.body for call in ast.walk(statement))):
+            continue
+        caught = set()
+        for handler in node.handlers:
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+                else [handler.type]
+            caught.update(ast.unparse(kind) for kind in kinds if kind)
+        missed = JSON_DECODE_ERRORS - caught
+        if missed:
+            yield node.lineno, sorted(missed)
+
+
+def test_every_json_decode_catches_every_decode_error():
+    """A decode that catches only json.JSONDecodeError lets a long integer
+    or a deep nesting escape as a traceback or an unnamed error."""
+    missed = [f"{path.name}:{line}: {names}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, names in uncaught_decode_errors(ast.parse(
+                  path.read_text(encoding="utf-8")))]
+    assert not missed, "JSON decode errors not caught: " + ", ".join(missed)
+
+
+def test_the_scan_sees_an_uncaught_decode_error():
+    tree = ast.parse(
+        "try:\n    json.loads(a)\nexcept json.JSONDecodeError:\n    pass\n"
+        "try:\n    x = _raw_decode(b)[0]\nexcept ValueError:\n    pass\n"
+        "try:\n    f(json.load(h))\nexcept KeyError:\n    pass\n"
+        "except (ValueError, RecursionError):\n    pass\n"
+        "try:\n    json.dumps(c)\nexcept TypeError:\n    pass\n")
+    assert list(uncaught_decode_errors(tree)) == [
+        (1, ["RecursionError", "ValueError"]), (5, ["RecursionError"])]
 
 
 def third_party_imports(paths):

@@ -182,6 +182,15 @@ class TestNominationLedger:
         ('{"kind": "vote", "nominator": "alice", "paper": "p2"}',
          "unknown event kind: 'vote'"),
         ('["nomination", "alice"]', "must be an object"),
+        ('{"kind": "review", "nominator": 5, "paper": "p2"}',
+         "nominator must be a non-empty string, got 5"),
+        ('{"kind": "review", "nominator": null, "paper": "p2"}',
+         "nominator must be a non-empty string, got None"),
+        ('{"kind": "review", "nominator": "", "paper": "p2"}',
+         "nominator must be a non-empty string, got ''"),
+        ('{"kind": "review", "nominator": "bob"}', "missing field 'paper'"),
+        ('{"kind": "review", "nominator": "bob", "paper": 7}',
+         "paper must be a string, got 7"),
     ])
     def test_bad_line_names_its_line(self, tmp_path, bad_line, message):
         path = tmp_path / "ledger.jsonl"
@@ -197,3 +206,14 @@ class TestNominationLedger:
         ledger = NominationLedger(ledger_path)
         with pytest.raises(ValueError):
             ledger.record("nomination", "", "p")
+
+    @pytest.mark.parametrize("kind,nominator,paper", [
+        ("vote", "alice", "p"), ("review", 5, "p"), ("review", None, "p"),
+        ("review", "alice", None),
+    ])
+    def test_record_checks_like_a_loaded_line(self, kind, nominator, paper,
+                                              ledger_path):
+        ledger = NominationLedger(ledger_path)
+        with pytest.raises(ValueError):
+            ledger.record(kind, nominator, paper)
+        assert not ledger_path.exists() and ledger.balances() == {}
