@@ -1,7 +1,7 @@
 """citegauge: citation forecasting and bibliometrics toolkit.
 
-Load a corpus (``load_corpus``, ``write_corpus``) and select one
-publication-year ``Cohort`` (``filter_cohort``); summarise it by venue or
+Load a corpus's publication-year ``Cohort`` in one pass (``load_cohort``)
+and write a corpus (``write_corpus``); summarise a cohort by venue or
 early-citation threshold (``group_by_venue``, ``group_by_early_threshold``,
 ``h_index``, ``year_correlation_matrix``); fit and explain the percentile
 model (``percentile_transform``, ``build_design_matrix``, ``fit_ols``,
@@ -9,7 +9,7 @@ model (``percentile_transform``, ``build_design_matrix``, ``fit_ols``,
 (``ddi_rank``, ``rule_of_thumb``) and keep the ``NominationLedger``.
 """
 
-from .corpus import Cohort, PaperRecord, Source, filter_cohort, load_corpus, write_corpus
+from .corpus import Cohort, PaperRecord, Source, load_cohort, write_corpus
 from .metrics import (
     DEGENERATE,
     GroupStats,

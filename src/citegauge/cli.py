@@ -103,7 +103,7 @@ def _parse_rate(text: str) -> ingest_mod.RateBudget:
         return ingest_mod.RateBudget(int(n), float(window))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected N/SECONDS with N >= 1 and SECONDS > 0, got {text!r}"
+            f"expected N/SECONDS with N >= 1 and finite SECONDS > 0, got {text!r}"
         ) from None
 
 
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    with open(args.ids_file, encoding="utf-8") as handle:
+    with corpus_mod.name_non_utf8_line(args.ids_file, ValueError, "ids file"), \
+            open(args.ids_file, encoding="utf-8") as handle:
         ids = [line.strip() for line in handle if line.strip()]
     config = ingest_mod.ClientConfig(base_url=args.base_url,
                                      page_size=args.page_size,

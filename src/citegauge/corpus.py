@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -231,17 +232,24 @@ def _validated_lines(path, strict: bool) -> Iterator[tuple]:
     """The _fields of every line of a corpus file, in line order; the first
     invalid line or duplicate id raises, naming its line.
 
-    A stripped line that holds exactly one JSON value costs one raw_decode;
-    json.loads, which is raw_decode behind a BOM check and two whitespace
-    scans, runs only on a line raw_decode does not consume whole, and
-    raises the error the line has always raised.
+    A byte that is not UTF-8 decodes to a lone surrogate, which fails its
+    line, in line order, when a non-ASCII line is re-encoded.  A stripped line
+    that holds exactly one JSON value costs one raw_decode; json.loads, which
+    is raw_decode behind a BOM check and two whitespace scans, runs only on a
+    line raw_decode does not consume whole, and raises the error it always has.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_num, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                     "is not UTF-8", line=line_num) from None
             try:
                 raw, end = _raw_decode(line)
             except (ValueError, RecursionError):
@@ -408,6 +416,23 @@ def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
     except (ValueError, RecursionError):
         return lines, len(data) - len(last), b""
     return [*lines, last], None, b"\n"
+
+
+@contextmanager
+def name_non_utf8_line(path, error, what: str):
+    """Run a block that reads the file at `path` as UTF-8; a byte that does
+    not decode raises error naming the file and, by a rescan, its line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            for line_num, line in enumerate(handle, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{what} {path}: line {line_num}: byte "
+                                f"{line[exc.start]:#04x} is not UTF-8") from None
+        raise
 
 
 def read_json(path, error, what: str):

@@ -24,8 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import (PaperRecord, Source, read_journal, read_json,
-                     record_to_json, validate_record)
+from .corpus import (PaperRecord, Source, name_non_utf8_line, read_journal,
+                     read_json, record_to_json, validate_record)
 from .errors import (
     DuplicateId,
     EmptyInput,
@@ -54,8 +54,8 @@ class RateBudget:
     """
 
     def __init__(self, max_requests: int, window_seconds: float):
-        if max_requests < 1 or not window_seconds > 0:
-            raise ValueError("budget needs max_requests >= 1 and a positive window")
+        if max_requests < 1 or not 0 < window_seconds < float("inf"):
+            raise ValueError("budget needs max_requests >= 1 and a finite window > 0")
         self.max_requests = max_requests
         self.window_seconds = window_seconds
         self._stamps: deque = deque()
@@ -401,7 +401,8 @@ def import_table(path) -> list[PaperRecord]:
     An id on a second row raises DuplicateId naming both rows.  A leading
     UTF-8 byte order mark, as spreadsheets write one, is skipped.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with name_non_utf8_line(path, IngestError, "table"), \
+            open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]

@@ -23,7 +23,7 @@ the dense n x k design are expanded on request (``row_venues``,
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
@@ -157,15 +157,18 @@ class FittedModel:
             if not ok(d[name]):
                 raise ModelFileError(
                     f"field {name!r} must be {what}, got {d[name]!r}")
+        try:
+            early_coefs = {int(k): v for k, v in d["early_coefs"].items()}
+        except ValueError:  # a key past int()'s digit limit
+            raise ModelFileError("field 'early_coefs' has too long a key") from None
         return cls(**{name: d[name] for name in _MODEL_FIELDS} | {
-            "venue_coefs": dict(d["venue_coefs"]),
-            "early_coefs": {int(k): v for k, v in d["early_coefs"].items()}})
+            "venue_coefs": dict(d["venue_coefs"]), "early_coefs": early_coefs})
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """A finite int or float, not a bool; JSON decodes NaN and Infinity."""
+    """An int or float within float range, not a bool, NaN or infinite."""
     return (isinstance(value, kinds) and not isinstance(value, bool)
-            and abs(value) < math.inf)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_coefs(value, key_ok=lambda key: True) -> bool:
@@ -178,12 +181,12 @@ _MODEL_FIELDS = {
     "pub_year": (lambda v: _is_number(v, int), "an integer"),
     "T": (lambda v: _is_number(v, int) and v >= 1, "an integer >= 1"),
     "reference_venue": (lambda v: isinstance(v, str), "a string"),
-    "intercept": (_is_number, "a number"),
-    "venue_coefs": (_is_coefs, "an object of numbers"),
-    "early_coefs": (lambda v: _is_coefs(v, str.isdecimal),
-                    "an object of numbers keyed by early level"),
-    "rss": (_is_number, "a number"),
-    "r_squared": (_is_number, "a number"),
+    "intercept": (_is_number, "a number within float range"),
+    "venue_coefs": (_is_coefs, "an object of numbers within float range"),
+    "early_coefs": (lambda v: _is_coefs(v, str.isdecimal), "an object of "
+                    "numbers within float range keyed by early level"),
+    "rss": (_is_number, "a number within float range"),
+    "r_squared": (_is_number, "a number within float range"),
 }
 
 
@@ -433,10 +436,9 @@ def boxplot_aggregate(values: Sequence[float], codes: np.ndarray,
     """Five-number summary (linear-interpolation quartiles) per group.
 
     values[i] is in group codes[i], an int in range(len(labels)), whose row
-    is labelled labels[codes[i]]; a group with no value gets no row.  With
-    sort_by_median the rows come out median-descending (venue plots);
-    otherwise in label order, equal labels in code order (early-level
-    plots).
+    is labelled labels[codes[i]]; a group with no value gets no row.  The
+    rows come out in code order (early-level plots), or with sort_by_median
+    median-descending, then by label (venue plots).
     """
     codes = np.asarray(codes)
     if len(values) == 0:
@@ -448,7 +450,7 @@ def boxplot_aggregate(values: Sequence[float], codes: np.ndarray,
     buckets = split_by_code(np.asarray(values, dtype=np.float64), codes,
                             len(labels))
     rows = []
-    for label, data in sorted(zip(labels, buckets), key=lambda lb: lb[0]):
+    for label, data in zip(labels, buckets):
         if not len(data):
             continue
         q1, med, q3 = np.percentile(data, [25, 50, 75])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import repeat
+from itertools import chain, repeat
 
 from .metrics import DEGENERATE, CorrelationTable, GroupStats
 from .model import AnovaTable, BoxplotRow, FittedModel
@@ -34,7 +34,7 @@ def fmt_median(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else f"{value:.1f}"
 
 
-def _csv_string(rows: list[list[str]]) -> str:
+def _csv_string(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -115,24 +115,18 @@ def triage_csv(ranking: Ranking,
     """The ranking, written column-wise with no per-paper row list, then
     the comparison rows if any."""
     order = ranking.order
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "id", "early_count", "venue",
-                     "predicted_percentile"])
     predicted = (repeat("") if ranking.predicted is None
                  else map(fmt1, ranking.predicted[order].tolist()))
-    writer.writerows(zip(
-        range(1, len(order) + 1),
-        map(ranking.ids.__getitem__, order.tolist()),
-        ranking.early[order].tolist(),
-        map(ranking.venue_names.__getitem__,
-            ranking.venue_codes[order].tolist()),
-        predicted))
-    if comparisons:
-        writer.writerow([])
-        writer.writerow(["threshold", "group_mu", "group_h",
-                         "frac_venues_below_mu", "frac_venues_below_h"])
-        writer.writerows([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
-                          repr(c.frac_venues_below_mu),
-                          repr(c.frac_venues_below_h)] for c in comparisons)
-    return buf.getvalue()
+    return _csv_string(chain(
+        [["rank", "id", "early_count", "venue", "predicted_percentile"]],
+        zip(range(1, len(order) + 1),
+            map(ranking.ids.__getitem__, order.tolist()),
+            ranking.early[order].tolist(),
+            map(ranking.venue_names.__getitem__,
+                ranking.venue_codes[order].tolist()),
+            predicted),
+        [[], ["threshold", "group_mu", "group_h", "frac_venues_below_mu",
+              "frac_venues_below_h"]] if comparisons else [],
+        ([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
+          repr(c.frac_venues_below_mu), repr(c.frac_venues_below_h)]
+         for c in comparisons or ())))

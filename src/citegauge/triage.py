@@ -58,17 +58,15 @@ def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
     if len(cohort) == 0:
         raise EmptyCohort("cannot rank an empty cohort")
     early = cohort.counts_in(cohort.pub_year + early_offset)
-    if model is None:
-        predicted = None
-        order = np.argsort(-early, kind="stable")
-    else:
+    predicted = None
+    if model is not None:
         venues = map(cohort.venue_names.__getitem__,
                      cohort.venue_codes.tolist())
         predicted = np.fromiter(map(model.predict, venues, early.tolist()),
                                 float, count=len(cohort))
-        order = np.lexsort((-predicted, -early))
-    return Ranking(order, cohort.ids, cohort.venue_codes, cohort.venue_names,
-                   early, predicted)
+    keys = (-early,) if predicted is None else (-predicted, -early)
+    return Ranking(np.lexsort(keys), cohort.ids, cohort.venue_codes,
+                   cohort.venue_names, early, predicted)
 
 
 def rule_of_thumb(threshold_stats: Sequence[GroupStats],

@@ -1,13 +1,15 @@
+import argparse
 import json
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 from citegauge import corpus as corpus_mod
 from citegauge import metrics as metrics_mod
 from citegauge import model as model_mod
-from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
+from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, build_parser, main
 from citegauge.corpus import filter_cohort, load_corpus, write_corpus
 from citegauge.ingest import ids_sha256
 from citegauge.model import (
@@ -173,7 +175,8 @@ class TestUsage:
     @pytest.mark.parametrize("flag,value", [
         ("--rate", "abc"), ("--rate", "100"), ("--rate", "1/2/3"),
         ("--rate", "0/300"), ("--rate", "10/0"), ("--rate", "10/nan"),
-        ("--rate", "x/300"), ("--page-size", "0"), ("--workers", "0"),
+        ("--rate", "x/300"), ("--rate", "2/inf"), ("--rate", "2/1e400"),
+        ("--page-size", "0"), ("--workers", "0"),
     ])
     def test_bad_ingest_flag_exit_2(self, flag, value, tmp_path, capsys):
         ids = tmp_path / "ids.txt"
@@ -506,6 +509,21 @@ class TestFitPredictAnovaBoxplot:
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == sorted(labels)  # early levels in order
 
+    def test_boxplot_early_levels_past_99_in_numeric_order(self, tmp_path,
+                                                          capsys):
+        rng = random.Random(150)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(
+            {"id": f"p{i:03d}", "source": "ACL", "venue": rng.choice("AB"),
+             "year": 2016, "counts": {"2017": i // 2,
+                                      "2020": rng.randint(0, 400)}}) + "\n"
+            for i in range(302)), encoding="utf-8")
+        code, out, _ = run(["boxplot", "--corpus", str(corpus), "--pub-year",
+                            "2016", "--by", "early", "--T", "150"], capsys)
+        assert code == EXIT_OK
+        labels = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert labels == [f"{level:02d}" for level in range(151)]
+
     def test_boxplot_by_venue_sorted_by_median(self, fixture_args, capsys):
         code, out, _ = run(["boxplot", *fixture_args, "--by", "venue"],
                            capsys)
@@ -529,8 +547,13 @@ class TestModelFile:
         (GOOD_MODEL | {"intercept": float("nan")}, "'intercept'"),
         (GOOD_MODEL | {"venue_coefs": {"B": float("inf")}}, "'venue_coefs'"),
         (GOOD_MODEL | {"r_squared": -float("inf")}, "'r_squared'"),
+        (GOOD_MODEL | {"intercept": 10 ** 400}, "'intercept'"),
+        (GOOD_MODEL | {"venue_coefs": {"B": -10 ** 400}}, "'venue_coefs'"),
+        (GOOD_MODEL | {"early_coefs": {"1" * 4400: 2.0}}, "'early_coefs'"),
     ], ids=["empty-object", "list", "T-not-int", "early-key-not-int",
-            "intercept-nan", "coef-infinity", "r-squared-minus-infinity"])
+            "intercept-nan", "coef-infinity", "r-squared-minus-infinity",
+            "intercept-past-float", "coef-past-float",
+            "early-key-past-digit-limit"])
     @pytest.mark.parametrize("subcommand", ["predict", "triage"])
     def test_malformed_model_exit_1_names_file_and_field(
             self, subcommand, model, field, fixture_args, tmp_path, capsys):
@@ -721,6 +744,89 @@ def test_undecodable_input_exit_1_names_it(reader, text, fixture_args,
     code, out, err = run(argv, capsys)
     assert (code, out) == (EXIT_DATA_ERROR, "")
     assert f"citegauge {argv[0]}: error: {named}: invalid JSON: " in err
+    assert "Traceback" not in err
+
+
+#: Every option of every subcommand is an input path, whose file the command
+#: reads, or is not one; an option in neither set fails the walk below, so
+#: a new file flag cannot skip the check that follows it.
+INPUT_PATHS = {"--corpus", "--table", "--ids-file", "--checkpoint",
+               "--aliases", "--model", "--file"}
+NOT_INPUT_PATHS = {
+    "-h", "--help", "--out", "--model-out", "--outdir", "--pub-year",
+    "--sources", "--lenient", "--format", "--years", "--venues", "--by",
+    "--thresholds", "--min-size", "--early-offset", "--future-offset", "--T",
+    "--min-venue-size", "--reference-venue", "--venue", "--early",
+    "--base-url", "--page-size", "--rate", "--workers", "--nominator",
+    "--paper"}
+
+
+def subcommand_options():
+    """(subcommand, option string) of every option build_parser() adds."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for name, subparser in subparsers.choices.items():
+        for action in subparser._actions:
+            for option in action.option_strings:
+                yield name, option
+
+
+def test_every_option_is_classified_as_input_path_or_not():
+    unknown = sorted({f"{name} {option}" for name, option in subcommand_options()
+                      if option not in INPUT_PATHS | NOT_INPUT_PATHS})
+    assert not unknown, f"options neither input paths nor not: {unknown}"
+
+
+#: A valid first line of each input file, so that line 2 is the one read next.
+FIRST_LINE = {
+    "--corpus": '{"id": "a", "source": "ACL", "venue": "V", "year": 2016, '
+                '"counts": {}}',
+    "--table": "id,venue,source,pub_year,2016",
+    "--ids-file": "p1",
+    "--checkpoint": _checkpoint("p1"),
+    "--aliases": "{",
+    "--model": "{",
+    "--file": '{"kind": "review", "nominator": "alice", "paper": "p1"}',
+}
+
+
+@pytest.mark.parametrize("subcommand,option", sorted(
+    (name, option) for name, option in subcommand_options()
+    if option in INPUT_PATHS))
+def test_input_path_with_a_byte_not_utf8_exit_1_names_it(
+        subcommand, option, fixture_corpus_path, tmp_path, capsys):
+    """Byte 0xff on line 2 of any file a subcommand reads exits 1 naming
+    the line, the file or both, with no traceback."""
+    ids = tmp_path / "ids.txt"
+    ids.write_text("p1\n")
+    cohort = {"--corpus": str(fixture_corpus_path), "--pub-year": "2016"}
+    flags = {
+        "ingest": {"--ids-file": str(ids), "--out": str(tmp_path / "c.jsonl"),
+                   "--checkpoint": str(tmp_path / "ck.json"),
+                   # every input is read before any request; a closed port
+                   # keeps a regression off the network
+                   "--base-url": "http://127.0.0.1:9"},
+        "import": {"--out": str(tmp_path / "c.jsonl")},
+        "corr": cohort | {"--years": "2016..2017"},
+        "venuecorr": cohort | {"--years": "2016..2017", "--venues": "A"},
+        "predict": {"--venue": "A", "--early": "1"},
+        "report": cohort | {"--outdir": str(tmp_path / "reports")},
+        "ledger": {},
+    }.get(subcommand, cohort)
+    bad = tmp_path / "bad"
+    bad.write_bytes(FIRST_LINE[option].encode("utf-8") + b"\n\xff\n")
+    positional = ["show"] if subcommand == "ledger" else []
+    code, out, err = run([subcommand, *positional, *chain.from_iterable(
+        (flags | {option: str(bad)}).items())], capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    named = {"--corpus": "line 2: ", "--file": "line 2: ",
+             "--table": f"table {bad}: line 2: ",
+             "--ids-file": f"ids file {bad}: line 2: ",
+             "--checkpoint": f"checkpoint {bad}: ",
+             "--aliases": f"alias file {bad}: ",
+             "--model": f"model file {bad}: "}[option]
+    assert f"citegauge {subcommand}: error: {named}" in err
     assert "Traceback" not in err
 
 

@@ -3,9 +3,10 @@
 replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
-from their names and one later rule (the design refuses a kept venue named
-misc while smaller venues fold into misc): each walked the cohort paper by
-paper.  They read a
+from their names and two later rules (the design refuses a kept venue named
+misc while smaller venues fold into misc; boxplot rows come in group order,
+not label order, which put early level 100 before 11): each walked the
+cohort paper by paper.  They read a
 PaperCohort, the record tuple a Cohort was before it became columns, built
 from the same records as the Cohort under test.  The percentile,
 design and ranking oracles return plain tuples of the fields they built,
@@ -280,7 +281,7 @@ def old_boxplot_aggregate(values, groups, sort_by_median=False):
     for v, g in zip(values, groups):
         buckets.setdefault(g, []).append(float(v))
     rows = []
-    for key in sorted(buckets, key=str):
+    for key in buckets:     # first appearance, as group_codes numbers them
         data = np.array(buckets[key])
         q1, med, q3 = np.percentile(data, [25, 50, 75])
         rows.append(BoxplotRow(

@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import citegauge
 from citegauge import corpus
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, main
 from citegauge.corpus import (
@@ -209,6 +210,39 @@ def test_bad_line_fails_as_per_record_path(bad, where, tmp_path):
         expected = outcome(old_columns, path, **kwargs)
         assert expected[0] == "error"
         assert outcome(new_columns, path, **kwargs) == expected
+
+
+@pytest.mark.parametrize("json_at,utf8_at,message", [
+    (3, 5, "line 3: invalid JSON: Expecting value"),
+    (5, 3, "line 3: byte 0xff is not UTF-8"),
+    (None, 400, "line 400: byte 0xe2 is not UTF-8"),
+], ids=["json-first", "utf8-first", "utf8-past-first-chunk"])
+def test_first_bad_line_in_line_order_whether_json_or_utf8(
+        json_at, utf8_at, message, tmp_path):
+    """A line that is not UTF-8 fails in line order with the lines around
+    it, also inside one read chunk; valid non-ASCII lines load."""
+    lines = [json.dumps({"id": f"p{i:03d}", "source": "ACL", "venue": "Ünï",
+                         "year": PUB_YEAR, "counts": {}},
+                        ensure_ascii=i % 2 == 0).encode("utf-8")
+             for i in range(1, 501)]
+    if json_at:
+        lines[json_at - 1] = b'{"id": }'
+    # 0xe2 opens a three-byte sequence that the next byte does not continue
+    lines[utf8_at - 1] = (b'{"id": "\xff"}' if utf8_at < 100
+                          else b'{"venue": "\xe2\x82"}')
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError) as info:
+        load_cohort(path, PUB_YEAR)
+    assert str(info.value) == message
+    path.write_bytes(b"\n".join(lines[:min(json_at or 500, utf8_at) - 1]))
+    assert len(load_cohort(path, PUB_YEAR)) == min(json_at or 500, utf8_at) - 1
+
+
+def test_package_exports_the_one_pass_loader():
+    assert citegauge.load_cohort is corpus.load_cohort
+    assert not hasattr(citegauge, "load_corpus")
+    assert not hasattr(citegauge, "filter_cohort")
 
 
 def test_odd_keys_naming_one_year_are_refused(tmp_path):

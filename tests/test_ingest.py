@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import re
@@ -105,6 +106,11 @@ class TestRateBudget:
         for i, t in enumerate(stamps):
             in_window = [s for s in stamps if t - 10.0 < s <= t]
             assert len(in_window) <= 5
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0])
+    def test_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError):
+            RateBudget(1, window)
 
     def test_client_respects_budget(self):
         budget = RateBudget(2, 60.0)

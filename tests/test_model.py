@@ -390,6 +390,12 @@ class TestBoxplotAggregate:
         rows = boxplot_aggregate([1.0, 2.0, 3.0], [2, 0, 2], ["b", "a", "c"])
         assert [(r.label, r.n) for r in rows] == [("b", 1), ("c", 2)]
 
+    def test_rows_in_code_order_not_label_order(self):
+        rows = boxplot_aggregate([4.0, 3.0, 2.0, 1.0], [3, 2, 1, 0],
+                                 ["2", "10", "11", "100"])
+        assert [(r.label, r.median) for r in rows] == [
+            ("2", 1.0), ("10", 2.0), ("11", 3.0), ("100", 4.0)]
+
     def test_equal_labels_keep_code_order(self):
         rows = boxplot_aggregate([5.0, 1.0], [0, 1], ["3", "3"])
         assert [r.median for r in rows] == [5.0, 1.0]
