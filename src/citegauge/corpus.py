@@ -8,9 +8,13 @@ mean zero citations that year.  Records are immutable after construction.
 The reports read one publication-year cohort, never the whole corpus:
 ``load_cohort`` validates every line in one streaming pass and keeps only
 the cohort's ids, an int venue code per paper with the distinct venue
-names, and a years x papers count matrix.  ``PaperRecord`` is the record
-type of the write path (ingest, import, ``write_corpus``) and of
-``load_corpus``.
+names, and a years x papers count matrix.  A valid line costs one decode
+and one accept test (``_fields``) whose counts check is a single subset
+test against the canonical year keys from its publication year on; the
+cohort is selected in the line loop, so a line outside it builds nothing
+more.  Whatever the test does not accept meets the full checks, the only
+reject path.  ``PaperRecord`` is the record type of the write path
+(ingest, import, ``write_corpus``) and of ``load_corpus``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from functools import cache
+from operator import index
+from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -56,11 +62,19 @@ class Source(str, Enum):
         return member
 
 
-#: Lookup tables for the validator's accept test: a canonical year key and a
-#: lowercased source name each cost one dict lookup.
-_YEARS = {str(y): y for y in range(YEAR_MIN, YEAR_MAX + 1)}
+#: A lowercased source name costs the accept test one dict lookup.
 _SOURCES = {member.value.lower(): member for member in Source}
 _INT_ONLY = {int}
+
+
+@cache
+def _year_keys(pub_year: int) -> dict[str, int]:
+    """The canonical counts keys of a paper published in pub_year, the
+    4-digit years from pub_year to YEAR_MAX, each mapped to its year.
+
+    Built the first time a publication year is seen, which the caller has
+    range-checked, so at most one table per year in [YEAR_MIN, YEAR_MAX]."""
+    return {str(year): year for year in range(pub_year, YEAR_MAX + 1)}
 
 
 @dataclass(frozen=True)
@@ -172,24 +186,26 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     counts = {}
     for key, value in raw_counts.items():
         year, value = _check_count(key, value, pub_year, line)
-        if year in counts:
+        canonical = str(year)
+        if canonical in counts:
             raise ParseError(f"counts key {key!r} names year {year} again",
                              line=line)
-        counts[year] = value
-    return paper_id, source, venue, pub_year, counts.keys(), counts.values()
+        counts[canonical] = value
+    return paper_id, source, venue, pub_year, counts
 
 
-def _fields(raw, line=None, strict: bool = True) -> tuple:
-    """(id, source, venue, pub_year, count years, count values) of one
-    parsed corpus line, or the error of its first invalid field.
+def _fields(raw, line=None, strict: bool = True, signed: bool = True) -> tuple:
+    """(id, source, venue, pub_year, counts) of one parsed corpus line, with
+    counts keyed by canonical year strings, or the error of its first
+    invalid field.
 
     The accept test is C-level work only: the exact key set, exact type
-    tests, one source lookup, count keys a subset of the canonical year
-    strings whose least (text order is year order for 4-digit keys) is not
-    before pub_year, and int values with a non-negative minimum.
-    A line it does not accept goes through the full checks, which accept or
-    reject it.  The count years come back lazily, so a line outside the
-    cohort never builds them.
+    tests, one source lookup, count keys a subset of the canonical years
+    from pub_year to YEAR_MAX (one set test for both the year format and
+    "not before publication"), int values, and a non-negative minimum.
+    signed=False says the line's text holds no "-", so no count can be
+    negative and the minimum is not taken.  A line the test does not accept
+    goes through the full checks, which accept or reject it.
     """
     if type(raw) is dict and raw.keys() == CORPUS_KEYS:
         paper_id, source, venue = raw["id"], raw["source"], raw["venue"]
@@ -200,18 +216,16 @@ def _fields(raw, line=None, strict: bool = True) -> tuple:
                 and type(source) is Source
                 and type(pub_year) is int and YEAR_MIN <= pub_year <= YEAR_MAX
                 and type(counts) is dict
-                and counts.keys() <= _YEARS.keys()
+                and counts.keys() <= _year_keys(pub_year).keys()
                 and {*map(type, counts.values())} <= _INT_ONLY
-                and (not counts or (_YEARS[min(counts)] >= pub_year
-                                    and min(counts.values()) >= 0))):
-            return (paper_id, source, venue, pub_year,
-                    map(_YEARS.__getitem__, counts), counts.values())
+                and not (signed and counts and min(counts.values()) < 0)):
+            return paper_id, source, venue, pub_year, counts
     return _full_checks(raw, line, strict)
 
 
-def _record(paper_id, source, venue, pub_year, years, values) -> PaperRecord:
-    return PaperRecord(paper_id, source, venue, pub_year,
-                       dict(zip(years, values)))
+def _record(paper_id, source, venue, pub_year, counts) -> PaperRecord:
+    return PaperRecord(paper_id, source, venue, pub_year, dict(zip(
+        map(_year_keys(pub_year).__getitem__, counts), counts.values())))
 
 
 def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
@@ -228,15 +242,19 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _validated_lines(path, strict: bool) -> Iterator[tuple]:
-    """The _fields of every line of a corpus file, in line order; the first
-    invalid line or duplicate id raises, naming its line.
+def _validated_lines(path, strict: bool, pub_year: int | None = None,
+                     sources: Container[Source] = frozenset(Source)
+                     ) -> Iterator[tuple]:
+    """The _fields of each line of a corpus file published in pub_year
+    (None: any year) by a source in sources, in line order.
 
-    A byte that is not UTF-8 decodes to a lone surrogate, which fails its
-    line, in line order, when a non-ASCII line is re-encoded.  A stripped line
-    that holds exactly one JSON value costs one raw_decode; json.loads, which
-    is raw_decode behind a BOM check and two whitespace scans, runs only on a
-    line raw_decode does not consume whole, and raises the error it always has.
+    Every line is validated, kept or not, and the first invalid line or
+    duplicate id raises, naming its line.  A byte that is not UTF-8 decodes
+    to a lone surrogate, which fails its line, in line order, when a
+    non-ASCII line is re-encoded.  A stripped line that holds exactly one
+    JSON value costs one raw_decode; json.loads, which is raw_decode behind
+    a BOM check and two whitespace scans, runs only on a line raw_decode
+    does not consume whole, and raises the error it always has.
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -261,11 +279,13 @@ def _validated_lines(path, strict: bool) -> Iterator[tuple]:
                     # a JSONDecodeError's msg leaves out its position
                     raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                      line=line_num) from None
-            fields = _fields(raw, line_num, strict)
+            fields = _fields(raw, line_num, strict, "-" in line)
             if fields[0] in seen:
                 raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
             seen.add(fields[0])
-            yield fields
+            if (fields[3] == pub_year or pub_year is None) \
+                    and fields[1] in sources:
+                yield fields
 
 
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
@@ -283,51 +303,49 @@ def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
     outside the cohort.  Only the cohort's ids, venues (through the alias
     map, if any) and counts are kept.  sources=None means all sources.
     """
-    return _select(_validated_lines(path, strict), pub_year, sources, aliases)
+    source_set = frozenset(Source if sources is None else sources)
+    return _columns(_validated_lines(path, strict, pub_year, source_set),
+                    pub_year, _year_keys(pub_year).__getitem__, aliases)
 
 
-def _select(rows: Iterable[tuple], pub_year: int,
-            sources: Iterable[Source] | None,
-            aliases: Mapping[str, str] | None = None) -> Cohort:
-    """The cohort of (id, source, venue, pub_year, count years, count values)
-    rows.
+def _columns(rows: Iterable[tuple], pub_year: int, year_of,
+             aliases: Mapping[str, str] | None = None) -> Cohort:
+    """The Cohort of the (id, source, venue, pub_year, counts) rows of its
+    papers; year_of turns a counts key into its year.
 
-    A member's venue becomes a code as its row is read, through the alias
+    A paper's venue becomes a code as its row is read, through the alias
     map once per distinct raw name, so raw names with one alias share a
     code; codes are renumbered by first appearance in id order at the end.
     Count years and values go onto flat typed arrays, so no per-paper object
     but the id outlives the row.  Count years must lie in [YEAR_MIN,
     YEAR_MAX], as every validated line's do.
     """
-    source_set = frozenset(sources) if sources is not None else frozenset(Source)
     aliases = aliases or {}
     code_of: dict[str, int] = {}    # raw venue -> code
     names: dict[str, int] = {}      # venue name -> code, in line order
     ids, codes, sizes = [], array("i"), array("H")
     years, values, overflow = array("h"), array("q"), set()
-    for paper_id, source, venue, year, count_years, count_values in rows:
-        if year == pub_year and source in source_set:
-            code = code_of.get(venue)
-            if code is None:
-                code = code_of[venue] = names.setdefault(
-                    aliases.get(venue, venue), len(names))
-            ids.append(paper_id)
-            codes.append(code)
-            size = len(count_values)
-            sizes.append(size)
-            years.extend(count_years)
-            try:
-                values.extend(count_values)
-            except OverflowError:
-                # a count past int64 stays out of the matrix; its year is
-                # noted instead
-                start = len(years) - size
-                del values[start:]
-                for count_year, value in zip(years[start:], count_values):
-                    if not _INT64_MIN <= value <= _INT64_MAX:
-                        overflow.add(count_year)
-                        value = 0
-                    values.append(value)
+    for paper_id, _, venue, _, counts in rows:
+        code = code_of.get(venue)
+        if code is None:
+            code = code_of[venue] = names.setdefault(
+                aliases.get(venue, venue), len(names))
+        ids.append(paper_id)
+        codes.append(code)
+        sizes.append(len(counts))
+        years.extend(map(year_of, counts))
+        try:
+            values.extend(counts.values())
+        except OverflowError:
+            # a count past int64 stays out of the matrix; its year is
+            # noted instead
+            start = len(years) - len(counts)
+            del values[start:]
+            for count_year, value in zip(years[start:], counts.values()):
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    overflow.add(count_year)
+                    value = 0
+                values.append(value)
 
     n = len(ids)
     order = sorted(range(n), key=ids.__getitem__)
@@ -394,8 +412,11 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
     sources=None means all sources.  An empty cohort is legal; downstream
     statistics reject it.
     """
-    return _select(((r.id, r.source, r.venue, r.pub_year, r.counts.keys(),
-                     r.counts.values()) for r in records), pub_year, sources)
+    source_set = frozenset(Source if sources is None else sources)
+    return _columns(((r.id, r.source, r.venue, r.pub_year, r.counts)
+                     for r in records
+                     if r.pub_year == pub_year and r.source in source_set),
+                    pub_year, index)
 
 
 def read_journal(path) -> tuple[list[bytes], int | None, bytes]:

@@ -156,13 +156,23 @@ class FittedModel:
                 raise ModelFileError(f"missing field {name!r}")
             if not ok(d[name]):
                 raise ModelFileError(
-                    f"field {name!r} must be {what}, got {d[name]!r}")
+                    f"field {name!r} must be {what}, got {_brief(d[name])}")
         try:
             early_coefs = {int(k): v for k, v in d["early_coefs"].items()}
         except ValueError:  # a key past int()'s digit limit
             raise ModelFileError("field 'early_coefs' has too long a key") from None
         return cls(**{name: d[name] for name in _MODEL_FIELDS} | {
             "venue_coefs": dict(d["venue_coefs"]), "early_coefs": early_coefs})
+
+
+def _brief(value, width: int = 40) -> str:
+    """repr(value), cut in the middle to at most width characters, so an
+    error message echoes a bad value of any size in one short line."""
+    text = repr(value)
+    if len(text) <= width:
+        return text
+    head = (width - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (width - 3 - head):]}"
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

@@ -549,11 +549,14 @@ class TestModelFile:
         (GOOD_MODEL | {"r_squared": -float("inf")}, "'r_squared'"),
         (GOOD_MODEL | {"intercept": 10 ** 400}, "'intercept'"),
         (GOOD_MODEL | {"venue_coefs": {"B": -10 ** 400}}, "'venue_coefs'"),
+        (GOOD_MODEL | {"venue_coefs": {f"V{i:03d}": 10 ** 400 if i == 150
+                                       else 0.5 for i in range(300)}},
+         "'venue_coefs'"),
         (GOOD_MODEL | {"early_coefs": {"1" * 4400: 2.0}}, "'early_coefs'"),
     ], ids=["empty-object", "list", "T-not-int", "early-key-not-int",
             "intercept-nan", "coef-infinity", "r-squared-minus-infinity",
             "intercept-past-float", "coef-past-float",
-            "early-key-past-digit-limit"])
+            "300-coefs-one-past-float", "early-key-past-digit-limit"])
     @pytest.mark.parametrize("subcommand", ["predict", "triage"])
     def test_malformed_model_exit_1_names_file_and_field(
             self, subcommand, model, field, fixture_args, tmp_path, capsys):
@@ -566,6 +569,10 @@ class TestModelFile:
         assert out == ""
         assert f"model file {path}: " in err and field in err
         assert "Traceback" not in err
+        # one line, and the value in it cut short: what follows the file's
+        # name, which is the user's, stays under 120 characters
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.split(f"model file {path}: ", 1)[1]) < 120
 
     def test_well_formed_model_predicts(self, tmp_path, capsys):
         # each malformed case above differs from this file in one field

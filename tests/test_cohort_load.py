@@ -15,20 +15,27 @@ the same message and line.
 
 import json
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import citegauge
 from citegauge import corpus
 from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, main
 from citegauge.corpus import (
+    YEAR_MAX,
+    YEAR_MIN,
     PaperRecord,
     Source,
     filter_cohort,
     load_cohort,
     load_corpus,
+    validate_record,
 )
 from citegauge.errors import DuplicateId, ParseError
 
@@ -237,6 +244,137 @@ def test_first_bad_line_in_line_order_whether_json_or_utf8(
     assert str(info.value) == message
     path.write_bytes(b"\n".join(lines[:min(json_at or 500, utf8_at) - 1]))
     assert len(load_cohort(path, PUB_YEAR)) == min(json_at or 500, utf8_at) - 1
+
+
+# --- line text: the accept test against the oracle ------------------------------
+
+#: JSON texts of a count value that the accept test must refuse: negative
+#: ints, and each type the decoder can give that is not an int.
+BAD_COUNT_TEXTS = ["-1", "-12", "true", "false", "1.0", "2.5", "1e1", "null",
+                   '"4"', "[]"]
+#: Valid ones, "-0" and a value past int64 among them.
+COUNT_TEXTS = ["0", "1", "17", "-0", str(2 ** 63)]
+
+
+def rarely(common, rare, weight=4):
+    """A strategy drawing each of common weight times as often as each of
+    rare."""
+    return st.sampled_from([*common * weight, *rare])
+
+
+@st.composite
+def corpus_line(draw):
+    """One corpus line as text, valid or with one field broken: count years
+    at and around its publication year and at the corpus range's ends, "-"
+    in ids and venues or not, compact or spaced, in either key order."""
+    pub_year = draw(rarely([PUB_YEAR, PUB_YEAR + 1],
+                           [1900, 2100, 1899, 2101], 8))
+    years = draw(st.lists(rarely(
+        [pub_year, pub_year + 1, pub_year + 7, 2100],
+        [pub_year - 1, 1900, 2101]), max_size=5, unique=True))
+    keys = [draw(rarely(["{}"], [" {}", "0{}"])).format(y) for y in years]
+    values = [draw(rarely(COUNT_TEXTS, BAD_COUNT_TEXTS, 12)) for _ in keys]
+    comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    members = {
+        "id": json.dumps(draw(st.text("ab-", min_size=1, max_size=4))),
+        "source": json.dumps(draw(rarely(["ACL", "arxiv", "PubMed", "Other"],
+                                         ["Twitter"]))),
+        "venue": json.dumps(draw(st.text("V-", max_size=2))),
+        "year": str(pub_year),
+        "counts": "{" + comma.join(f"{json.dumps(k)}{colon}{v}"
+                                   for k, v in zip(keys, values)) + "}",
+    }
+    broken = draw(rarely([None], [*members, "extra"], 30))
+    if broken == "extra":
+        members["note"] = "-1"
+    elif broken is not None:
+        members[broken] = draw(st.sampled_from(
+            [None, '""', "1", "-3", "true", '"2016"', "2016.0", "[]", "{}"]))
+    items = [(k, v) for k, v in members.items() if v is not None]
+    if draw(st.booleans()):
+        items.reverse()
+    return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in items) + "}"
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(corpus_line(), min_size=1, max_size=3),
+       strict=st.booleans())
+def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
+    """The accept test, with the minimum skipped on a line without "-" and
+    the cohort selected in the line loop, gives the oracle's outcome."""
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert outcome(new_columns, path, strict=strict) == \
+        outcome(old_columns, path, strict=strict)
+
+
+# --- the benchmark's corpora take the fast path ---------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def slow_path_calls(monkeypatch, path):
+    """How many lines of the corpus at path load_cohort sends through the
+    full checks."""
+    calls = []
+    full_checks = corpus._full_checks
+
+    def counted(*args):
+        calls.append(args)
+        return full_checks(*args)
+
+    monkeypatch.setattr(corpus, "_full_checks", counted)
+    load_cohort(path, PUB_YEAR)
+    return len(calls)
+
+
+@pytest.mark.parametrize("workload", ["report-wide", "report-long"])
+def test_benchmark_corpus_takes_the_fast_path(workload, monkeypatch,
+                                              tmp_path):
+    """A change that sent every valid line to the full checks would keep
+    every output and lose the load's speed; this catches it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import gen
+        gen.generate(workload, 1, str(tmp_path))
+    finally:
+        sys.modules.pop("gen", None)
+    assert slow_path_calls(monkeypatch, tmp_path / "corpus.jsonl") == 0
+
+
+def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(
+        {"id": f"arXiv-{i}", "source": "ACL", "venue": "ACL-short",
+         "year": PUB_YEAR + i % 2, "counts": {"2017": 3, "2020": i}}) + "\n"
+        for i in range(20)).replace('"2020": 0', '"2020": -0'),
+        encoding="utf-8")
+    assert "-0" in path.read_text(encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == 0
+    assert len(load_cohort(path, PUB_YEAR)) == 10
+
+
+def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(json.dumps(
+        {"id": f"p{i}", "source": "ACL", "venue": "A", "year": PUB_YEAR,
+         "counts": {" 2016" if i < 3 else "2016": 1}}) + "\n"
+        for i in range(10)), encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == 3
+    assert load_cohort(path, PUB_YEAR).counts_in(PUB_YEAR).tolist() == [1] * 10
+
+
+def test_year_keys_are_built_after_the_range_check():
+    """A publication year outside the corpus range is refused before any
+    table of its count keys is built."""
+    built = corpus._year_keys.cache_info().currsize
+    for year in (10 ** 9, -5, YEAR_MIN - 1, YEAR_MAX + 1):
+        raw = {"id": "p", "source": "ACL", "venue": "A", "year": year,
+               "counts": {}}
+        with pytest.raises(ParseError, match="outside"):
+            validate_record(raw)
+    assert corpus._year_keys.cache_info().currsize == built
 
 
 def test_package_exports_the_one_pass_loader():
