@@ -194,7 +194,7 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     return paper_id, source, venue, pub_year, counts
 
 
-def _fields(raw, line=None, strict: bool = True, signed: bool = True) -> tuple:
+def _fields(raw, line=None, strict: bool = True) -> tuple:
     """(id, source, venue, pub_year, counts) of one parsed corpus line, with
     counts keyed by canonical year strings, or the error of its first
     invalid field.
@@ -202,10 +202,9 @@ def _fields(raw, line=None, strict: bool = True, signed: bool = True) -> tuple:
     The accept test is C-level work only: the exact key set, exact type
     tests, one source lookup, count keys a subset of the canonical years
     from pub_year to YEAR_MAX (one set test for both the year format and
-    "not before publication"), int values, and a non-negative minimum.
-    signed=False says the line's text holds no "-", so no count can be
-    negative and the minimum is not taken.  A line the test does not accept
-    goes through the full checks, which accept or reject it.
+    "not before publication"), and int values with a non-negative minimum.
+    A line the test does not accept goes through the full checks, which
+    accept or reject it.
     """
     if type(raw) is dict and raw.keys() == CORPUS_KEYS:
         paper_id, source, venue = raw["id"], raw["source"], raw["venue"]
@@ -218,7 +217,7 @@ def _fields(raw, line=None, strict: bool = True, signed: bool = True) -> tuple:
                 and type(counts) is dict
                 and counts.keys() <= _year_keys(pub_year).keys()
                 and {*map(type, counts.values())} <= _INT_ONLY
-                and not (signed and counts and min(counts.values()) < 0)):
+                and (not counts or min(counts.values()) >= 0)):
             return paper_id, source, venue, pub_year, counts
     return _full_checks(raw, line, strict)
 
@@ -279,7 +278,7 @@ def _validated_lines(path, strict: bool, pub_year: int | None = None,
                     # a JSONDecodeError's msg leaves out its position
                     raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                      line=line_num) from None
-            fields = _fields(raw, line_num, strict, "-" in line)
+            fields = _fields(raw, line_num, strict)
             if fields[0] in seen:
                 raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
             seen.add(fields[0])
@@ -305,7 +304,7 @@ def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
     """
     source_set = frozenset(Source if sources is None else sources)
     return _columns(_validated_lines(path, strict, pub_year, source_set),
-                    pub_year, _year_keys(pub_year).__getitem__, aliases)
+                    pub_year, _year_keys(YEAR_MIN).__getitem__, aliases)
 
 
 def _columns(rows: Iterable[tuple], pub_year: int, year_of,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import citegauge
@@ -271,9 +271,13 @@ def corpus_line(draw):
                            [1900, 2100, 1899, 2101], 8))
     years = draw(st.lists(rarely(
         [pub_year, pub_year + 1, pub_year + 7, 2100],
-        [pub_year - 1, 1900, 2101]), max_size=5, unique=True))
-    keys = [draw(rarely(["{}"], [" {}", "0{}"])).format(y) for y in years]
-    values = [draw(rarely(COUNT_TEXTS, BAD_COUNT_TEXTS, 12)) for _ in keys]
+        [pub_year - 1, 1900, 2101], 8), max_size=5, unique=True))
+    keys = [draw(rarely(["{}"], [" {}", "0{}"], 12)).format(y)
+            for y in years]
+    values = [draw(st.sampled_from(COUNT_TEXTS)) for _ in keys]
+    bad = draw(rarely([None], BAD_COUNT_TEXTS, 20))
+    if bad is not None and values:
+        values[draw(st.integers(0, len(values) - 1))] = bad
     comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
     members = {
         "id": json.dumps(draw(st.text("ab-", min_size=1, max_size=4))),
@@ -300,9 +304,14 @@ def corpus_line(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(corpus_line(), min_size=1, max_size=3),
        strict=st.booleans())
+# a negative count on an otherwise valid line, with and without another "-"
+@example(lines=['{"id":"a","source":"ACL","venue":"V","year":2016,'
+                '"counts":{"2016":2,"2017":-1}}'], strict=True)
+@example(lines=['{"id": "a-b", "source": "ACL", "venue": "V-", "year": 2017, '
+                '"counts": {"2017": -0, "2100": -12}}'], strict=True)
 def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
-    """The accept test, with the minimum skipped on a line without "-" and
-    the cohort selected in the line loop, gives the oracle's outcome."""
+    """The accept test, with its one subset test of the count keys and the
+    cohort selected in the line loop, gives the oracle's outcome."""
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert outcome(new_columns, path, strict=strict) == \
@@ -375,6 +384,27 @@ def test_year_keys_are_built_after_the_range_check():
         with pytest.raises(ParseError, match="outside"):
             validate_record(raw)
     assert corpus._year_keys.cache_info().currsize == built
+
+
+@pytest.mark.parametrize("pub_year", [-10 ** 9, YEAR_MIN - 1, 10 ** 9])
+def test_a_cohort_year_outside_the_range_builds_no_year_table(
+        pub_year, fixture_corpus_path, monkeypatch, capsys):
+    """The table subcommands pass --pub-year to load_cohort unchecked: a
+    year no line can have loads an empty cohort, and corr stops with its
+    usual error, without a table of that year's count keys."""
+    year_keys = corpus._year_keys
+
+    def in_range(year):
+        assert YEAR_MIN <= year <= YEAR_MAX, year
+        return year_keys(year)
+
+    monkeypatch.setattr(corpus, "_year_keys", in_range)
+    assert len(load_cohort(fixture_corpus_path, pub_year)) == 0
+    assert main(["corr", "--corpus", str(fixture_corpus_path),
+                 f"--pub-year={pub_year}", "--years", "2016..2017"]) \
+        == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == \
+        "citegauge corr: error: correlation needs a cohort of size >= 2\n"
 
 
 def test_package_exports_the_one_pass_loader():
