@@ -3,18 +3,22 @@
 A corpus is a UTF-8 JSONL file, one paper per line, with keys exactly
 {"id", "source", "venue", "year", "counts"}.  "counts" maps 4-digit year
 strings to non-negative integers, each year at most once; missing years
-mean zero citations that year.  Records are immutable after construction.
+mean zero citations.  No JSON key may repeat within a line.  Records are
+immutable after construction.
 
 The reports read one publication-year cohort, never the whole corpus:
 ``load_cohort`` validates every line in one streaming pass and keeps only
 the cohort's ids, an int venue code per paper with the distinct venue
-names, and a years x papers count matrix.  A valid line costs one decode
-and one accept test (``_fields``) whose counts check is a single subset
-test against the canonical year keys from its publication year on; the
+names, and a years x papers count matrix.  A valid line costs one
+``orjson`` decode, one accept test (``_accepted``) whose counts check is a
+single subset test against the canonical year keys from its publication
+year on, and a count of the line's colons that proves no key repeats; the
 cohort is selected in the line loop, so a line outside it builds nothing
-more.  Whatever the test does not accept meets the full checks, the only
-reject path.  ``PaperRecord`` is the record type of the write path
-(ingest, import, ``write_corpus``) and of ``load_corpus``.
+more.  A line that any of these refuses is decoded again by the reference
+decoder, stdlib ``json`` with a hook that refuses a repeated key, and meets
+the full checks, the only reject path: every error message comes from
+there.  ``PaperRecord`` is the record type of the write path (ingest,
+import, ``write_corpus``) and of ``load_corpus``.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from operator import index
 from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
+import orjson
 
 from .errors import (
     CitationBeforePublication,
@@ -194,10 +199,9 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     return paper_id, source, venue, pub_year, counts
 
 
-def _fields(raw, line=None, strict: bool = True) -> tuple:
-    """(id, source, venue, pub_year, counts) of one parsed corpus line, with
-    counts keyed by canonical year strings, or the error of its first
-    invalid field.
+def _accepted(raw) -> tuple | None:
+    """(id, source, venue, pub_year, counts) of one parsed corpus line that
+    passes the accept test, or None.
 
     The accept test is C-level work only: the exact key set, exact type
     tests, one source lookup, count keys a subset of the canonical years
@@ -219,7 +223,7 @@ def _fields(raw, line=None, strict: bool = True) -> tuple:
                 and {*map(type, counts.values())} <= _INT_ONLY
                 and (not counts or min(counts.values()) >= 0)):
             return paper_id, source, venue, pub_year, counts
-    return _full_checks(raw, line, strict)
+    return None
 
 
 def _record(paper_id, source, venue, pub_year, counts) -> PaperRecord:
@@ -233,27 +237,55 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
     In strict mode unknown keys are rejected; with strict=False they are
     ignored.  Every failure names the offending field and line number.
     """
-    return _record(*_fields(raw, line, strict))
+    return _record(*(_accepted(raw) or _full_checks(raw, line, strict)))
 
 
-#: Decodes one JSON value at the start of a string and returns it with the
-#: index where it ends.
-_raw_decode = json.JSONDecoder().raw_decode
+def _unique_keys(pairs: list, line: int) -> dict:
+    """The object of one decoded JSON object's (key, value) pairs; a key
+    that repeats raises ParseError naming it and the line."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}", line=line)
+            seen.add(key)
+    return obj
+
+
+def _no_repeated_key(line: str, fields: tuple) -> bool:
+    """Whether the text of an accepted line proves that no key repeats.
+
+    Each key in the text is followed by one ':' outside strings, and the
+    accepted value has 5 + len(counts) keys, so a line with no more colons
+    than that holds no key twice.  A line without a backslash spells each
+    string as it decodes, so there the colons of its id and venue (its keys
+    and source have none) may be counted too: ids like "arXiv:2412.14351".
+    """
+    paper_id, _, venue, _, counts = fields
+    colons = line.count(":")
+    pairs = 5 + len(counts)
+    return colons == pairs or ("\\" not in line and colons == pairs
+                               + paper_id.count(":") + venue.count(":"))
 
 
 def _validated_lines(path, strict: bool, pub_year: int | None = None,
                      sources: Container[Source] = frozenset(Source)
                      ) -> Iterator[tuple]:
-    """The _fields of each line of a corpus file published in pub_year
-    (None: any year) by a source in sources, in line order.
+    """The (id, source, venue, pub_year, counts) of each line of a corpus
+    file published in pub_year (None: any year) by a source in sources, in
+    line order.
 
     Every line is validated, kept or not, and the first invalid line or
     duplicate id raises, naming its line.  A byte that is not UTF-8 decodes
     to a lone surrogate, which fails its line, in line order, when a
-    non-ASCII line is re-encoded.  A stripped line that holds exactly one
-    JSON value costs one raw_decode; json.loads, which is raw_decode behind
-    a BOM check and two whitespace scans, runs only on a line raw_decode
-    does not consume whole, and raises the error it always has.
+    non-ASCII line is re-encoded.  A line is decoded with orjson; if that
+    fails, or the value fails the accept test or may repeat a key, the
+    line is decoded again with stdlib json, which refuses a repeated key,
+    and goes through the full checks.  On accepted values, which hold only
+    dicts, strs and non-bool ints, the two decoders agree, and where they
+    differ (ints past uint64, lone surrogate escapes, NaN, 1e400) orjson
+    gives a float or raises, which the accept path refuses.
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -268,17 +300,19 @@ def _validated_lines(path, strict: bool, pub_year: int | None = None,
                     raise ParseError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} "
                                      "is not UTF-8", line=line_num) from None
             try:
-                raw, end = _raw_decode(line)
+                raw = orjson.loads(line)
             except (ValueError, RecursionError):
-                end = None
-            if end != len(line):
+                raw = None
+            fields = _accepted(raw)
+            if fields is None or not _no_repeated_key(line, fields):
                 try:
-                    raw = json.loads(line)
+                    raw = json.loads(line, object_pairs_hook=partial(
+                        _unique_keys, line=line_num))
                 except (ValueError, RecursionError) as exc:
                     # a JSONDecodeError's msg leaves out its position
                     raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                      line=line_num) from None
-            fields = _fields(raw, line_num, strict)
+                fields = _full_checks(raw, line_num, strict)
             if fields[0] in seen:
                 raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
             seen.add(fields[0])

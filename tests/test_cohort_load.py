@@ -1,16 +1,18 @@
 """Differential test of corpus.load_cohort against the per-record path it
 replaced on the report path.
 
-The oracle is that path as it was: every line through json.loads and the
-full-check validator into a PaperRecord (tests/test_corpus_validate.py keeps
-that validator verbatim), duplicate ids rejected, venues rewritten through
-the alias map, and the cohort a tuple of records sorted by id whose
-counts_in built each year's vector paper by paper.  Seeded random corpora
-mix source subsets, --lenient extra keys, aliases, odd but valid count keys
-and counts past int64, with each kind of bad line (two count keys naming
-one year among them) placed before, inside and after the cohort's lines.  The loader
-under test must give equal columns, or raise the same exception class with
-the same message and line.
+The oracle is that path as it was, plus one refusal: every line through
+json.loads, with a hook that refuses a key repeated in any object of the
+line, and the full-check validator into a PaperRecord
+(tests/test_corpus_validate.py keeps that validator verbatim), duplicate
+ids rejected, venues rewritten through the alias map, and the cohort a
+tuple of records sorted by id whose counts_in built each year's vector
+paper by paper.  Seeded random corpora mix source subsets, --lenient extra
+keys, aliases, odd but valid count keys and counts past int64, with each
+kind of bad line (two count keys naming one year among them) placed
+before, inside and after the cohort's lines.  The loader under test must
+give equal columns, or raise the same exception class with the same
+message and line.
 """
 
 import json
@@ -56,9 +58,12 @@ def oracle_cohort(path, pub_year, sources=None, strict=True, aliases=None):
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_num) from None
+                raw = json.loads(line,
+                                 object_pairs_hook=oracle_unique_keys(line_num))
+            except (ValueError, RecursionError) as exc:
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) \
+                    else str(exc)
+                raise ParseError(f"invalid JSON: {message}", line=line_num) from None
             record = oracle_validate_record(raw, line=line_num, strict=strict)
             if record.id in seen:
                 raise DuplicateId(f"duplicate id {record.id!r}", line=line_num)
@@ -71,6 +76,17 @@ def oracle_cohort(path, pub_year, sources=None, strict=True, aliases=None):
     return pub_year, tuple(sorted(
         (r for r in records if r.pub_year == pub_year and r.source in source_set),
         key=lambda r: r.id))
+
+
+def oracle_unique_keys(line_num):
+    """A pairs hook that refuses the first key an object repeats."""
+    def hook(pairs):
+        keys = [key for key, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ParseError(f"repeated key {key!r}", line=line_num)
+        return dict(pairs)
+    return hook
 
 
 def oracle_counts_in(papers, year):
@@ -249,11 +265,16 @@ def test_first_bad_line_in_line_order_whether_json_or_utf8(
 # --- line text: the accept test against the oracle ------------------------------
 
 #: JSON texts of a count value that the accept test must refuse: negative
-#: ints, and each type the decoder can give that is not an int.
-BAD_COUNT_TEXTS = ["-1", "-12", "true", "false", "1.0", "2.5", "1e1", "null",
-                   '"4"', "[]"]
-#: Valid ones, "-0" and a value past int64 among them.
-COUNT_TEXTS = ["0", "1", "17", "-0", str(2 ** 63)]
+#: ints, one below int64 among them, each type the decoder can give that is
+#: not an int, and the constants and overflowing number that only stdlib
+#: json reads.
+BAD_COUNT_TEXTS = ["-1", "-12", str(-2 ** 63 - 1), "true", "false", "1.0",
+                   "2.5", "1e1", "null", '"4"', "[]", "NaN", "Infinity",
+                   "-Infinity", "1e400"]
+#: Valid ones: "-0", and values past int64, past uint64 and past a
+#: double's exact integers, which orjson may give as a float or refuse.
+COUNT_TEXTS = ["0", "1", "17", "-0",
+               str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(10 ** 30)]
 
 
 def rarely(common, rare, weight=4):
@@ -264,9 +285,10 @@ def rarely(common, rare, weight=4):
 
 @st.composite
 def corpus_line(draw):
-    """One corpus line as text, valid or with one field broken: count years
-    at and around its publication year and at the corpus range's ends, "-"
-    in ids and venues or not, compact or spaced, in either key order."""
+    """One corpus line as text, valid or with one field broken or one key
+    repeated: count years at and around its publication year and at the
+    corpus range's ends, "-" and ":" (sometimes escaped) in ids and venues
+    or not, compact or spaced, in either key order."""
     pub_year = draw(rarely([PUB_YEAR, PUB_YEAR + 1],
                            [1900, 2100, 1899, 2101], 8))
     years = draw(st.lists(rarely(
@@ -274,16 +296,23 @@ def corpus_line(draw):
         [pub_year - 1, 1900, 2101], 8), max_size=5, unique=True))
     keys = [draw(rarely(["{}"], [" {}", "0{}"], 12)).format(y)
             for y in years]
-    values = [draw(st.sampled_from(COUNT_TEXTS)) for _ in keys]
-    bad = draw(rarely([None], BAD_COUNT_TEXTS, 20))
+    values = [draw(rarely(COUNT_TEXTS[:4], COUNT_TEXTS[4:], 6)) for _ in keys]
+    bad = draw(rarely([None], BAD_COUNT_TEXTS, 30))
     if bad is not None and values:
         values[draw(st.integers(0, len(values) - 1))] = bad
+    repeat = draw(rarely([None], ["member", "count"], 30))
+    if repeat == "count" and keys:
+        keys.append(draw(st.sampled_from(keys)))
+        values.append(draw(st.sampled_from(COUNT_TEXTS[:4])))
     comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    paper_id = json.dumps(draw(st.text("ab-:", min_size=1, max_size=4)))
+    if draw(rarely([False], [True], 6)):
+        paper_id = paper_id.replace(":", "\\u003a")
     members = {
-        "id": json.dumps(draw(st.text("ab-", min_size=1, max_size=4))),
+        "id": paper_id,
         "source": json.dumps(draw(rarely(["ACL", "arxiv", "PubMed", "Other"],
                                          ["Twitter"]))),
-        "venue": json.dumps(draw(st.text("V-", max_size=2))),
+        "venue": json.dumps(draw(st.text("V-:", max_size=2))),
         "year": str(pub_year),
         "counts": "{" + comma.join(f"{json.dumps(k)}{colon}{v}"
                                    for k, v in zip(keys, values)) + "}",
@@ -297,7 +326,53 @@ def corpus_line(draw):
     items = [(k, v) for k, v in members.items() if v is not None]
     if draw(st.booleans()):
         items.reverse()
+    if repeat == "member":
+        key = draw(st.sampled_from([k for k, _ in items]))
+        value = draw(st.sampled_from([v for _, v in items] + ['"a:b"']))
+        items.insert(draw(st.integers(0, len(items))), (key, value))
     return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in items) + "}"
+
+
+def line_of(counts="{}", **members):
+    """A compact corpus line of a 2016 paper whose members are JSON texts;
+    members given as keyword arguments replace or follow the defaults."""
+    texts = {"id": '"a"', "source": '"ACL"', "venue": '"V"', "year": "2016",
+             "counts": counts, **members}
+    return "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
+
+
+#: (lines, strict) of each edge case of the two decoders and the repeated
+#: key certificate: counts past int64, past uint64 and below int64, escapes
+#: stdlib json reads and orjson refuses or reads alike, a raw U+2028, a
+#: BOM, the constants and 1e400, nesting past the recursion limit under an
+#: unknown key, and repeated keys at the top level and in counts, one
+#: whose first value holds a colon and one whose id spells its colon as an
+#: escape.
+EDGE_CASES = [
+    ([line_of('{"2016":%d,"2017":%d}' % (2 ** 63, 2 ** 64 - 1))], True),
+    ([line_of('{"2016":%d,"2023":%d}' % (2 ** 64, 10 ** 30))], True),
+    ([line_of('{"2016":%d}' % (-2 ** 63 - 1))], True),
+    ([line_of(id=r'"\ud800"'), line_of(id='"b"', venue=r'"\u0000"')], True),
+    ([line_of(id='"a\u2028b"', venue='"V\u2028"')], True),
+    (["\ufeff" + line_of()], True),
+    ([line_of('{"2016":NaN}')], True),
+    ([line_of('{"2016":Infinity}')], True),
+    ([line_of('{"2016":1e400}')], True),
+    ([line_of(note="[" * 100_000 + "]" * 100_000)], False),
+    (['{"id":"a","id":"b","source":"ACL","venue":"V","year":2016,'
+      '"counts":{}}'], True),
+    ([line_of('{"2016":3,"2016":5}')], True),
+    (['{"id":"x:y","id":"arXiv:1","source":"ACL","venue":"V","year":2016,'
+      '"counts":{}}'], True),
+    ([r'{"id":"\u003a","venue":"V","venue":"W","source":"ACL",'
+      r'"year":2016,"counts":{}}'], True),
+]
+
+
+def with_edge_cases(test):
+    for lines, strict in reversed(EDGE_CASES):
+        test = example(lines=lines, strict=strict)(test)
+    return test
 
 
 @settings(max_examples=400, deadline=None,
@@ -309,9 +384,11 @@ def corpus_line(draw):
                 '"counts":{"2016":2,"2017":-1}}'], strict=True)
 @example(lines=['{"id": "a-b", "source": "ACL", "venue": "V-", "year": 2017, '
                 '"counts": {"2017": -0, "2100": -12}}'], strict=True)
+@with_edge_cases
 def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
-    """The accept test, with its one subset test of the count keys and the
-    cohort selected in the line loop, gives the oracle's outcome."""
+    """The orjson decode, the accept test with its one subset test of the
+    count keys, the repeated-key certificate and the cohort selected in the
+    line loop give the oracle's outcome."""
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert outcome(new_columns, path, strict=strict) == \
@@ -324,32 +401,40 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def slow_path_calls(monkeypatch, path):
-    """How many lines of the corpus at path load_cohort sends through the
-    full checks."""
-    calls = []
-    full_checks = corpus._full_checks
+    """(reference decodes, full checks): how many lines of the corpus at
+    path load_cohort decodes with stdlib json and sends through the full
+    checks."""
+    decodes, checks = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return full_checks(*args)
+    def counted(calls, fn):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(corpus, "_full_checks", counted)
+    monkeypatch.setattr(corpus.json, "loads", counted(decodes, json.loads))
+    monkeypatch.setattr(corpus, "_full_checks",
+                        counted(checks, corpus._full_checks))
     load_cohort(path, PUB_YEAR)
-    return len(calls)
+    return len(decodes), len(checks)
 
 
-@pytest.mark.parametrize("workload", ["report-wide", "report-long"])
-def test_benchmark_corpus_takes_the_fast_path(workload, monkeypatch,
-                                              tmp_path):
-    """A change that sent every valid line to the full checks would keep
-    every output and lose the load's speed; this catches it."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    try:
-        import gen
-        gen.generate(workload, 1, str(tmp_path))
-    finally:
-        sys.modules.pop("gen", None)
-    assert slow_path_calls(monkeypatch, tmp_path / "corpus.jsonl") == 0
+@pytest.mark.parametrize("workload", ["report-wide", "report-long", "fixture"])
+def test_benchmark_corpus_takes_the_fast_path(workload, fixture_corpus_path,
+                                              monkeypatch, tmp_path):
+    """A change that sent every valid line to the reference decode or the
+    full checks would keep every output and lose the load's speed; this
+    catches it."""
+    path = fixture_corpus_path
+    if workload != "fixture":
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        try:
+            import gen
+            gen.generate(workload, 1, str(tmp_path))
+        finally:
+            sys.modules.pop("gen", None)
+        path = tmp_path / "corpus.jsonl"
+    assert slow_path_calls(monkeypatch, path) == (0, 0)
 
 
 def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
@@ -360,8 +445,25 @@ def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
         for i in range(20)).replace('"2020": 0', '"2020": -0'),
         encoding="utf-8")
     assert "-0" in path.read_text(encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == 0
+    assert slow_path_calls(monkeypatch, path) == (0, 0)
     assert len(load_cohort(path, PUB_YEAR)) == 10
+
+
+def test_lines_with_colons_take_the_fast_path(monkeypatch, tmp_path):
+    """Colons in ids and venues, which the repeated-key certificate counts
+    on a line without a backslash; with one, the line is decoded again."""
+    path = tmp_path / "c.jsonl"
+    lines = [json.dumps({"id": f"arXiv:2412.{i:05d}", "source": "ArXiv",
+                         "venue": "CoRR: cs.CL" if i % 3 else "a::b",
+                         "year": PUB_YEAR + i % 2, "counts": {"2017": i}})
+             for i in range(20)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == (0, 0)
+    assert len(load_cohort(path, PUB_YEAR)) == 10
+    lines[4] = lines[4].replace("arXiv:", "arXiv\\u003a")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == (1, 1)
+    assert "arXiv:2412.00004" in load_cohort(path, PUB_YEAR).ids
 
 
 def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
@@ -370,7 +472,7 @@ def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
         {"id": f"p{i}", "source": "ACL", "venue": "A", "year": PUB_YEAR,
          "counts": {" 2016" if i < 3 else "2016": 1}}) + "\n"
         for i in range(10)), encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == 3
+    assert slow_path_calls(monkeypatch, path) == (3, 3)
     assert load_cohort(path, PUB_YEAR).counts_in(PUB_YEAR).tolist() == [1] * 10
 
 

@@ -154,7 +154,7 @@ def test_the_scan_sees_an_unused_definition():
 #: The calls that decode JSON, and what each can raise on text it cannot
 #: decode: ValueError for bad syntax or UTF-8 or an integer past the digit
 #: limit, RecursionError for nesting past the recursion limit.
-JSON_DECODERS = {"json.load", "json.loads", "_raw_decode"}
+JSON_DECODERS = {"json.load", "json.loads", "orjson.loads"}
 JSON_DECODE_ERRORS = {"ValueError", "RecursionError"}
 
 
@@ -190,7 +190,7 @@ def test_every_json_decode_catches_every_decode_error():
 def test_the_scan_sees_an_uncaught_decode_error():
     tree = ast.parse(
         "try:\n    json.loads(a)\nexcept json.JSONDecodeError:\n    pass\n"
-        "try:\n    x = _raw_decode(b)[0]\nexcept ValueError:\n    pass\n"
+        "try:\n    x = orjson.loads(b)[0]\nexcept ValueError:\n    pass\n"
         "try:\n    f(json.load(h))\nexcept KeyError:\n    pass\n"
         "except (ValueError, RecursionError):\n    pass\n"
         "try:\n    json.dumps(c)\nexcept TypeError:\n    pass\n")
