@@ -70,6 +70,7 @@ class Source(str, Enum):
 #: A lowercased source name costs the accept test one dict lookup.
 _SOURCES = {member.value.lower(): member for member in Source}
 _INT_ONLY = {int}
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 @cache
@@ -199,18 +200,20 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     return paper_id, source, venue, pub_year, counts
 
 
-def _accepted(raw) -> tuple | None:
+def _accepted(raw, strict: bool = True) -> tuple | None:
     """(id, source, venue, pub_year, counts) of one parsed corpus line that
     passes the accept test, or None.
 
-    The accept test is C-level work only: the exact key set, exact type
+    The accept test is C-level work only: the exact key set (with
+    strict=False, the corpus keys plus others holding scalars), exact type
     tests, one source lookup, count keys a subset of the canonical years
     from pub_year to YEAR_MAX (one set test for both the year format and
     "not before publication"), and int values with a non-negative minimum.
     A line the test does not accept goes through the full checks, which
     accept or reject it.
     """
-    if type(raw) is dict and raw.keys() == CORPUS_KEYS:
+    if type(raw) is dict and (raw.keys() == CORPUS_KEYS
+                              or not strict and _scalar_extras(raw)):
         paper_id, source, venue = raw["id"], raw["source"], raw["venue"]
         pub_year, counts = raw["year"], raw["counts"]
         if type(source) is str:
@@ -226,6 +229,15 @@ def _accepted(raw) -> tuple | None:
     return None
 
 
+def _scalar_extras(raw: dict) -> bool:
+    """Whether raw holds every corpus key and only scalars under its other
+    keys, which a lenient load ignores.  A list or object there is left to
+    the full checks: orjson reads nesting of any depth, stdlib json raises
+    past its recursion limit."""
+    return raw.keys() >= CORPUS_KEYS and {
+        type(raw[key]) for key in raw.keys() - CORPUS_KEYS} <= _SCALARS
+
+
 def _record(paper_id, source, venue, pub_year, counts) -> PaperRecord:
     return PaperRecord(paper_id, source, venue, pub_year, dict(zip(
         map(_year_keys(pub_year).__getitem__, counts), counts.values())))
@@ -237,7 +249,8 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
     In strict mode unknown keys are rejected; with strict=False they are
     ignored.  Every failure names the offending field and line number.
     """
-    return _record(*(_accepted(raw) or _full_checks(raw, line, strict)))
+    return _record(*(_accepted(raw, strict)
+                     or _full_checks(raw, line, strict)))
 
 
 def _unique_keys(pairs: list, line: int) -> dict:
@@ -253,22 +266,6 @@ def _unique_keys(pairs: list, line: int) -> dict:
     return obj
 
 
-def _no_repeated_key(line: str, fields: tuple) -> bool:
-    """Whether the text of an accepted line proves that no key repeats.
-
-    Each key in the text is followed by one ':' outside strings, and the
-    accepted value has 5 + len(counts) keys, so a line with no more colons
-    than that holds no key twice.  A line without a backslash spells each
-    string as it decodes, so there the colons of its id and venue (its keys
-    and source have none) may be counted too: ids like "arXiv:2412.14351".
-    """
-    paper_id, _, venue, _, counts = fields
-    colons = line.count(":")
-    pairs = 5 + len(counts)
-    return colons == pairs or ("\\" not in line and colons == pairs
-                               + paper_id.count(":") + venue.count(":"))
-
-
 def _validated_lines(path, strict: bool, pub_year: int | None = None,
                      sources: Container[Source] = frozenset(Source)
                      ) -> Iterator[tuple]:
@@ -282,10 +279,12 @@ def _validated_lines(path, strict: bool, pub_year: int | None = None,
     non-ASCII line is re-encoded.  A line is decoded with orjson; if that
     fails, or the value fails the accept test or may repeat a key, the
     line is decoded again with stdlib json, which refuses a repeated key,
-    and goes through the full checks.  On accepted values, which hold only
-    dicts, strs and non-bool ints, the two decoders agree, and where they
-    differ (ints past uint64, lone surrogate escapes, NaN, 1e400) orjson
-    gives a float or raises, which the accept path refuses.
+    and goes through the full checks.  On the corpus keys of accepted
+    values, which hold only dicts, strs and non-bool ints, the two decoders
+    agree, and where they differ (ints past uint64, lone surrogate escapes,
+    NaN, 1e400) orjson gives a float or raises, which the accept path
+    refuses; the scalars of other keys that a lenient load accepts are
+    ignored, whichever decoder reads them.
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -303,8 +302,11 @@ def _validated_lines(path, strict: bool, pub_year: int | None = None,
                 raw = orjson.loads(line)
             except (ValueError, RecursionError):
                 raw = None
-            fields = _accepted(raw)
-            if fields is None or not _no_repeated_key(line, fields):
+            fields = _accepted(raw, strict)
+            # each key in the text is followed by one ':' outside strings,
+            # so as many colons as the accepted value has keys prove that
+            # no key repeats
+            if fields is None or line.count(":") != len(raw) + len(fields[4]):
                 try:
                     raw = json.loads(line, object_pairs_hook=partial(
                         _unique_keys, line=line_num))

@@ -275,6 +275,11 @@ BAD_COUNT_TEXTS = ["-1", "-12", str(-2 ** 63 - 1), "true", "false", "1.0",
 #: double's exact integers, which orjson may give as a float or refuse.
 COUNT_TEXTS = ["0", "1", "17", "-0",
                str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(10 ** 30)]
+#: JSON texts of the value of a key outside the corpus keys: scalars, which
+#: a lenient load accepts on the fast path, some of which only stdlib json
+#: reads, and a list and objects, one of which repeats a key.
+EXTRA_TEXTS = ["-1", '"a:b"', "null", "true", "2.5", str(10 ** 30), "NaN",
+               "1e400", "[1]", "{}", '{"k":1,"k":2}']
 
 
 def rarely(common, rare, weight=4):
@@ -285,8 +290,8 @@ def rarely(common, rare, weight=4):
 
 @st.composite
 def corpus_line(draw):
-    """One corpus line as text, valid or with one field broken or one key
-    repeated: count years at and around its publication year and at the
+    """One corpus line as text, valid or with one field broken, one key
+    repeated or an extra key: count years at and around its publication year and at the
     corpus range's ends, "-" and ":" (sometimes escaped) in ids and venues
     or not, compact or spaced, in either key order."""
     pub_year = draw(rarely([PUB_YEAR, PUB_YEAR + 1],
@@ -296,7 +301,7 @@ def corpus_line(draw):
         [pub_year - 1, 1900, 2101], 8), max_size=5, unique=True))
     keys = [draw(rarely(["{}"], [" {}", "0{}"], 12)).format(y)
             for y in years]
-    values = [draw(rarely(COUNT_TEXTS[:4], COUNT_TEXTS[4:], 6)) for _ in keys]
+    values = [draw(rarely(COUNT_TEXTS[:5], COUNT_TEXTS[5:], 6)) for _ in keys]
     bad = draw(rarely([None], BAD_COUNT_TEXTS, 30))
     if bad is not None and values:
         values[draw(st.integers(0, len(values) - 1))] = bad
@@ -317,12 +322,11 @@ def corpus_line(draw):
         "counts": "{" + comma.join(f"{json.dumps(k)}{colon}{v}"
                                    for k, v in zip(keys, values)) + "}",
     }
-    broken = draw(rarely([None], [*members, "extra"], 30))
-    if broken == "extra":
-        members["note"] = "-1"
-    elif broken is not None:
+    broken = draw(rarely([None], [*members], 30))
+    if broken is not None:
         members[broken] = draw(st.sampled_from(
             [None, '""', "1", "-3", "true", '"2016"', "2016.0", "[]", "{}"]))
+    members["note"] = draw(rarely([None], EXTRA_TEXTS, 60))
     items = [(k, v) for k, v in members.items() if v is not None]
     if draw(st.booleans()):
         items.reverse()
@@ -345,9 +349,10 @@ def line_of(counts="{}", **members):
 #: key certificate: counts past int64, past uint64 and below int64, escapes
 #: stdlib json reads and orjson refuses or reads alike, a raw U+2028, a
 #: BOM, the constants and 1e400, nesting past the recursion limit under an
-#: unknown key, and repeated keys at the top level and in counts, one
-#: whose first value holds a colon and one whose id spells its colon as an
-#: escape.
+#: unknown key, scalars under an unknown key that only stdlib json reads or
+#: reads alike, and repeated keys at the top level, in counts and under an
+#: unknown key, one whose first value holds a colon and one whose id spells
+#: its colon as an escape.
 EDGE_CASES = [
     ([line_of('{"2016":%d,"2017":%d}' % (2 ** 63, 2 ** 64 - 1))], True),
     ([line_of('{"2016":%d,"2023":%d}' % (2 ** 64, 10 ** 30))], True),
@@ -359,6 +364,13 @@ EDGE_CASES = [
     ([line_of('{"2016":Infinity}')], True),
     ([line_of('{"2016":1e400}')], True),
     ([line_of(note="[" * 100_000 + "]" * 100_000)], False),
+    ([line_of(note="[" * 1_000 + "]" * 1_000)], False),
+    ([line_of(note="1e400"), line_of(id='"b"', note=str(10 ** 30))], False),
+    ([line_of(note='"x"', tag="null")], False),
+    ([line_of(note='"x"')], True),
+    ([line_of(note='{"k":1,"k":2}')], False),
+    (['{"note":1,"id":"a","source":"ACL","venue":"V","year":2016,'
+      '"counts":{},"note":2}'], False),
     (['{"id":"a","id":"b","source":"ACL","venue":"V","year":2016,'
       '"counts":{}}'], True),
     ([line_of('{"2016":3,"2016":5}')], True),
@@ -400,7 +412,7 @@ def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def slow_path_calls(monkeypatch, path):
+def slow_path_calls(monkeypatch, path, strict=True):
     """(reference decodes, full checks): how many lines of the corpus at
     path load_cohort decodes with stdlib json and sends through the full
     checks."""
@@ -415,7 +427,7 @@ def slow_path_calls(monkeypatch, path):
     monkeypatch.setattr(corpus.json, "loads", counted(decodes, json.loads))
     monkeypatch.setattr(corpus, "_full_checks",
                         counted(checks, corpus._full_checks))
-    load_cohort(path, PUB_YEAR)
+    load_cohort(path, PUB_YEAR, strict=strict)
     return len(decodes), len(checks)
 
 
@@ -449,21 +461,31 @@ def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
     assert len(load_cohort(path, PUB_YEAR)) == 10
 
 
-def test_lines_with_colons_take_the_fast_path(monkeypatch, tmp_path):
-    """Colons in ids and venues, which the repeated-key certificate counts
-    on a line without a backslash; with one, the line is decoded again."""
+def test_lines_with_colons_take_the_reference_path(monkeypatch, tmp_path):
+    """A colon in an id or venue is one more than the repeated-key
+    certificate counts, so such a line is decoded again, and loads."""
     path = tmp_path / "c.jsonl"
-    lines = [json.dumps({"id": f"arXiv:2412.{i:05d}", "source": "ArXiv",
-                         "venue": "CoRR: cs.CL" if i % 3 else "a::b",
-                         "year": PUB_YEAR + i % 2, "counts": {"2017": i}})
-             for i in range(20)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (0, 0)
-    assert len(load_cohort(path, PUB_YEAR)) == 10
-    lines[4] = lines[4].replace("arXiv:", "arXiv\\u003a")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (1, 1)
+    path.write_text("".join(json.dumps(
+        {"id": f"arXiv:2412.{i:05d}", "source": "ArXiv",
+         "venue": "CoRR: cs.CL" if i % 3 else "a::b",
+         "year": PUB_YEAR + i % 2, "counts": {"2017": i}}) + "\n"
+        for i in range(20)), encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == (20, 20)
     assert "arXiv:2412.00004" in load_cohort(path, PUB_YEAR).ids
+
+
+def test_lenient_extra_scalars_take_the_fast_path(monkeypatch, tmp_path):
+    """Under --lenient a line whose other keys hold scalars is accepted
+    without the reference decode; a list there is not."""
+    path = tmp_path / "c.jsonl"
+    notes = ['"x"', "1", "null", "[1, 2]"]
+    path.write_text("".join(
+        line_of('{"2017":%d}' % i, id=f'"p{i}"', note=notes[i % 4]) + "\n"
+        for i in range(20)), encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path, strict=False) == (5, 5)
+    assert len(load_cohort(path, PUB_YEAR, strict=False)) == 20
+    with pytest.raises(ParseError, match="line 1: unknown key"):
+        load_cohort(path, PUB_YEAR)
 
 
 def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
