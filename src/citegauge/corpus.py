@@ -9,16 +9,21 @@ immutable after construction.
 The reports read one publication-year cohort, never the whole corpus:
 ``load_cohort`` validates every line in one streaming pass and keeps only
 the cohort's ids, an int venue code per paper with the distinct venue
-names, and a years x papers count matrix.  A valid line costs one
-``orjson`` decode, one accept test (``_accepted``) whose counts check is a
-single subset test against the canonical year keys from its publication
-year on, and a count of the line's colons that proves no key repeats; the
-cohort is selected in the line loop, so a line outside it builds nothing
-more.  A line that any of these refuses is decoded again by the reference
-decoder, stdlib ``json`` with a hook that refuses a repeated key, and meets
-the full checks, the only reject path: every error message comes from
-there.  ``PaperRecord`` is the record type of the write path (ingest,
-import, ``write_corpus``) and of ``load_corpus``.
+names, and a years x papers count matrix.  The file is read in blocks of
+``_BLOCK`` lines.  A block's lines are decoded with ``orjson`` and meet
+one accept test together (``_accepted_block``), made of C-level passes
+over the block: its counts check is one subset test of the union of the
+count keys of each publication year's lines against the canonical year
+keys from that year on, and a count of the block's colons proves that no
+key repeats.  A block that this refuses is replayed line by line
+(``_replay``) through the per-line accept test (``_accepted``); a line
+that it refuses is decoded again by the reference decoder, stdlib
+``json`` with a hook that refuses a repeated key, and meets the full
+checks, the only reject path: every error message comes from there.  The
+cohort's rows go onto typed columns a block at a time, with no Python
+call per count entry (``_columns``).  ``PaperRecord`` is the record type
+of the write path (ingest, import, ``write_corpus``) and of
+``load_corpus``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from operator import index
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, eq, itemgetter
 from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -69,7 +75,10 @@ class Source(str, Enum):
 
 #: A lowercased source name costs the accept test one dict lookup.
 _SOURCES = {member.value.lower(): member for member in Source}
-_INT_ONLY = {int}
+_INT_ONLY, _STR_ONLY, _DICT_ONLY = {int}, {str}, {dict}
+_FIELDS = itemgetter("id", "source", "venue", "year", "counts")
+#: The place values of the four digits of a year.
+_PLACES = np.array([1000, 100, 10, 1], dtype=np.int16)
 _SCALARS = {str, int, float, bool, type(None)}
 
 
@@ -253,9 +262,9 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
                      or _full_checks(raw, line, strict)))
 
 
-def _unique_keys(pairs: list, line: int) -> dict:
+def _unique_keys(pairs: list, line: int | None = None) -> dict:
     """The object of one decoded JSON object's (key, value) pairs; a key
-    that repeats raises ParseError naming it and the line."""
+    that repeats raises ParseError naming it and the line, if any."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
@@ -266,66 +275,171 @@ def _unique_keys(pairs: list, line: int) -> dict:
     return obj
 
 
+#: Lines read, decoded and accept-tested together.  At a few hundred lines
+#: the passes over a block cost little per line; smaller blocks load a
+#: corpus of many publication years slower, as each block pays one pass
+#: per year, and far larger ones keep more decoded values alive at once.
+_BLOCK = 256
+
+
 def _validated_lines(path, strict: bool, pub_year: int | None = None,
                      sources: Container[Source] = frozenset(Source)
-                     ) -> Iterator[tuple]:
-    """The (id, source, venue, pub_year, counts) of each line of a corpus
-    file published in pub_year (None: any year) by a source in sources, in
-    line order.
+                     ) -> Iterator[list]:
+    """The (ids, sources, venues, pub_years, counts) columns of the lines of
+    a corpus file published in pub_year (None: any year) by a source in
+    sources, one block of _BLOCK lines at a time, in line order.
 
     Every line is validated, kept or not, and the first invalid line or
-    duplicate id raises, naming its line.  A byte that is not UTF-8 decodes
-    to a lone surrogate, which fails its line, in line order, when a
-    non-ASCII line is re-encoded.  A line is decoded with orjson; if that
-    fails, or the value fails the accept test or may repeat a key, the
-    line is decoded again with stdlib json, which refuses a repeated key,
-    and goes through the full checks.  On the corpus keys of accepted
-    values, which hold only dicts, strs and non-bool ints, the two decoders
-    agree, and where they differ (ints past uint64, lone surrogate escapes,
-    NaN, 1e400) orjson gives a float or raises, which the accept path
-    refuses; the scalars of other keys that a lenient load accepts are
-    ignored, whichever decoder reads them.
+    duplicate id raises, naming its line.  A block's lines are decoded with
+    orjson and meet the accept test together (_accepted_block).  A block
+    whose decode or test fails is replayed line by line (_replay), which
+    accepts each line or raises the block's first error, in line order.
+    orjson refuses a str that holds a lone surrogate, which is what a byte
+    that is not UTF-8 decodes to, so such a block is always replayed.  The
+    counts keys of every row are the canonical 4-digit year strings.
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_num, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
+        for first in count(1, _BLOCK):
+            lines = [*islice(handle, _BLOCK)]
+            if not lines:
+                break
+            block = _block_columns(lines, first, strict, seen)
+            if not block:
                 continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ParseError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} "
-                                     "is not UTF-8", line=line_num) from None
+            keep = [*map(sources.__contains__, block[1])]
+            if pub_year is not None:
+                keep = [*map(and_, keep, map(eq, block[3], repeat(pub_year)))]
+            if not all(keep):
+                # the lines left out are let go before the next block is read
+                block = [[*compress(column, keep)] for column in block]
+            yield block
+
+
+def _block_columns(lines: list[str], first: int, strict: bool,
+                   seen: set[str]) -> list:
+    """The (ids, sources, venues, pub_years, counts) columns of the block of
+    lines whose first is line first, accept-tested together or replayed;
+    empty for a block of blank lines.  The decoded lines, of which the
+    columns keep only the fields, are let go when this returns, before the
+    next block is read."""
+    texts = [*filter(None, map(str.strip, lines))]
+    try:
+        raws = [*map(orjson.loads, texts)]
+    except (ValueError, RecursionError):
+        raws = None
+    return (raws and _accepted_block(texts, raws, strict, seen)
+            or [*zip(*_replay(lines, first, raws, strict, seen))])
+
+
+def _accepted_block(texts: list[str], raws: list, strict: bool,
+                    seen: set[str]) -> list | None:
+    """The (ids, sources, venues, pub_years, counts) columns of a block of
+    decoded lines if each line passes the accept test, carries the
+    repeated-key certificate and holds an id that no line before it does;
+    else None.  seen holds the ids of the lines before the block, and then
+    those of the block too.
+
+    The test is _accepted's, made with C-level passes over the whole block:
+    type sets, each line's key set, one source lookup per distinct source
+    string, and for each distinct publication year its range check and one
+    subset test of the union of its lines' count keys; then the minimum
+    count.  Each key in a line's text is followed by one ':' outside
+    strings, so each line has at least as many colons as its value has
+    keys, and the block's colons add up to its keys only if no line
+    repeats a key.
+    """
+    if not {*map(type, raws)} <= _DICT_ONLY or not (
+            all(map(eq, map(dict.keys, raws), repeat(CORPUS_KEYS)))
+            or not strict and all(map(_scalar_extras, raws))):
+        return None
+    ids, names, venues, years, counts = columns = [*zip(*map(_FIELDS, raws))]
+    if not ({*map(type, ids), *map(type, names), *map(type, venues)}
+            <= _STR_ONLY and all(ids) and {*map(type, years)} <= _INT_ONLY
+            and {*map(type, counts)} <= _DICT_ONLY):
+        return None
+    source_of = {name: _SOURCES.get(name.lower()) for name in {*names}}
+    pub_years = {*years}
+    if None in source_of.values() \
+            or not YEAR_MIN <= min(pub_years) <= max(pub_years) <= YEAR_MAX:
+        return None
+    for year in pub_years:
+        group = counts if len(pub_years) == 1 else compress(
+            counts, map(eq, years, repeat(year)))
+        if not set().union(*group) <= _year_keys(year).keys():
+            return None
+    values = [*chain.from_iterable(map(dict.values, counts))]
+    if not ({*map(type, values)} <= _INT_ONLY
+            and (not values or min(values) >= 0)):
+        return None
+    if sum(map(str.count, texts, repeat(":"))) \
+            != sum(map(len, raws)) + len(values):
+        return None
+    if len({*ids}) != len(ids) or not seen.isdisjoint(ids):
+        return None
+    seen.update(ids)
+    columns[1] = [*map(source_of.__getitem__, names)]
+    return columns
+
+
+def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
+            seen: set[str]) -> list[tuple]:
+    """The (id, source, venue, pub_year, counts) of each line of a block
+    whose first line is line first, one line at a time, with raws the
+    orjson values of its non-blank lines, or None if the block's decode
+    failed; the first invalid line or duplicate id raises.
+
+    A line whose value fails the accept test or may repeat a key is decoded
+    again with stdlib json, which refuses a repeated key, and goes through
+    the full checks.  On the corpus keys of accepted values, which hold only
+    dicts, strs and non-bool ints, the two decoders agree, and where they
+    differ (ints past uint64, lone surrogate escapes, NaN, 1e400) orjson
+    gives a float or raises, which the accept path refuses; the scalars of
+    other keys that a lenient load accepts are ignored, whichever decoder
+    reads them.
+    """
+    decoded = None if raws is None else iter(raws)
+    rows = []
+    for line_num, line in enumerate(lines, first):
+        line = line.strip()
+        if not line:
+            continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                 "is not UTF-8", line=line_num) from None
+        if decoded is not None:
+            raw = next(decoded)
+        else:
             try:
                 raw = orjson.loads(line)
             except (ValueError, RecursionError):
                 raw = None
-            fields = _accepted(raw, strict)
-            # each key in the text is followed by one ':' outside strings,
-            # so as many colons as the accepted value has keys prove that
-            # no key repeats
-            if fields is None or line.count(":") != len(raw) + len(fields[4]):
-                try:
-                    raw = json.loads(line, object_pairs_hook=partial(
-                        _unique_keys, line=line_num))
-                except (ValueError, RecursionError) as exc:
-                    # a JSONDecodeError's msg leaves out its position
-                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                                     line=line_num) from None
-                fields = _full_checks(raw, line_num, strict)
-            if fields[0] in seen:
-                raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
-            seen.add(fields[0])
-            if (fields[3] == pub_year or pub_year is None) \
-                    and fields[1] in sources:
-                yield fields
+        fields = _accepted(raw, strict)
+        # each key in the text is followed by one ':' outside strings, so as
+        # many colons as the accepted value has keys prove that no key repeats
+        if fields is None or line.count(":") != len(raw) + len(fields[4]):
+            try:
+                raw = json.loads(line, object_pairs_hook=partial(
+                    _unique_keys, line=line_num))
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError's msg leaves out its position
+                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                                 line=line_num) from None
+            fields = _full_checks(raw, line_num, strict)
+        if fields[0] in seen:
+            raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
+        seen.add(fields[0])
+        rows.append(fields)
+    return rows
 
 
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
     """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
-    return [_record(*fields) for fields in _validated_lines(path, strict)]
+    return [_record(*fields) for block in _validated_lines(path, strict)
+            for fields in zip(*block)]
 
 
 def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
@@ -340,43 +454,65 @@ def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
     """
     source_set = frozenset(Source if sources is None else sources)
     return _columns(_validated_lines(path, strict, pub_year, source_set),
-                    pub_year, _year_keys(YEAR_MIN).__getitem__, aliases)
+                    pub_year, _key_years, aliases)
 
 
-def _columns(rows: Iterable[tuple], pub_year: int, year_of,
+def _key_years(counts: list[dict]) -> np.ndarray:
+    """The years of a block's canonical counts keys, 4 ASCII digits each,
+    as int16 in entry order."""
+    digits = np.frombuffer("".join(chain.from_iterable(counts)).encode(),
+                           dtype=np.uint8).reshape(-1, 4) - ord("0")
+    return digits.astype(np.int16) @ _PLACES
+
+
+def _int_years(counts: list[Mapping[int, int]]) -> np.ndarray:
+    """The years of a block's int counts keys as int16 in entry order; a
+    hand-made record's year outside [YEAR_MIN, YEAR_MAX] raises."""
+    years = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
+                        count=sum(map(len, counts)))
+    if years.size and not (years.min() >= YEAR_MIN
+                           and years.max() <= YEAR_MAX):
+        raise ValueError(f"a count year is outside [{YEAR_MIN}, {YEAR_MAX}]")
+    return years.astype(np.int16)
+
+
+def _columns(blocks: Iterable[tuple], pub_year: int, years_of,
              aliases: Mapping[str, str] | None = None) -> Cohort:
-    """The Cohort of the (id, source, venue, pub_year, counts) rows of its
-    papers; year_of turns a counts key into its year.
+    """The Cohort of the (ids, sources, venues, pub_years, counts) column
+    blocks of its papers; years_of gives a block's count years as int16,
+    each in [YEAR_MIN, YEAR_MAX].
 
-    A paper's venue becomes a code as its row is read, through the alias
-    map once per distinct raw name, so raw names with one alias share a
-    code; codes are renumbered by first appearance in id order at the end.
-    Count years and values go onto flat typed arrays, so no per-paper object
-    but the id outlives the row.  Count years must lie in [YEAR_MIN,
-    YEAR_MAX], as every validated line's do.
+    A block's new venues become codes through the alias map once per
+    distinct raw name, so raw names with one alias share a code; codes are
+    renumbered by first appearance in id order at the end.  Each block's
+    codes, count years and values are appended to typed arrays that grow,
+    the years and values as one numpy array each, so no Python call is made
+    per count entry and no per-paper object but the id outlives its block.
     """
     aliases = aliases or {}
     code_of: dict[str, int] = {}    # raw venue -> code
     names: dict[str, int] = {}      # venue name -> code, in line order
     ids, codes, sizes = [], array("i"), array("H")
     years, values, overflow = array("h"), array("q"), set()
-    for paper_id, _, venue, _, counts in rows:
-        code = code_of.get(venue)
-        if code is None:
-            code = code_of[venue] = names.setdefault(
-                aliases.get(venue, venue), len(names))
-        ids.append(paper_id)
-        codes.append(code)
-        sizes.append(len(counts))
-        years.extend(map(year_of, counts))
+    for block_ids, _, venues, _, counts in blocks:
+        for venue in {*venues}.difference(code_of):
+            code_of[venue] = names.setdefault(aliases.get(venue, venue),
+                                              len(names))
+        ids += block_ids
+        codes.extend(map(code_of.__getitem__, venues))
+        sizes.extend(map(len, counts))
+        entry_years = years_of(counts)
+        years.frombytes(entry_years.view(np.uint8))
         try:
-            values.extend(counts.values())
+            values.frombytes(np.fromiter(
+                chain.from_iterable(map(dict.values, counts)),
+                dtype=np.int64, count=len(entry_years)).view(np.uint8))
         except OverflowError:
             # a count past int64 stays out of the matrix; its year is
             # noted instead
-            start = len(years) - len(counts)
-            del values[start:]
-            for count_year, value in zip(years[start:], counts.values()):
+            for count_year, value in zip(entry_years.tolist(),
+                                         chain.from_iterable(
+                                             map(dict.values, counts))):
                 if not _INT64_MIN <= value <= _INT64_MAX:
                     overflow.add(count_year)
                     value = 0
@@ -399,9 +535,6 @@ def _columns(rows: Iterable[tuple], pub_year: int, year_of,
     # one matrix row per year some count names, through a dense year table;
     # the indices stay int16 and int32, which numpy casts chunk by chunk
     entry_year = np.frombuffer(years, dtype=np.int16)
-    if entry_year.size and not (entry_year.min() >= YEAR_MIN
-                                and entry_year.max() <= YEAR_MAX):
-        raise ValueError(f"a count year is outside [{YEAR_MIN}, {YEAR_MAX}]")
     present = np.zeros(YEAR_MAX + 1, dtype=bool)
     present[entry_year] = True
     row_of = (np.cumsum(present) - 1).astype(np.int16)
@@ -448,10 +581,10 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
     statistics reject it.
     """
     source_set = frozenset(Source if sources is None else sources)
-    return _columns(((r.id, r.source, r.venue, r.pub_year, r.counts)
-                     for r in records
-                     if r.pub_year == pub_year and r.source in source_set),
-                    pub_year, index)
+    rows = ((r.id, r.source, r.venue, r.pub_year, r.counts) for r in records
+            if r.pub_year == pub_year and r.source in source_set)
+    return _columns((tuple(zip(*block)) for block in iter(
+        lambda: [*islice(rows, _BLOCK)], [])), pub_year, _int_years)
 
 
 def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
@@ -493,10 +626,13 @@ def name_non_utf8_line(path, error, what: str):
 
 def read_json(path, error, what: str):
     """The JSON value of the file at `path`; text that does not decode
-    raises error("{what} {path}: invalid JSON: ...")."""
+    raises error("{what} {path}: invalid JSON: ..."), and a key repeated
+    in any object error("{what} {path}: repeated key ...")."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except ParseError as exc:
+            raise error(f"{what} {path}: {exc}") from None
         except (ValueError, RecursionError) as exc:
             raise error(f"{what} {path}: invalid JSON: {exc}") from None
 

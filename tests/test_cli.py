@@ -379,6 +379,19 @@ class TestGroupStats:
         assert "citegauge groupstats: error:" in err
         assert f"alias file {aliases}" in err
 
+    def test_alias_file_repeating_a_key_exit_1(self, fixture_args, tmp_path,
+                                               capsys):
+        """Without the refusal the last value wins and NLPWorkshop is
+        silently folded into TopJournal."""
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text('{"NLPWorkshop": "NLPConf", '
+                           '"NLPWorkshop": "TopJournal"}')
+        code, out, err = run(["groupstats", *fixture_args, "--by", "venue",
+                              "--aliases", str(aliases)], capsys)
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err == (f"citegauge groupstats: error: alias file {aliases}: "
+                       "repeated key 'NLPWorkshop'\n")
+
     def test_missing_alias_file_exit_1(self, fixture_args, tmp_path, capsys):
         missing = tmp_path / "no-such-aliases.json"
         code, out, err = run(["groupstats", *fixture_args,
@@ -573,6 +586,17 @@ class TestModelFile:
         # name, which is the user's, stays under 120 characters
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err.split(f"model file {path}: ", 1)[1]) < 120
+
+    def test_model_file_repeating_a_key_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        text = json.dumps(GOOD_MODEL)
+        path.write_text(text.replace('"intercept": 20.0',
+                                     '"intercept": 20.0, "intercept": 99.0'))
+        code, out, err = run(["predict", "--model", str(path), "--venue", "B",
+                              "--early", "25"], capsys)
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err == (f"citegauge predict: error: model file {path}: "
+                       "repeated key 'intercept'\n")
 
     def test_well_formed_model_predicts(self, tmp_path, capsys):
         # each malformed case above differs from this file in one field

@@ -407,16 +407,127 @@ def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
         outcome(old_columns, path, strict=strict)
 
 
+# --- block boundaries: the block test and its line-by-line replay ---------------
+
+#: Kinds of line, each a change to a valid line of a 2016 paper: kept,
+#: dropped, taking the reference path or invalid.  A line cited before
+#: publication is a 2017 paper's, so that a block test that checked a
+#: 2016 line's count keys for it would pass it; a duplicate repeats the id
+#: of the line before it.
+LINE_KINDS = {
+    "valid": {},
+    "other year": {"year": PUB_YEAR + 1, "counts": {str(PUB_YEAR + 1): 1}},
+    "other source": {"source": "PubMed"},
+    "non-ascii": {"venue": "Ünï"},
+    "extra scalar": {"note": "x"},
+    "extra list": {"tags": ["x"]},
+    "odd key": {"counts": {f" {PUB_YEAR}": 3}},
+    "colon": {"venue": "CoRR: cs.CL"},
+    "past int64": {"counts": {str(PUB_YEAR + 1): 2 ** 64}},
+    "negative": {"counts": {str(PUB_YEAR + 1): -1}},
+    "before publication": {"year": PUB_YEAR + 1,
+                           "counts": {str(PUB_YEAR): 1}},
+    "duplicate": {},
+}
+#: Kinds of line given as their bytes.
+TEXT_KINDS = {"blank": b"  ", "bad json": b'{"id": "x", "source": }',
+              "not utf-8": b'{"id": "\xff"}',
+              "repeated key": b'{"id": "x", "source": "ACL", "venue": "V", '
+                              b'"year": 2016, "counts": {}, "venue": "W"}'}
+
+
+def kinds_corpus(kinds):
+    """The bytes of a corpus whose line i is of kinds[i], with id p<i>."""
+    lines = []
+    for i, kind in enumerate(kinds):
+        raw = {"id": f"p{i - (kind == 'duplicate'):03d}", "source": "ACL",
+               "venue": f"V{i % 3}", "year": PUB_YEAR,
+               "counts": {str(PUB_YEAR): i, str(PUB_YEAR + 2): 2 * i}}
+        lines.append(TEXT_KINDS[kind] if kind in TEXT_KINDS else json.dumps(
+            raw | LINE_KINDS[kind], ensure_ascii=False).encode("utf-8"))
+    return b"\n".join(lines) + b"\n"
+
+
+def oracle_outcome(path, data, strict):
+    """The oracle's outcome on the corpus data, which it reads from path,
+    with a byte that is not UTF-8 failing its line in line order."""
+    lines = data.split(b"\n")
+    for line_num, line in enumerate(lines, 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            path.write_bytes(b"\n".join(lines[:line_num - 1]))
+            before = outcome(old_columns, path, strict=strict)
+            return before if before[0] == "error" else (
+                "error", ParseError, f"line {line_num}: byte "
+                f"{line[exc.start]:#04x} is not UTF-8")
+    path.write_bytes(data)
+    return outcome(old_columns, path, strict=strict)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.lists(st.sampled_from(
+           ["valid"] * 40 + [*LINE_KINDS, *TEXT_KINDS] * 2),
+           min_size=5, max_size=40),
+       block=st.sampled_from([2, 3]), strict=st.booleans())
+# a bad line first in a block, and last
+@example(kinds=["valid"] * 3 + ["negative"] + ["valid"] * 2, block=3,
+         strict=True)
+@example(kinds=["valid"] * 2 + ["before publication"] + ["valid"] * 3,
+         block=3, strict=True)
+@example(kinds=["valid"] * 5 + ["bad json"], block=3, strict=True)
+# a duplicate id across a block boundary and inside a block, and before a
+# bad line in its block, whether the block decodes or not
+@example(kinds=["valid", "valid", "duplicate", "valid", "valid"], block=2,
+         strict=True)
+@example(kinds=["valid", "duplicate", "valid", "valid", "valid"], block=3,
+         strict=True)
+@example(kinds=["valid"] * 3 + ["duplicate", "negative", "valid"], block=3,
+         strict=True)
+@example(kinds=["valid"] * 3 + ["duplicate", "bad json", "valid"], block=3,
+         strict=True)
+# blank lines, a block of them among them
+@example(kinds=["valid", "blank", "valid", "blank", "blank", "valid",
+                "valid", "negative", "valid"], block=3, strict=True)
+@example(kinds=["valid"] * 3 + ["blank"] * 3 + ["valid", "odd key"],
+         block=3, strict=False)
+# a byte that is not UTF-8 in a block after a JSON error, and before one
+@example(kinds=["valid", "bad json", "valid", "valid", "not utf-8"],
+         block=2, strict=True)
+@example(kinds=["valid", "not utf-8", "valid", "bad json", "valid"],
+         block=2, strict=True)
+# a repeated key, a count past int64, and lines the replay accepts
+@example(kinds=["valid"] * 4 + ["repeated key"], block=2, strict=True)
+@example(kinds=["valid", "past int64", "valid", "colon", "valid"], block=3,
+         strict=True)
+@example(kinds=["extra scalar", "valid", "extra list", "other year",
+                "other source", "non-ascii"], block=2, strict=False)
+def test_blocks_load_as_per_record_path(kinds, block, strict, tmp_path):
+    """With blocks of 2 and 3 lines, every block boundary meets a line of
+    each kind: load_cohort, and load_corpus with filter_cohort, give the
+    per-record oracle's outcome."""
+    data = kinds_corpus(kinds)
+    path = tmp_path / "c.jsonl"
+    expected = oracle_outcome(path, data, strict)
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_BLOCK", block)
+        assert outcome(new_columns, path, strict=strict) == expected
+        assert outcome(via_records, path, None, strict, None) == expected
+
+
 # --- the benchmark's corpora take the fast path ---------------------------------
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def slow_path_calls(monkeypatch, path, strict=True):
-    """(reference decodes, full checks): how many lines of the corpus at
-    path load_cohort decodes with stdlib json and sends through the full
-    checks."""
-    decodes, checks = [], []
+    """(reference decodes, full checks, replays): how many lines of the
+    corpus at path load_cohort decodes with stdlib json and sends through
+    the full checks, and how many blocks of lines fail the block's accept
+    test and are replayed line by line."""
+    decodes, checks, replays = [], [], []
 
     def counted(calls, fn):
         def call(*args, **kwargs):
@@ -427,16 +538,17 @@ def slow_path_calls(monkeypatch, path, strict=True):
     monkeypatch.setattr(corpus.json, "loads", counted(decodes, json.loads))
     monkeypatch.setattr(corpus, "_full_checks",
                         counted(checks, corpus._full_checks))
+    monkeypatch.setattr(corpus, "_replay", counted(replays, corpus._replay))
     load_cohort(path, PUB_YEAR, strict=strict)
-    return len(decodes), len(checks)
+    return len(decodes), len(checks), len(replays)
 
 
 @pytest.mark.parametrize("workload", ["report-wide", "report-long", "fixture"])
 def test_benchmark_corpus_takes_the_fast_path(workload, fixture_corpus_path,
                                               monkeypatch, tmp_path):
     """A change that sent every valid line to the reference decode or the
-    full checks would keep every output and lose the load's speed; this
-    catches it."""
+    full checks, or every block to the replay, would keep every output and
+    lose the load's speed; this catches it."""
     path = fixture_corpus_path
     if workload != "fixture":
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -446,7 +558,7 @@ def test_benchmark_corpus_takes_the_fast_path(workload, fixture_corpus_path,
         finally:
             sys.modules.pop("gen", None)
         path = tmp_path / "corpus.jsonl"
-    assert slow_path_calls(monkeypatch, path) == (0, 0)
+    assert slow_path_calls(monkeypatch, path) == (0, 0, 0)
 
 
 def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
@@ -457,7 +569,7 @@ def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
         for i in range(20)).replace('"2020": 0', '"2020": -0'),
         encoding="utf-8")
     assert "-0" in path.read_text(encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (0, 0)
+    assert slow_path_calls(monkeypatch, path) == (0, 0, 0)
     assert len(load_cohort(path, PUB_YEAR)) == 10
 
 
@@ -470,7 +582,7 @@ def test_lines_with_colons_take_the_reference_path(monkeypatch, tmp_path):
          "venue": "CoRR: cs.CL" if i % 3 else "a::b",
          "year": PUB_YEAR + i % 2, "counts": {"2017": i}}) + "\n"
         for i in range(20)), encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (20, 20)
+    assert slow_path_calls(monkeypatch, path) == (20, 20, 1)
     assert "arXiv:2412.00004" in load_cohort(path, PUB_YEAR).ids
 
 
@@ -482,10 +594,31 @@ def test_lenient_extra_scalars_take_the_fast_path(monkeypatch, tmp_path):
     path.write_text("".join(
         line_of('{"2017":%d}' % i, id=f'"p{i}"', note=notes[i % 4]) + "\n"
         for i in range(20)), encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path, strict=False) == (5, 5)
+    assert slow_path_calls(monkeypatch, path, strict=False) == (5, 5, 1)
     assert len(load_cohort(path, PUB_YEAR, strict=False)) == 20
     with pytest.raises(ParseError, match="line 1: unknown key"):
         load_cohort(path, PUB_YEAR)
+
+
+@pytest.mark.parametrize("strict,members", [
+    (True, {"id": '"Ünï-{}"', "venue": '"日本語"'}),
+    (False, {"note": '"x"', "tag": "null", "n": "2.5", "flag": "true"}),
+], ids=["non-ascii", "lenient-scalars"])
+def test_other_valid_lines_take_the_fast_path(strict, members, monkeypatch,
+                                              tmp_path):
+    """Valid UTF-8 beyond ASCII, and under --lenient extra keys that hold
+    scalars, need neither the replay nor the reference decode."""
+    lines = []
+    for i in range(20):
+        texts = {key: value.replace("{}", str(i))
+                 for key, value in {"id": '"p{}"', **members}.items()}
+        lines.append(line_of('{"2017":%d}' % i, **texts) + "\n")
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path, strict=strict) == (0, 0, 0)
+    assert outcome(new_columns, path, strict=strict) == \
+        outcome(old_columns, path, strict=strict)
+    assert len(load_cohort(path, PUB_YEAR, strict=strict)) == 20
 
 
 def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
@@ -494,7 +627,7 @@ def test_odd_count_keys_take_the_slow_path(monkeypatch, tmp_path):
         {"id": f"p{i}", "source": "ACL", "venue": "A", "year": PUB_YEAR,
          "counts": {" 2016" if i < 3 else "2016": 1}}) + "\n"
         for i in range(10)), encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (3, 3)
+    assert slow_path_calls(monkeypatch, path) == (3, 3, 1)
     assert load_cohort(path, PUB_YEAR).counts_in(PUB_YEAR).tolist() == [1] * 10
 
 

@@ -159,13 +159,14 @@ JSON_DECODE_ERRORS = {"ValueError", "RecursionError"}
 
 
 def uncaught_decode_errors(tree):
-    """(line, errors missed) of each try whose body calls a JSON decoder
-    and whose handlers do not name every JSON decode error."""
+    """(line, errors missed) of each try whose body calls a JSON decoder,
+    or names one to be called, as in map(orjson.loads, texts), and whose
+    handlers do not name every JSON decode error."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Try) and any(
-                isinstance(call, ast.Call)
-                and ast.unparse(call.func) in JSON_DECODERS
-                for statement in node.body for call in ast.walk(statement))):
+                isinstance(name, (ast.Attribute, ast.Name))
+                and ast.unparse(name) in JSON_DECODERS
+                for statement in node.body for name in ast.walk(statement))):
             continue
         caught = set()
         for handler in node.handlers:
@@ -193,9 +194,12 @@ def test_the_scan_sees_an_uncaught_decode_error():
         "try:\n    x = orjson.loads(b)[0]\nexcept ValueError:\n    pass\n"
         "try:\n    f(json.load(h))\nexcept KeyError:\n    pass\n"
         "except (ValueError, RecursionError):\n    pass\n"
-        "try:\n    json.dumps(c)\nexcept TypeError:\n    pass\n")
+        "try:\n    json.dumps(c)\nexcept TypeError:\n    pass\n"
+        "try:\n    raws = list(map(orjson.loads, texts))\n"
+        "except ValueError:\n    pass\n")
     assert list(uncaught_decode_errors(tree)) == [
-        (1, ["RecursionError", "ValueError"]), (5, ["RecursionError"])]
+        (1, ["RecursionError", "ValueError"]), (5, ["RecursionError"]),
+        (19, ["RecursionError"])]
 
 
 def third_party_imports(paths):
