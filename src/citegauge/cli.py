@@ -11,6 +11,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from pathlib import Path
@@ -139,7 +140,7 @@ def _load_cohort(args) -> corpus_mod.Cohort:
 
 
 def _add_cohort_flags(parser, offsets=False, model_params=False, out=True,
-                      pub_year=int):
+                      pub_year=_year):
     parser.add_argument("--corpus", required=True, help="corpus JSONL file")
     parser.add_argument("--pub-year", type=pub_year, required=True)
     parser.add_argument("--sources", type=_source_set, default=None,
@@ -252,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    with corpus_mod.name_non_utf8_line(args.ids_file, ValueError, "ids file"), \
-            open(args.ids_file, encoding="utf-8") as handle:
-        ids = [line.strip() for line in handle if line.strip()]
+    text = corpus_mod.read_text(args.ids_file, ValueError, "ids file")
+    ids = [line.strip() for line in io.StringIO(text, newline=None)
+           if line.strip()]
     config = ingest_mod.ClientConfig(base_url=args.base_url,
                                      page_size=args.page_size,
                                      rate_budget=args.rate)

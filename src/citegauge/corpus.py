@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, itemgetter
 from typing import Container, Iterable, Iterator, Mapping
@@ -262,15 +261,15 @@ def validate_record(raw: dict, line=None, strict: bool = True) -> PaperRecord:
                      or _full_checks(raw, line, strict)))
 
 
-def _unique_keys(pairs: list, line: int | None = None) -> dict:
+def _unique_keys(pairs: list) -> dict:
     """The object of one decoded JSON object's (key, value) pairs; a key
-    that repeats raises ParseError naming it and the line, if any."""
+    that repeats raises ParseError naming it."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"repeated key {key!r}", line=line)
+                raise ParseError(f"repeated key {key!r}")
             seen.add(key)
     return obj
 
@@ -389,14 +388,14 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
     orjson values of its non-blank lines, or None if the block's decode
     failed; the first invalid line or duplicate id raises.
 
-    A line whose value fails the accept test or may repeat a key is decoded
-    again with stdlib json, which refuses a repeated key, and goes through
-    the full checks.  On the corpus keys of accepted values, which hold only
-    dicts, strs and non-bool ints, the two decoders agree, and where they
-    differ (ints past uint64, lone surrogate escapes, NaN, 1e400) orjson
-    gives a float or raises, which the accept path refuses; the scalars of
-    other keys that a lenient load accepts are ignored, whichever decoder
-    reads them.
+    A line whose value fails the accept test or may repeat a key, as does
+    any line that is not UTF-8, is decoded again from its bytes (utf8_text,
+    json_value) and goes through the full checks.  On the corpus keys of
+    accepted values, which hold only dicts, strs and non-bool ints, the two
+    decoders agree, and where they differ (ints past uint64, lone surrogate
+    escapes, NaN, 1e400) orjson gives a float or raises, which the accept
+    path refuses; the scalars of other keys that a lenient load accepts are
+    ignored, whichever decoder reads them.
     """
     decoded = None if raws is None else iter(raws)
     rows = []
@@ -404,12 +403,6 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
         line = line.strip()
         if not line:
             continue
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ParseError(f"byte {ord(line[exc.start]) - 0xDC00:#04x} "
-                                 "is not UTF-8", line=line_num) from None
         if decoded is not None:
             raw = next(decoded)
         else:
@@ -422,12 +415,10 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
         # many colons as the accepted value has keys prove that no key repeats
         if fields is None or line.count(":") != len(raw) + len(fields[4]):
             try:
-                raw = json.loads(line, object_pairs_hook=partial(
-                    _unique_keys, line=line_num))
-            except (ValueError, RecursionError) as exc:
-                # a JSONDecodeError's msg leaves out its position
-                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                                 line=line_num) from None
+                raw = json_value(utf8_text(
+                    line.encode("utf-8", "surrogateescape")))
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line_num) from None
             fields = _full_checks(raw, line_num, strict)
         if fields[0] in seen:
             raise DuplicateId(f"duplicate id {fields[0]!r}", line=line_num)
@@ -607,34 +598,50 @@ def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
     return [*lines, last], None, b"\n"
 
 
-@contextmanager
-def name_non_utf8_line(path, error, what: str):
-    """Run a block that reads the file at `path` as UTF-8; a byte that does
-    not decode raises error naming the file and, by a rescan, its line."""
+def utf8_text(data: bytes, whole_file: bool = False) -> str:
+    """The text of data, the UTF-8 bytes of one line or of a whole file.  A
+    byte that is not UTF-8 raises ParseError naming it and, in a whole
+    file, its line, with no second read."""
     try:
-        yield
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            for line_num, line in enumerate(handle, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise error(f"{what} {path}: line {line_num}: byte "
-                                f"{line[exc.start]:#04x} is not UTF-8") from None
-        raise
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1 if whole_file else None
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                         line=line) from None
+
+
+def json_value(text: str, whole_file: bool = False):
+    """The JSON value of text, one line or a whole file, by the reference
+    decoder, stdlib json.  Text that is not JSON raises ParseError("invalid
+    JSON: ..."), with the decoder's position only for a whole file, as a
+    line's error names the line; a key repeated in any object raises
+    ParseError("repeated key ...")."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError("invalid JSON: " + str(
+            exc if whole_file else getattr(exc, "msg", exc))) from None
+
+
+def read_text(path, error, what: str) -> str:
+    """The text of the UTF-8 file at `path` (utf8_text); a byte that is not
+    UTF-8 raises error("{what} {path}: line N: byte ... is not UTF-8")."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return utf8_text(data, whole_file=True)
+    except ParseError as exc:
+        raise error(f"{what} {path}: {exc}") from None
 
 
 def read_json(path, error, what: str):
-    """The JSON value of the file at `path`; text that does not decode
-    raises error("{what} {path}: invalid JSON: ..."), and a key repeated
-    in any object error("{what} {path}: repeated key ...")."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle, object_pairs_hook=_unique_keys)
-        except ParseError as exc:
-            raise error(f"{what} {path}: {exc}") from None
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{what} {path}: invalid JSON: {exc}") from None
+    """The JSON value (json_value) of the UTF-8 file at `path`; a fault
+    raises error("{what} {path}: ...")."""
+    text = read_text(path, error, what)
+    try:
+        return json_value(text, whole_file=True)
+    except ParseError as exc:
+        raise error(f"{what} {path}: {exc}") from None
 
 
 def load_venue_aliases(path) -> dict[str, str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -24,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import (PaperRecord, Source, name_non_utf8_line, read_journal,
-                     read_json, record_to_json, validate_record)
+from .corpus import (PaperRecord, Source, json_value, read_journal, read_json,
+                     read_text, record_to_json, utf8_text, validate_record)
 from .errors import (
     DuplicateId,
     EmptyInput,
@@ -34,6 +35,7 @@ from .errors import (
     IngestError,
     NonIntegerCount,
     NotFound,
+    ParseError,
     RateLimited,
 )
 
@@ -247,12 +249,11 @@ class FetchCheckpoint:
         lines, _, _ = read_journal(path)
         try:
             # a file with no such line is decoded whole, to raise its error
-            raw = (json.loads(lines[-1].decode("utf-8")) if lines
+            raw = (json_value(utf8_text(lines[-1])) if lines
                    else read_json(path, IngestError, "checkpoint"))
             return cls(**raw)
-        except (ValueError, RecursionError) as exc:
-            raise IngestError(f"checkpoint {path}: invalid JSON: {exc}") from None
-        except TypeError as exc:  # not an object, or unknown/missing keys
+        # TypeError: not an object, or unknown or missing keys
+        except (ParseError, TypeError) as exc:
             raise IngestError(f"checkpoint {path}: {exc}") from None
 
 
@@ -401,52 +402,51 @@ def import_table(path) -> list[PaperRecord]:
     An id on a second row raises DuplicateId naming both rows.  A leading
     UTF-8 byte order mark, as spreadsheets write one, is skipped.
     """
-    with name_non_utf8_line(path, IngestError, "table"), \
-            open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise HeaderMismatch("table is empty") from None
-        if header[:4] != TABLE_META_COLUMNS:
-            raise HeaderMismatch(
-                f"expected leading columns {TABLE_META_COLUMNS}, got {header[:4]}")
-        year_cols = []
-        for col in header[4:]:
-            if not (len(col) == 4 and col.isdecimal()):
-                raise HeaderMismatch(f"year column {col!r} is not a 4-digit year")
-            year = int(col)
-            if year in year_cols:
-                raise HeaderMismatch(f"year column {col!r} repeats year {year}")
-            year_cols.append(year)
-        if not year_cols:
-            raise HeaderMismatch("no citation-year columns")
+    text = read_text(path, IngestError, "table").removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise HeaderMismatch("table is empty") from None
+    if header[:4] != TABLE_META_COLUMNS:
+        raise HeaderMismatch(
+            f"expected leading columns {TABLE_META_COLUMNS}, got {header[:4]}")
+    year_cols = []
+    for col in header[4:]:
+        if not (len(col) == 4 and col.isdecimal()):
+            raise HeaderMismatch(f"year column {col!r} is not a 4-digit year")
+        year = int(col)
+        if year in year_cols:
+            raise HeaderMismatch(f"year column {col!r} repeats year {year}")
+        year_cols.append(year)
+    if not year_cols:
+        raise HeaderMismatch("no citation-year columns")
 
-        records = []
-        rows_of = {}    # id -> its row
-        for row_num, row in enumerate(reader, 2):
-            if not any(cell.strip() for cell in row):
+    records = []
+    rows_of = {}    # id -> its row
+    for row_num, row in enumerate(reader, 2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise HeaderMismatch(
+                f"row {row_num} has {len(row)} cells, expected {len(header)}")
+        counts = {}
+        for col_name, year, cell in zip(header[4:], year_cols, row[4:]):
+            cell = cell.strip()
+            if not cell:
                 continue
-            if len(row) != len(header):
-                raise HeaderMismatch(
-                    f"row {row_num} has {len(row)} cells, expected {len(header)}")
-            counts = {}
-            for col_name, year, cell in zip(header[4:], year_cols, row[4:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                counts[str(year)] = _table_int(cell, row_num, col_name)
-            raw = {
-                "id": row[0].strip(),
-                "venue": row[1].strip(),
-                "source": row[2].strip(),
-                "year": _table_int(row[3].strip(), row_num, header[3]),
-                "counts": counts,
-            }
-            record = validate_record(raw, line=row_num)
-            if record.id in rows_of:
-                raise DuplicateId(f"row {row_num}: duplicate id {record.id!r} "
-                                  f"(first on row {rows_of[record.id]})")
-            rows_of[record.id] = row_num
-            records.append(record)
+            counts[str(year)] = _table_int(cell, row_num, col_name)
+        raw = {
+            "id": row[0].strip(),
+            "venue": row[1].strip(),
+            "source": row[2].strip(),
+            "year": _table_int(row[3].strip(), row_num, header[3]),
+            "counts": counts,
+        }
+        record = validate_record(raw, line=row_num)
+        if record.id in rows_of:
+            raise DuplicateId(f"row {row_num}: duplicate id {record.id!r} "
+                              f"(first on row {rows_of[record.id]})")
+        rows_of[record.id] = row_num
+        records.append(record)
     return records

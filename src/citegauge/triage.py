@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Cohort, read_journal
-from .errors import EmptyCohort, EmptyGroup, LedgerError
+from .corpus import Cohort, json_value, read_journal, utf8_text
+from .errors import EmptyCohort, EmptyGroup, LedgerError, ParseError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
 from .model import FittedModel
 
@@ -123,17 +123,11 @@ class NominationLedger:
     def _load_line(self, line: bytes, line_num: int) -> None:
         """Count one ledger file line; a bad line raises LedgerError."""
         try:
-            event = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError's msg leaves out its position
-            raise LedgerError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                              line=line_num) from None
-        try:
-            self._count(event)
+            self._count(json_value(utf8_text(line)))
         except KeyError as exc:
             raise LedgerError(f"missing field {exc.args[0]!r}",
                               line=line_num) from None
-        except ValueError as exc:
+        except (ParseError, ValueError) as exc:
             raise LedgerError(str(exc), line=line_num) from None
 
     def _count(self, event) -> NominatorState:

@@ -28,6 +28,15 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+#: Each subcommand that reads a cohort, with the flags it requires besides
+#: --corpus and --pub-year.
+COHORT_SUBCOMMANDS = {
+    "corr": ["--years", "2016..2017"],
+    "venuecorr": ["--years", "2016..2017", "--venues", "TopJournal"],
+    "groupstats": [], "fit": [], "anova": [], "boxplot": [], "triage": [],
+    "report": ["--outdir", "reports"]}
+
+
 @pytest.fixture
 def fixture_args(fixture_corpus_path):
     return ["--corpus", str(fixture_corpus_path), "--pub-year", "2016"]
@@ -104,27 +113,44 @@ class TestUsage:
         assert code == EXIT_OK
         assert at_max == at_1000
 
-    @pytest.mark.parametrize("subcommand", ["corr", "venuecorr"])
-    @pytest.mark.parametrize("years,bad_year", [
-        ("1500..1502", "1500"), ("2016,1899", "1899"), ("2016..2101", "2101"),
+    @pytest.mark.parametrize("subcommand,flag,years,bad_year", [
+        *(pytest.param(subcommand, "--years", years, bad_year,
+                       id=f"{years}-{bad_year}-{subcommand}")
+          for years, bad_year in [("1500..1502", "1500"),
+                                  ("2016,1899", "1899"),
+                                  ("2016..2101", "2101")]
+          for subcommand in ["corr", "venuecorr"]),
+        *(pytest.param(subcommand, "--pub-year", year, year,
+                       id=f"pub-year-{year}-{subcommand}")
+          for subcommand in COHORT_SUBCOMMANDS for year in ["1899", "3000"]),
     ])
-    def test_years_outside_bounds_exit_2(self, subcommand, years, bad_year,
-                                         fixture_args, capsys):
-        venues = ["--venues", "TopJournal"] if subcommand == "venuecorr" else []
-        code, out, err = run([subcommand, *fixture_args, *venues,
-                              "--years", years], capsys)
+    def test_years_outside_bounds_exit_2(self, subcommand, flag, years,
+                                         bad_year, fixture_args, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([subcommand, *fixture_args,
+                              *COHORT_SUBCOMMANDS[subcommand], flag, years],
+                             capsys)
         assert code == EXIT_USAGE
         assert out == ""
         assert f"year {bad_year} outside [1900, 2100]" in err
 
     @pytest.mark.parametrize("argv,flag,value", [
-        (["corr", "--pub-year", "2016", "--years", "x"], "--years", "x"),
-        (["corr", "--pub-year", "2016", "--years", "2016..2x"], "--years",
-         "2x"),
-        (["report", "--outdir", "out", "--pub-year", "x"], "--pub-year", "x"),
-    ], ids=["years", "years-range", "report-pub-year"])
+        pytest.param(["corr", "--pub-year", "2016", "--years", "x"],
+                     "--years", "x", id="years"),
+        pytest.param(["corr", "--pub-year", "2016", "--years", "2016..2x"],
+                     "--years", "2x", id="years-range"),
+        pytest.param(["report", "--outdir", "out", "--pub-year", "x"],
+                     "--pub-year", "x", id="report-pub-year"),
+        *(pytest.param([subcommand, *COHORT_SUBCOMMANDS[subcommand],
+                        "--pub-year", "x"], "--pub-year", "x",
+                       id=f"{subcommand}-pub-year")
+          for subcommand in COHORT_SUBCOMMANDS if subcommand != "report"),
+    ])
     def test_unparseable_year_exit_2_names_the_value(
-            self, argv, flag, value, fixture_corpus_path, capsys):
+            self, argv, flag, value, fixture_corpus_path, tmp_path,
+            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run([argv[0], "--corpus", str(fixture_corpus_path),
                               *argv[1:]], capsys)
         assert (code, out) == (EXIT_USAGE, "")
@@ -822,21 +848,16 @@ FIRST_LINE = {
 }
 
 
-@pytest.mark.parametrize("subcommand,option", sorted(
-    (name, option) for name, option in subcommand_options()
-    if option in INPUT_PATHS))
-def test_input_path_with_a_byte_not_utf8_exit_1_names_it(
-        subcommand, option, fixture_corpus_path, tmp_path, capsys):
-    """Byte 0xff on line 2 of any file a subcommand reads exits 1 naming
-    the line, the file or both, with no traceback."""
+def input_argv(subcommand, option, path, fixture_corpus_path, tmp_path):
+    """The argv of subcommand with every input it needs, the file of option
+    at path; every input is read before any request."""
     ids = tmp_path / "ids.txt"
     ids.write_text("p1\n")
     cohort = {"--corpus": str(fixture_corpus_path), "--pub-year": "2016"}
     flags = {
         "ingest": {"--ids-file": str(ids), "--out": str(tmp_path / "c.jsonl"),
                    "--checkpoint": str(tmp_path / "ck.json"),
-                   # every input is read before any request; a closed port
-                   # keeps a regression off the network
+                   # a closed port keeps a regression off the network
                    "--base-url": "http://127.0.0.1:9"},
         "import": {"--out": str(tmp_path / "c.jsonl")},
         "corr": cohort | {"--years": "2016..2017"},
@@ -845,11 +866,22 @@ def test_input_path_with_a_byte_not_utf8_exit_1_names_it(
         "report": cohort | {"--outdir": str(tmp_path / "reports")},
         "ledger": {},
     }.get(subcommand, cohort)
+    positional = ["show"] if subcommand == "ledger" else []
+    return [subcommand, *positional, *chain.from_iterable(
+        (flags | {option: str(path)}).items())]
+
+
+@pytest.mark.parametrize("subcommand,option", sorted(
+    (name, option) for name, option in subcommand_options()
+    if option in INPUT_PATHS))
+def test_input_path_with_a_byte_not_utf8_exit_1_names_it(
+        subcommand, option, fixture_corpus_path, tmp_path, capsys):
+    """Byte 0xff on line 2 of any file a subcommand reads exits 1 naming
+    the line, the file or both, with no traceback."""
     bad = tmp_path / "bad"
     bad.write_bytes(FIRST_LINE[option].encode("utf-8") + b"\n\xff\n")
-    positional = ["show"] if subcommand == "ledger" else []
-    code, out, err = run([subcommand, *positional, *chain.from_iterable(
-        (flags | {option: str(bad)}).items())], capsys)
+    code, out, err = run(input_argv(subcommand, option, bad,
+                                    fixture_corpus_path, tmp_path), capsys)
     assert (code, out) == (EXIT_DATA_ERROR, "")
     named = {"--corpus": "line 2: ", "--file": "line 2: ",
              "--table": f"table {bad}: line 2: ",
@@ -859,6 +891,47 @@ def test_input_path_with_a_byte_not_utf8_exit_1_names_it(
              "--model": f"model file {bad}: "}[option]
     assert f"citegauge {subcommand}: error: {named}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option,line,message", [
+    ("--corpus", b'{"id": "\xff"}', "line 2: byte 0xff is not UTF-8"),
+    ("--corpus", FIRST_LINE["--corpus"].replace(
+        '"id": "a"', '"id": "b", "venue": "W"').encode(),
+     "line 2: repeated key 'venue'"),
+    ("--file", b'{"kind": "\xff"}', "line 2: byte 0xff is not UTF-8"),
+    ("--file", b'{"kind": "nomination", "nominator": "ann", "paper": "p1", '
+               b'"nominator": "bob"}', "line 2: repeated key 'nominator'"),
+    ("--checkpoint", b'{"\xff": 1}', "checkpoint {bad}: byte 0xff is not UTF-8"),
+    ("--checkpoint", _checkpoint("p1")[:-1].encode()
+     + b', "last_completed_paper_id": "p1"}',
+     "checkpoint {bad}: repeated key 'last_completed_paper_id'"),
+    ("--aliases", b'"\xff": "A"}',
+     "alias file {bad}: line 2: byte 0xff is not UTF-8"),
+    ("--aliases", b'"A": "B", "A": "C"}', "alias file {bad}: repeated key 'A'"),
+    ("--model", b'"\xff": 1}', "model file {bad}: line 2: byte 0xff is not UTF-8"),
+    ("--model", b'"T": 1, "T": 2}', "model file {bad}: repeated key 'T'"),
+    ("--ids-file", b"\xff", "ids file {bad}: line 2: byte 0xff is not UTF-8"),
+    ("--table", b"\xff", "table {bad}: line 2: byte 0xff is not UTF-8"),
+], ids=[f"{reader}-{fault}" for reader in ["corpus", "ledger", "checkpoint",
+                                            "aliases", "model"]
+        for fault in ["byte", "key"]] + ["ids-file-byte", "table-byte"])
+def test_byte_not_utf8_or_repeated_key_exit_1_with_its_message(
+        option, line, message, fixture_corpus_path, tmp_path, capsys):
+    """Every reader decodes through corpus.utf8_text and corpus.json_value:
+    a byte that is not UTF-8, or a JSON key that repeats, on line 2 of its
+    file exits 1 with corpus's message after the reader's own prefix, and
+    with no traceback."""
+    subcommand = {"--corpus": "groupstats", "--file": "ledger",
+                  "--checkpoint": "ingest", "--aliases": "groupstats",
+                  "--model": "predict", "--ids-file": "ingest",
+                  "--table": "import"}[option]
+    bad = tmp_path / "bad"
+    bad.write_bytes(FIRST_LINE[option].encode("utf-8") + b"\n" + line + b"\n")
+    code, out, err = run(input_argv(subcommand, option, bad,
+                                    fixture_corpus_path, tmp_path), capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert err == (f"citegauge {subcommand}: error: "
+                   f"{message.format(bad=bad)}\n")
 
 
 #: The files `report` writes, in the order it announces them.

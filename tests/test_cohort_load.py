@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import citegauge
 from citegauge import corpus
-from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, main
+from citegauge.cli import EXIT_DATA_ERROR, EXIT_OK, EXIT_USAGE, main
 from citegauge.corpus import (
     YEAR_MAX,
     YEAR_MIN,
@@ -126,11 +126,12 @@ VENUES = ["A", "B", "C", "misc", ""]
 ODD_KEYS = [" {}", "{} ", "0{}", "+{}", "{}\t"]
 
 
-def counts_of(rng, pub_year, overflow=False):
+def counts_of(rng, pub_year, odd_keys, overflow=False):
+    """A counts object, each key in an odd form at the rate odd_keys."""
     counts = {}
     for year in rng.sample(range(pub_year, pub_year + 12), rng.randint(0, 8)):
         key = str(year)
-        if rng.random() < 0.1:
+        if rng.random() < odd_keys:
             key = rng.choice(ODD_KEYS).format(year)
         counts[key] = rng.choice([0, 1, rng.randint(2, 500)])
     if overflow and counts:
@@ -138,13 +139,17 @@ def counts_of(rng, pub_year, overflow=False):
     return counts
 
 
-def record_line(rng, i, pub_year, lenient):
+def record_line(rng, i, pub_year, lenient, rates):
+    """One corpus line; rates are those of odd count keys, of a list under
+    an extra key (lenient only) and of a count past int64."""
+    odd_keys, extra, overflow = rates
     raw = {"id": f"p{rng.randint(0, 10 ** 6):07d}-{i}",
            "source": rng.choice(["ACL", "ArXiv", "PubMed", "Other", "acl"]),
            "venue": rng.choice(VENUES),
            "year": pub_year,
-           "counts": counts_of(rng, pub_year, overflow=rng.random() < 0.03)}
-    if lenient and rng.random() < 0.3:
+           "counts": counts_of(rng, pub_year, odd_keys,
+                               overflow=rng.random() < overflow)}
+    if lenient and rng.random() < extra:
         raw["extra"] = [1, 2]
     items = list(raw.items())
     rng.shuffle(items)
@@ -180,12 +185,16 @@ def seeded_corpus(seed, path, bad=None, where=None):
     other publication years; returns the load arguments."""
     rng = random.Random(seed)
     lenient = rng.random() < 0.4
-    before = [record_line(rng, i, rng.choice([2014, 2015, 2017]), lenient)
-              for i in range(rng.randint(1, 15))]
-    inside = [record_line(rng, 100 + i, PUB_YEAR, lenient)
+    # each rate is drawn per corpus, so that some corpora hold no line that
+    # the block accept test refuses and load without a replay
+    rates = (rng.choice([0, 0.1]), rng.choice([0, 0.3]),
+             rng.choice([0, 0.03]))
+    before = [record_line(rng, i, rng.choice([2014, 2015, 2017]), lenient,
+                          rates) for i in range(rng.randint(1, 15))]
+    inside = [record_line(rng, 100 + i, PUB_YEAR, lenient, rates)
               for i in range(rng.randint(2, 40))]
-    after = [record_line(rng, 200 + i, rng.choice([2015, 2017, 2018]), lenient)
-             for i in range(rng.randint(1, 15))]
+    after = [record_line(rng, 200 + i, rng.choice([2015, 2017, 2018]),
+                         lenient, rates) for i in range(rng.randint(1, 15))]
     if bad is not None:
         line = bad_lines(rng, json.loads(before[0])["id"], BAD_YEAR[where])[bad]
         block = {"before": before, "inside": inside, "after": after}[where]
@@ -222,6 +231,19 @@ def test_cohort_matches_per_record_path(seed, tmp_path):
     expected = outcome(old_columns, path, **kwargs)
     assert outcome(new_columns, path, **kwargs) == expected
     assert outcome(via_records, path, **kwargs) == expected
+
+
+def test_some_seeded_corpora_load_without_a_replay(tmp_path, monkeypatch):
+    """The seeded corpora reach the block accept path: without a corpus
+    that loads with no replay, a fault in the block test would pass the
+    differential test above."""
+    clean = 0
+    for seed in range(60):
+        path = tmp_path / f"c{seed}.jsonl"
+        kwargs = seeded_corpus(seed, path)
+        with monkeypatch.context() as patch:
+            clean += slow_path_calls(patch, path, kwargs["strict"])[2] == 0
+    assert clean >= 12
 
 
 @pytest.mark.parametrize("where", ["before", "inside", "after"])
@@ -646,9 +668,9 @@ def test_year_keys_are_built_after_the_range_check():
 @pytest.mark.parametrize("pub_year", [-10 ** 9, YEAR_MIN - 1, 10 ** 9])
 def test_a_cohort_year_outside_the_range_builds_no_year_table(
         pub_year, fixture_corpus_path, monkeypatch, capsys):
-    """The table subcommands pass --pub-year to load_cohort unchecked: a
-    year no line can have loads an empty cohort, and corr stops with its
-    usual error, without a table of that year's count keys."""
+    """load_cohort takes any year: one no line can have loads an empty
+    cohort without a table of that year's count keys.  The subcommands
+    refuse such a --pub-year as a usage error before any load."""
     year_keys = corpus._year_keys
 
     def in_range(year):
@@ -659,9 +681,10 @@ def test_a_cohort_year_outside_the_range_builds_no_year_table(
     assert len(load_cohort(fixture_corpus_path, pub_year)) == 0
     assert main(["corr", "--corpus", str(fixture_corpus_path),
                  f"--pub-year={pub_year}", "--years", "2016..2017"]) \
-        == EXIT_DATA_ERROR
-    assert capsys.readouterr().err == \
-        "citegauge corr: error: correlation needs a cohort of size >= 2\n"
+        == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        f"citegauge corr: error: argument --pub-year: year {pub_year} "
+        f"outside [{YEAR_MIN}, {YEAR_MAX}]\n")
 
 
 def test_package_exports_the_one_pass_loader():

@@ -260,6 +260,14 @@ class TestReadJournal:
         assert read_journal(path) == ([self.LINES[0]], len(self.LINES[0]) + 1,
                                       b"")
 
+    def test_a_tail_that_repeats_a_key_counts(self, tmp_path):
+        """The tail test is JSON syntax only: a whole last line that repeats
+        a key counts, for its reader to refuse, and is not cut away."""
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(self.LINES[0] + b'\n{"a": 1, "a": 2}')
+        assert read_journal(path) == ([self.LINES[0], b'{"a": 1, "a": 2}'],
+                                      None, b"\n")
+
     def test_blank_lines_count_and_a_blank_tail_is_neither(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_bytes(b'{"a": 1}\n\n{"b": 2}\n  ')

@@ -2,7 +2,8 @@
 function, method, property and class of the package is used by the
 program, the package's third-party imports are its declared dependencies,
 cli.py imports none, every JSON decode in the package catches every way
-text can fail to decode, and README.md shows every subcommand.
+text can fail to decode, only corpus.py decodes input JSON, and README.md
+shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -200,6 +201,49 @@ def test_the_scan_sees_an_uncaught_decode_error():
     assert list(uncaught_decode_errors(tree)) == [
         (1, ["RecursionError", "ValueError"]), (5, ["RecursionError"]),
         (19, ["RecursionError"])]
+
+
+def decoder_names(tree, scope=""):
+    """(scope, line) of each place the tree names a JSON decoder, in a call
+    or an import, where scope is the dotted name of the classes and
+    functions around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from decoder_names(node, f"{scope}.{node.name}".lstrip("."))
+        elif isinstance(node, ast.ImportFrom):
+            if any(f"{node.module}.{alias.name}" in JSON_DECODERS
+                   for alias in node.names):
+                yield scope, node.lineno
+        elif isinstance(node, (ast.Attribute, ast.Name)) \
+                and ast.unparse(node) in JSON_DECODERS:
+            yield scope, node.lineno
+        else:
+            yield from decoder_names(node, scope)
+
+
+#: The one decode outside corpus.py: an API response body, which is not an
+#: input file, and whose ValueError is a failed fetch of that id.
+DECODES_OUTSIDE_CORPUS = {("ingest.py", "HttpTransport._get")}
+
+
+def test_only_corpus_decodes_json():
+    """corpus.utf8_text and corpus.json_value are the one UTF-8 rule and the
+    one JSON rule for every file the program reads."""
+    named = [f"{path.name}:{line}: {scope}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "corpus.py"
+             for scope, line in decoder_names(ast.parse(
+                 path.read_text(encoding="utf-8")))
+             if (path.name, scope) not in DECODES_OUTSIDE_CORPUS]
+    assert not named, "JSON decoded outside corpus.py: " + ", ".join(named)
+
+
+def test_the_scan_sees_a_json_decoder():
+    tree = ast.parse(
+        "import json\nfrom orjson import dumps, loads\n"
+        "class T:\n    def _get(self, body):\n        return json.loads(body)\n"
+        "def read(h):\n    return json.load(h), json.dumps(1), dumps(2)\n")
+    assert list(decoder_names(tree)) == [("", 2), ("T._get", 5), ("read", 7)]
 
 
 def third_party_imports(paths):
