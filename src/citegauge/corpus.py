@@ -23,7 +23,8 @@ checks, the only reject path: every error message comes from there.  The
 cohort's rows go onto typed columns a block at a time, with no Python
 call per count entry (``_columns``).  ``PaperRecord`` is the record type
 of the write path (ingest, import, ``write_corpus``) and of
-``load_corpus``.
+``load_corpus``; ``filter_cohort`` loads records as the lines
+``write_corpus`` writes, so a cohort has one way in.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import Enum
 from functools import cache
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, itemgetter
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import orjson
@@ -281,12 +282,13 @@ def _unique_keys(pairs: list) -> dict:
 _BLOCK = 256
 
 
-def _validated_lines(path, strict: bool, pub_year: int | None = None,
-                     sources: Container[Source] = frozenset(Source)
+def _validated_lines(lines: Iterable[str], strict: bool,
+                     pub_year: int | None = None,
+                     sources: Iterable[Source] | None = None
                      ) -> Iterator[list]:
-    """The (ids, sources, venues, pub_years, counts) columns of the lines of
-    a corpus file published in pub_year (None: any year) by a source in
-    sources, one block of _BLOCK lines at a time, in line order.
+    """The (ids, sources, venues, pub_years, counts) columns of the corpus
+    lines published in pub_year (None: any year) by a source in sources
+    (None: any source), one block of _BLOCK lines at a time, in line order.
 
     Every line is validated, kept or not, and the first invalid line or
     duplicate id raises, naming its line.  A block's lines are decoded with
@@ -297,22 +299,23 @@ def _validated_lines(path, strict: bool, pub_year: int | None = None,
     that is not UTF-8 decodes to, so such a block is always replayed.  The
     counts keys of every row are the canonical 4-digit year strings.
     """
+    sources = frozenset(Source if sources is None else sources)
     seen: set[str] = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for first in count(1, _BLOCK):
-            lines = [*islice(handle, _BLOCK)]
-            if not lines:
-                break
-            block = _block_columns(lines, first, strict, seen)
-            if not block:
-                continue
-            keep = [*map(sources.__contains__, block[1])]
-            if pub_year is not None:
-                keep = [*map(and_, keep, map(eq, block[3], repeat(pub_year)))]
-            if not all(keep):
-                # the lines left out are let go before the next block is read
-                block = [[*compress(column, keep)] for column in block]
-            yield block
+    lines = iter(lines)
+    for first in count(1, _BLOCK):
+        block_lines = [*islice(lines, _BLOCK)]
+        if not block_lines:
+            break
+        block = _block_columns(block_lines, first, strict, seen)
+        if not block:
+            continue
+        keep = [*map(sources.__contains__, block[1])]
+        if pub_year is not None:
+            keep = [*map(and_, keep, map(eq, block[3], repeat(pub_year)))]
+        if not all(keep):
+            # the lines left out are let go before the next block is read
+            block = [[*compress(column, keep)] for column in block]
+        yield block
 
 
 def _block_columns(lines: list[str], first: int, strict: bool,
@@ -429,8 +432,9 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
 
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
     """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
-    return [_record(*fields) for block in _validated_lines(path, strict)
-            for fields in zip(*block)]
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return [_record(*fields) for block in _validated_lines(handle, strict)
+                for fields in zip(*block)]
 
 
 def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
@@ -443,9 +447,9 @@ def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,
     outside the cohort.  Only the cohort's ids, venues (through the alias
     map, if any) and counts are kept.  sources=None means all sources.
     """
-    source_set = frozenset(Source if sources is None else sources)
-    return _columns(_validated_lines(path, strict, pub_year, source_set),
-                    pub_year, _key_years, aliases)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return _columns(_validated_lines(handle, strict, pub_year, sources),
+                        pub_year, aliases)
 
 
 def _key_years(counts: list[dict]) -> np.ndarray:
@@ -456,22 +460,11 @@ def _key_years(counts: list[dict]) -> np.ndarray:
     return digits.astype(np.int16) @ _PLACES
 
 
-def _int_years(counts: list[Mapping[int, int]]) -> np.ndarray:
-    """The years of a block's int counts keys as int16 in entry order; a
-    hand-made record's year outside [YEAR_MIN, YEAR_MAX] raises."""
-    years = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
-                        count=sum(map(len, counts)))
-    if years.size and not (years.min() >= YEAR_MIN
-                           and years.max() <= YEAR_MAX):
-        raise ValueError(f"a count year is outside [{YEAR_MIN}, {YEAR_MAX}]")
-    return years.astype(np.int16)
-
-
-def _columns(blocks: Iterable[tuple], pub_year: int, years_of,
+def _columns(blocks: Iterable[list], pub_year: int,
              aliases: Mapping[str, str] | None = None) -> Cohort:
     """The Cohort of the (ids, sources, venues, pub_years, counts) column
-    blocks of its papers; years_of gives a block's count years as int16,
-    each in [YEAR_MIN, YEAR_MAX].
+    blocks of its papers (_validated_lines), whose counts keys are the
+    canonical 4-digit year strings.
 
     A block's new venues become codes through the alias map once per
     distinct raw name, so raw names with one alias share a code; codes are
@@ -492,7 +485,7 @@ def _columns(blocks: Iterable[tuple], pub_year: int, years_of,
         ids += block_ids
         codes.extend(map(code_of.__getitem__, venues))
         sizes.extend(map(len, counts))
-        entry_years = years_of(counts)
+        entry_years = _key_years(counts)
         years.frombytes(entry_years.view(np.uint8))
         try:
             values.frombytes(np.fromiter(
@@ -565,17 +558,16 @@ def write_corpus(records: Iterable[PaperRecord], path) -> int:
 
 def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
                   sources: Iterable[Source] | None = None) -> Cohort:
-    """The cohort of records matching pub_year and the source set, as
-    columns sorted by id.
+    """The cohort that load_cohort reads from the lines write_corpus writes
+    for records: every record is validated as a corpus line, and one that no
+    line may hold raises that line's error, line N being its 1-based place
+    among the records.
 
     sources=None means all sources.  An empty cohort is legal; downstream
     statistics reject it.
     """
-    source_set = frozenset(Source if sources is None else sources)
-    rows = ((r.id, r.source, r.venue, r.pub_year, r.counts) for r in records
-            if r.pub_year == pub_year and r.source in source_set)
-    return _columns((tuple(zip(*block)) for block in iter(
-        lambda: [*islice(rows, _BLOCK)], [])), pub_year, _int_years)
+    return _columns(_validated_lines(map(record_to_json, records), True,
+                                     pub_year, sources), pub_year)
 
 
 def read_journal(path) -> tuple[list[bytes], int | None, bytes]:
@@ -624,12 +616,14 @@ def json_value(text: str, whole_file: bool = False):
 
 
 def read_text(path, error, what: str) -> str:
-    """The text of the UTF-8 file at `path` (utf8_text); a byte that is not
-    UTF-8 raises error("{what} {path}: line N: byte ... is not UTF-8")."""
+    """The text of the UTF-8 file at `path` (utf8_text), without the one
+    leading byte order mark that editors and spreadsheets may write; a byte
+    that is not UTF-8 raises error("{what} {path}: line N: byte ... is not
+    UTF-8")."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return utf8_text(data, whole_file=True)
+        return utf8_text(data, whole_file=True).removeprefix("\ufeff")
     except ParseError as exc:
         raise error(f"{what} {path}: {exc}") from None
 

@@ -48,6 +48,9 @@ BACKOFF_BASE = 1.0  # seconds
 #: Counts bucket for citing papers whose publication year is missing.
 UNKNOWN_YEAR = "unknown"
 
+#: The externalIds keys that name a paper's source, first match wins.
+SOURCE_PRECEDENCE = (Source.ACL, Source.PUBMED, Source.ARXIV)
+
 
 class RateBudget:
     """Sliding-window request budget: at most max_requests in any window.
@@ -91,7 +94,13 @@ class ClientConfig:
 class HttpTransport:
     """GET with JSON bodies over urllib; the only piece that touches the
     network.  Connection failures and timeouts raise the builtin
-    ConnectionError, which ApiClient retries."""
+    ConnectionError, which ApiClient retries.
+
+    The Semantic Scholar Graph API's bodies are mapped onto ApiClient's
+    transport contract.  A paper's source is the first of ACL, PubMed and
+    ArXiv among its externalIds, the venue of record before the preprint,
+    else Other.  A citations page carries no total, so the last page, the
+    one without "next", gives the total as its offset plus its entries."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
@@ -99,11 +108,21 @@ class HttpTransport:
         self.headers = {"x-api-key": api_key} if api_key else {}
 
     def get_paper(self, paper_id: str) -> dict:
-        return self._get(f"/paper/{paper_id}", {"fields": "venue,year,externalIds"})
+        body = self._get(f"/paper/{paper_id}",
+                         {"fields": "venue,year,externalIds"})
+        external = body.get("externalIds") or {}
+        source = next((source.value for source in SOURCE_PRECEDENCE
+                       if source.value in external), Source.OTHER.value)
+        return {"id": paper_id, "venue": body.get("venue"),
+                "year": body.get("year"), "source": source}
 
     def get_citations(self, paper_id: str, offset: int, limit: int) -> dict:
-        return self._get(f"/paper/{paper_id}/citations",
+        body = self._get(f"/paper/{paper_id}/citations",
                          {"fields": "year", "offset": offset, "limit": limit})
+        data = [{"year": (entry.get("citingPaper") or {}).get("year")}
+                for entry in body.get("data") or []]
+        return {"data": data,
+                "total": None if "next" in body else offset + len(data)}
 
     def _get(self, path: str, params: dict) -> dict:
         url = (self.config.base_url + urllib.parse.quote(path, safe="/:")
@@ -247,11 +266,15 @@ class FetchCheckpoint:
         with no such line is refused; an unreadable checkpoint raises
         IngestError naming the path."""
         lines, _, _ = read_journal(path)
+        if not lines:
+            # a file with no such line is decoded whole, to raise its error;
+            # it decodes only past a leading byte order mark, which read_text
+            # drops but no journal line may start with
+            read_json(path, IngestError, "checkpoint")
+            raise IngestError(f"checkpoint {path}: its one line starts with "
+                              f"a byte order mark")
         try:
-            # a file with no such line is decoded whole, to raise its error
-            raw = (json_value(utf8_text(lines[-1])) if lines
-                   else read_json(path, IngestError, "checkpoint"))
-            return cls(**raw)
+            return cls(**json_value(utf8_text(lines[-1])))
         # TypeError: not an object, or unknown or missing keys
         except (ParseError, TypeError) as exc:
             raise IngestError(f"checkpoint {path}: {exc}") from None
@@ -328,7 +351,12 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
     if not paper_ids:
         raise EmptyInput("no paper ids given")
     if len(set(paper_ids)) != len(paper_ids):
-        raise IngestError("duplicate paper ids in input")
+        seen = set()
+        for paper_id in paper_ids:
+            if paper_id in seen:
+                raise IngestError(
+                    f"paper id {paper_id!r} appears twice in the ids")
+            seen.add(paper_id)
 
     digest = ids_sha256(paper_ids)
     skipped, committed = _resume_point(checkpoint_path, out_path, paper_ids,
@@ -399,10 +427,9 @@ def import_table(path) -> list[PaperRecord]:
     Expected header: id, venue, source, pub_year, then one 4-digit-year
     column per citation year (a second raises HeaderMismatch).  Blank count
     cells mean zero (entry absent).
-    An id on a second row raises DuplicateId naming both rows.  A leading
-    UTF-8 byte order mark, as spreadsheets write one, is skipped.
+    An id on a second row raises DuplicateId naming both rows.
     """
-    text = read_text(path, IngestError, "table").removeprefix("\ufeff")
+    text = read_text(path, IngestError, "table")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [h.strip() for h in next(reader)]

@@ -20,6 +20,7 @@ from citegauge.model import (
 from citegauge.report import anova_csv
 
 from conftest import UNDECODABLE, make_records
+from test_ingest import citations_body, fake_urlopen, paper_body
 
 
 def run(args, capsys):
@@ -932,6 +933,85 @@ def test_byte_not_utf8_or_repeated_key_exit_1_with_its_message(
     assert (code, out) == (EXIT_DATA_ERROR, "")
     assert err == (f"citegauge {subcommand}: error: "
                    f"{message.format(bad=bad)}\n")
+
+
+def whole_file(option, fixture_corpus_path, table1_path, tmp_path):
+    """(subcommand, extra flags, text) of a valid file of option, one of
+    the inputs the program reads whole."""
+    if option == "--model":
+        model = tmp_path / "model.json"
+        assert main(["fit", "--corpus", str(fixture_corpus_path),
+                     "--pub-year", "2016", "--model-out", str(model)]) == 0
+        return "predict", ["--venue", "TopJournal"], model.read_text()
+    return {"--ids-file": ("ingest", [], "p1\np2\n"),
+            "--table": ("import", [], table1_path.read_text()),
+            "--aliases": ("groupstats", ["--by", "venue"],
+                          '{"NLPConf": "TopJournal"}')}[option]
+
+
+@pytest.mark.parametrize("option", ["--ids-file", "--table", "--aliases",
+                                    "--model"])
+def test_whole_file_reads_the_same_past_a_byte_order_mark(
+        option, fixture_corpus_path, table1_path, tmp_path, monkeypatch,
+        capsys):
+    """One leading UTF-8 byte order mark, as editors and spreadsheets
+    write, is dropped from every file the program reads whole: the run
+    gives the same exit code, output, files and requests without it as
+    with it."""
+    subcommand, extra, text = whole_file(option, fixture_corpus_path,
+                                         table1_path, tmp_path)
+    capsys.readouterr()
+    runs = []
+    for name, lead in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        path = run_dir / "input"
+        path.write_bytes(lead + text.encode("utf-8"))
+        calls = fake_urlopen(monkeypatch, paper_body(),
+                             citations_body(0, [2017]))
+        code, out, err = run(input_argv(subcommand, option, path,
+                                        fixture_corpus_path, run_dir)
+                             + extra, capsys)
+        written = {file.name: file.read_bytes()
+                   for file in sorted(run_dir.iterdir()) if file != path}
+        runs.append((code, out.replace(str(run_dir), "DIR"), err, written,
+                     [request.full_url for request, _ in calls]))
+    assert runs[0][0] == EXIT_OK
+    assert runs[1] == runs[0]
+
+
+def test_repeated_id_exit_1_names_it_before_any_request(tmp_path,
+                                                        monkeypatch, capsys):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("p1\np2\np1\n")
+    calls = fake_urlopen(monkeypatch, paper_body())
+    code, out, err = run(["ingest", "--ids-file", str(ids),
+                          "--out", str(tmp_path / "c.jsonl"),
+                          "--checkpoint", str(tmp_path / "ck.json")], capsys)
+    assert (code, out, calls) == (EXIT_DATA_ERROR, "", [])
+    assert err == ("citegauge ingest: error: paper id 'p1' appears twice in "
+                   "the ids\n")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b""], ids=["line", "torn"])
+def test_checkpoint_line_with_a_byte_order_mark_exit_1(newline, tmp_path,
+                                                       monkeypatch, capsys):
+    """A journal line, unlike a whole file, keeps no byte order mark: a
+    checkpoint that starts with one is refused, with or without its
+    newline."""
+    ids = tmp_path / "ids.txt"
+    ids.write_text("p1\n")
+    (tmp_path / "c.jsonl").write_bytes(b"")
+    checkpoint = tmp_path / "ck.json"
+    checkpoint.write_bytes(b"\xef\xbb\xbf" + _checkpoint("p1").encode()
+                           + newline)
+    calls = fake_urlopen(monkeypatch, paper_body())
+    code, out, err = run(["ingest", "--ids-file", str(ids),
+                          "--out", str(tmp_path / "c.jsonl"),
+                          "--checkpoint", str(checkpoint)], capsys)
+    assert (code, out, calls) == (EXIT_DATA_ERROR, "", [])
+    assert err.startswith(f"citegauge ingest: error: checkpoint {checkpoint}: ")
+    assert "Traceback" not in err
 
 
 #: The files `report` writes, in the order it announces them.

@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from citegauge.corpus import (
     PaperRecord,
     Source,
     filter_cohort,
+    load_cohort,
     load_corpus,
     read_journal,
     record_to_json,
@@ -211,12 +214,115 @@ class TestFilterCohort:
 
     @pytest.mark.parametrize("year", [1899, 2101])
     def test_count_year_outside_corpus_range(self, year):
-        """A hand-made record can hold a count year no corpus line may; the
-        cohort's dense year table refuses it rather than misplace it."""
+        """A hand-made record can hold a count year no corpus line may; it
+        is refused as that line would be, naming its place among the
+        records."""
         records = [make_record("a", counts={2017: 1}),
                    make_record("b", counts={year: 2})]
-        with pytest.raises(ValueError, match=r"outside \[1900, 2100\]"):
+        with pytest.raises(errors.ParseError) as info:
             filter_cohort(records, 2016)
+        assert str(info.value) == (f"line 2: counts key '{year}' {year} "
+                                   f"outside [1900, 2100]")
+
+
+    @pytest.mark.parametrize("record,error,message", [
+        (make_record("b", counts={2017: -3}), errors.NegativeCount,
+         "counts[2017] must be a non-negative integer, got -3"),
+        (make_record("b", counts={2017: True}), errors.NegativeCount,
+         "counts[2017] must be a non-negative integer, got True"),
+        (make_record("b", counts={2015: 2}), errors.CitationBeforePublication,
+         "counts[2015] precedes publication year 2016"),
+        (make_record(""), errors.EmptyId,
+         "field 'id' must be a non-empty string"),
+        (make_record("a"), errors.DuplicateId, "duplicate id 'a'"),
+    ], ids=["negative", "bool", "before-publication", "empty-id",
+            "duplicate-id"])
+    def test_record_no_line_may_hold_is_refused(self, record, error, message):
+        records = [make_record("a", counts={2017: 1}), record]
+        with pytest.raises(error) as info:
+            filter_cohort(records, 2016)
+        assert type(info.value) is error
+        assert str(info.value) == f"line 2: {message}"
+
+
+#: Changes to one record that no corpus line may hold, but a PaperRecord
+#: can.
+RECORD_FAULTS = {
+    "negative": lambda r, rng: replace(
+        r, counts={**r.counts, r.pub_year + 1: -rng.randint(1, 9)}),
+    "bool": lambda r, rng: replace(
+        r, counts={**r.counts, r.pub_year + 2: rng.choice([True, False])}),
+    "before publication": lambda r, rng: replace(
+        r, counts={**r.counts, r.pub_year - 1: 2}),
+    "empty id": lambda r, rng: replace(r, id=""),
+    "year 1899": lambda r, rng: replace(r, counts={**r.counts, 1899: 2}),
+    "year 2101": lambda r, rng: replace(r, counts={**r.counts, 2101: 2}),
+}
+
+
+def seeded_records(rng):
+    """Up to 600 records over three publication years, four sources and a
+    few venues, with a rare count past int64, and up to two of the faults
+    of RECORD_FAULTS or a repeated id, each at a random place."""
+    records = [make_record(
+        f"p{i:04d}", pub_year, source=rng.choice(list(Source)),
+        venue=rng.choice(["A", "B", "C", ""]),
+        counts={year: 2 ** 63 if rng.random() < 1 / 300 else rng.randint(0, 40)
+                for year in rng.sample(range(pub_year, pub_year + 8),
+                                       rng.randint(0, 5))})
+        for i, pub_year in enumerate(rng.choices([2015, 2016, 2017],
+                                                 k=rng.randint(0, 600)))]
+    rng.shuffle(records)
+    for fault in rng.sample([*RECORD_FAULTS, "repeated id"], rng.randint(0, 2)):
+        if not records:
+            break
+        at = rng.randrange(len(records))
+        records[at] = (replace(records[at], id=rng.choice(records).id)
+                       if fault == "repeated id"
+                       else RECORD_FAULTS[fault](records[at], rng))
+    return records
+
+
+def cohort_outcome(fn, *args):
+    """The columns of the Cohort fn returns, or its error's class, message
+    and line."""
+    try:
+        cohort = fn(*args)
+    except errors.CorpusError as exc:
+        return type(exc), str(exc), exc.line
+    return (cohort.ids, cohort.venue_codes.tolist(), cohort.venue_names,
+            cohort.years, cohort.counts.tolist(), cohort.overflow_years)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_filter_cohort_is_the_load_of_the_written_lines(seed, tmp_path):
+    """filter_cohort(records) is load_cohort of the file write_corpus
+    writes from them, for any year and sources, the error included."""
+    rng = random.Random(seed)
+    records = seeded_records(rng)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(records, path)
+    for _ in range(3):
+        pub_year = rng.choice([2015, 2016, 2017, 2018])
+        sources = rng.choice([None, set(rng.sample(list(Source),
+                                                   rng.randint(0, 4)))])
+        assert cohort_outcome(filter_cohort, records, pub_year, sources) \
+            == cohort_outcome(load_cohort, path, pub_year, sources)
+
+
+def test_seeded_records_hold_every_outcome():
+    """Across the seeds, each error comes out, and so do a cohort and a
+    cohort with a count past int64."""
+    kinds = set()
+    for seed in range(40):
+        records = seeded_records(random.Random(seed))
+        for pub_year in [2015, 2016, 2017]:
+            outcome = cohort_outcome(filter_cohort, records, pub_year)
+            kinds.add(outcome[0] if isinstance(outcome[0], type)
+                      else "overflow" if outcome[-1] else "cohort")
+    assert kinds == {"cohort", "overflow", errors.NegativeCount,
+                     errors.CitationBeforePublication, errors.EmptyId,
+                     errors.DuplicateId, errors.ParseError}
 
 
 class TestReadJournal:

@@ -594,8 +594,8 @@ def fake_urlopen(monkeypatch, *outcomes):
     return calls
 
 
-def http_client():
-    config = ClientConfig(base_url="http://api/graph/v1")
+def http_client(**config_kw):
+    config = ClientConfig(base_url="http://api/graph/v1", **config_kw)
     clock = VirtualClock()
     return ApiClient(config, transport=HttpTransport(config), clock=clock,
                      sleep=clock.sleep, rng=random.Random(0))
@@ -604,14 +604,39 @@ def http_client():
 REFUSED = urllib.error.URLError(ConnectionRefusedError(111, "refused"))
 
 
+#: externalIds that name no Source.
+NO_SOURCE_IDS = {"DBLP": "conf/emnlp/X16", "CorpusId": 1}
+
+
+def paper_body(external=NO_SOURCE_IDS):
+    """A Graph API /paper/{id} body for fields=venue,year,externalIds."""
+    return FakeResponse(json.dumps({
+        "paperId": "649def34f8be52c8b66281af98ae884c09aef38b",
+        "venue": "EMNLP", "year": 2016, "externalIds": external}).encode())
+
+
+def citations_body(offset, years, last=True):
+    """A Graph API /paper/{id}/citations page for fields=year: "next" is
+    absent on the last page."""
+    body = {"offset": offset, "data": [
+        {"citingPaper": {"paperId": f"c{offset + i}", "year": year}}
+        for i, year in enumerate(years)]}
+    if not last:
+        body["next"] = offset + len(years)
+    return FakeResponse(json.dumps(body).encode())
+
+
+#: What get_paper makes of paper_body().
+PAPER_META = {"id": "p", "venue": "EMNLP", "year": 2016, "source": "Other"}
+
+
 class TestHttpTransport:
     def test_url_query_header_and_json(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "secret")
-        calls = fake_urlopen(monkeypatch,
-                             FakeResponse(b'{"total": 1, "data": [{"year": 2020}]}'))
+        calls = fake_urlopen(monkeypatch, citations_body(200, [2020]))
         transport = HttpTransport(ClientConfig(base_url="http://api/graph/v1"))
         assert transport.get_citations("DOI:10.1/a b", 200, 100) == {
-            "total": 1, "data": [{"year": 2020}]}
+            "total": 201, "data": [{"year": 2020}]}
         (request, timeout), = calls
         assert request.full_url == ("http://api/graph/v1/paper/DOI:10.1/a%20b/"
                                     "citations?fields=year&offset=200&limit=100")
@@ -620,8 +645,8 @@ class TestHttpTransport:
 
     def test_no_key_no_header(self, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV, raising=False)
-        calls = fake_urlopen(monkeypatch, FakeResponse(b'{"id": "p"}'))
-        assert HttpTransport(ClientConfig()).get_paper("p") == {"id": "p"}
+        calls = fake_urlopen(monkeypatch, paper_body())
+        assert HttpTransport(ClientConfig()).get_paper("p") == PAPER_META
         request = calls[0][0]
         assert request.full_url.endswith(
             "/paper/p?fields=venue%2Cyear%2CexternalIds")
@@ -645,8 +670,8 @@ class TestHttpTransport:
             http_client().fetch_paper_meta("p")
         assert len(calls) == 1
         calls = fake_urlopen(monkeypatch, http_error(429), http_error(429),
-                             FakeResponse(b'{"id": "p"}'))
-        assert http_client().fetch_paper_meta("p") == {"id": "p"}
+                             paper_body())
+        assert http_client().fetch_paper_meta("p") == PAPER_META
         assert len(calls) == 3
 
     @pytest.mark.parametrize("error", [
@@ -654,8 +679,8 @@ class TestHttpTransport:
         ids=["refused", "timeout", "reset"])
     def test_dropped_connection_retried_until_success(self, error,
                                                       monkeypatch):
-        calls = fake_urlopen(monkeypatch, error, error, FakeResponse(b'{"id": "p"}'))
-        assert http_client().fetch_paper_meta("p") == {"id": "p"}
+        calls = fake_urlopen(monkeypatch, error, error, paper_body())
+        assert http_client().fetch_paper_meta("p") == PAPER_META
         assert len(calls) == 3
 
     def test_refused_past_retry_cap_raises_connection_error(self, monkeypatch):
@@ -663,6 +688,44 @@ class TestHttpTransport:
         with pytest.raises(ConnectionError, match="GET http://api/graph/v1/paper/p"):
             http_client().fetch_paper_meta("p")
         assert len(calls) == ingest.RETRY_CAP + 1 == 6
+
+    @pytest.mark.parametrize("external,source", [
+        ({"ArXiv": "1606.01", "ACL": "D16-1001", "PubMed": "1"}, "ACL"),
+        ({"ArXiv": "1606.01", "PubMed": "1", "DOI": "10.1/a"}, "PubMed"),
+        ({"ArXiv": "1606.01", "DBLP": "conf/emnlp/X16"}, "ArXiv"),
+        (NO_SOURCE_IDS, "Other"),
+        ({}, "Other"),
+        (None, "Other"),
+    ], ids=["acl", "pubmed", "arxiv", "dblp", "empty", "null"])
+    def test_source_is_the_first_of_acl_pubmed_arxiv(self, external, source,
+                                                      monkeypatch):
+        fake_urlopen(monkeypatch, paper_body(external))
+        assert HttpTransport(ClientConfig()).get_paper("p")["source"] == source
+
+    def test_documented_bodies_through_build_corpus(self, monkeypatch,
+                                                    tmp_path):
+        """The Graph API's own bodies give the source from externalIds and
+        counts by each citing paper's year, and the page without "next" is
+        the last one requested, even when it is full."""
+        calls = fake_urlopen(
+            monkeypatch,
+            paper_body({"ArXiv": "1606.01", "ACL": "D16-1001"}),
+            citations_body(0, [2017, 2016], last=False),
+            citations_body(2, [2017, None]),
+            http_error(404))
+        out = tmp_path / "c.jsonl"
+        report = build_corpus(["p1"], out, tmp_path / "ck.json",
+                              http_client(page_size=2))
+        assert (report.written, report.failures,
+                report.unknown_year_citations) == (1, {}, 1)
+        assert out.read_text(encoding="utf-8") == (
+            '{"id":"p1","source":"ACL","venue":"EMNLP","year":2016,'
+            '"counts":{"2016":1,"2017":2}}\n')
+        assert [request.full_url.removeprefix("http://api/graph/v1")
+                for request, _ in calls] == [
+            "/paper/p1?fields=venue%2Cyear%2CexternalIds",
+            "/paper/p1/citations?fields=year&offset=0&limit=2",
+            "/paper/p1/citations?fields=year&offset=2&limit=2"]
 
     def test_body_not_json(self, monkeypatch):
         calls = fake_urlopen(monkeypatch, FakeResponse(b"<html>busy</html>"))

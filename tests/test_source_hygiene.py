@@ -2,8 +2,8 @@
 function, method, property and class of the package is used by the
 program, the package's third-party imports are its declared dependencies,
 cli.py imports none, every JSON decode in the package catches every way
-text can fail to decode, only corpus.py decodes input JSON, and README.md
-shows every subcommand.
+text can fail to decode, only corpus.py decodes input JSON or opens a file
+to read, and README.md shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -244,6 +244,42 @@ def test_the_scan_sees_a_json_decoder():
         "class T:\n    def _get(self, body):\n        return json.loads(body)\n"
         "def read(h):\n    return json.load(h), json.dumps(1), dumps(2)\n")
     assert list(decoder_names(tree)) == [("", 2), ("T._get", 5), ("read", 7)]
+
+
+def reading_opens(tree):
+    """Line of each call of the builtin open whose mode, a string constant
+    given by position or keyword, holds none of "w", "a" and "x": it opens
+    for reading, as a missing or computed mode may."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = [*node.args[1:2], *(keyword.value for keyword in node.keywords
+                                    if keyword.arg == "mode")]
+        mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) \
+            else "r"
+        if not {"w", "a", "x"} & set(mode):
+            yield node.lineno
+
+
+def test_only_corpus_opens_files_to_read():
+    """corpus.py reads every input, so each goes through the one UTF-8
+    rule and the one byte-order-mark rule; the other modules and the
+    scripts open files only to write or append."""
+    opened = [f"{path.name}:{line}" for path in MODULES
+              if path != PACKAGE / "corpus.py"
+              for line in reading_opens(ast.parse(
+                  path.read_text(encoding="utf-8")))]
+    assert not opened, "files opened to read outside corpus.py: " + ", ".join(
+        opened)
+
+
+def test_the_scan_sees_a_file_opened_to_read():
+    tree = ast.parse(
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='r', encoding='utf-8')\n"
+        "open(p, 'w')\nopen(p, 'ab')\nopen(p, mode='x')\nopen(p, 'r+')\n"
+        "open(p, m)\nos.open(p, flags)\n")
+    assert list(reading_opens(tree)) == [1, 2, 3, 7, 8]
 
 
 def third_party_imports(paths):
