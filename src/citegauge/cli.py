@@ -414,8 +414,8 @@ def _cmd_predict(args) -> int:
 def _cmd_report(args) -> int:
     """The nine report files from one load, one percentile transform and
     one fit per design (--T for the model and anova, BOXPLOT_T for both
-    boxplots).  Every text is computed before the first file is written,
-    so a run that fails on the data writes nothing.  The flags that report
+    boxplots).  Every text is computed and encoded before --outdir is
+    made, so a run that fails on the data writes nothing.  The flags that report
     does not take keep the library defaults."""
     cohort = _load_cohort(args)
     years = list(range(cohort.pub_year, cohort.pub_year + REPORT_YEARS))
@@ -438,11 +438,12 @@ def _cmd_report(args) -> int:
     texts["boxplot_by_early.csv"] = _boxplot_text(design, predictions, "early")
     texts["boxplot_by_venue.csv"] = _boxplot_text(design, predictions, "venue")
     texts["triage.csv"] = _triage_text(cohort, threshold_stats)
+    data = {name: text.encode("utf-8") for name, text in texts.items()}
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        _emit(text, outdir / name)
+    for name, blob in data.items():
+        (outdir / name).write_bytes(blob)
         print(f"wrote {outdir / name}")
     return EXIT_OK
 

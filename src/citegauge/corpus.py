@@ -167,6 +167,17 @@ def _check_count(key, value, pub_year: int, line=None) -> tuple[int, int]:
     return year, value
 
 
+def _encodable(text: str) -> bool:
+    """Whether text holds no lone surrogate, the one thing a str can hold
+    that UTF-8 cannot encode (a JSON escape such as "\\ud800" reads as
+    one)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _full_checks(raw, line, strict: bool) -> tuple:
     """Every check of one parsed line, in order: the only reject path, and
     where odd but valid count keys such as " 2016" are normalised."""
@@ -192,6 +203,10 @@ def _full_checks(raw, line, strict: bool) -> tuple:
     venue = raw["venue"]
     if not isinstance(venue, str):
         raise ParseError(f"field 'venue' must be a string, got {venue!r}", line=line)
+    for name, text in (("id", paper_id), ("venue", venue)):
+        if not _encodable(text):
+            raise ParseError(f"field {name!r} holds a lone surrogate, which "
+                             f"UTF-8 cannot encode", line=line)
 
     pub_year = _check_year(raw["year"], "field 'year'", line=line)
 
@@ -228,6 +243,7 @@ def _accepted(raw, strict: bool = True) -> tuple | None:
         if type(source) is str:
             source = _SOURCES.get(source.lower())
         if (type(paper_id) is str and paper_id and type(venue) is str
+                and _encodable(paper_id) and _encodable(venue)
                 and type(source) is Source
                 and type(pub_year) is int and YEAR_MIN <= pub_year <= YEAR_MAX
                 and type(counts) is dict
@@ -296,7 +312,9 @@ def _validated_lines(lines: Iterable[str], strict: bool,
     whose decode or test fails is replayed line by line (_replay), which
     accepts each line or raises the block's first error, in line order.
     orjson refuses a str that holds a lone surrogate, which is what a byte
-    that is not UTF-8 decodes to, so such a block is always replayed.  The
+    that is not UTF-8 decodes to, and a lone surrogate escape such as
+    "\\ud800", so such a block is always replayed, and the full checks
+    refuse the line.  The
     counts keys of every row are the canonical 4-digit year strings.
     """
     sources = frozenset(Source if sources is None else sources)
@@ -646,4 +664,8 @@ def load_venue_aliases(path) -> dict[str, str]:
     ):
         raise ParseError(
             f"alias file {path} must be a JSON object of string -> string")
+    for text in chain(raw, raw.values()):
+        if not _encodable(text):
+            raise ParseError(f"alias file {path}: {text!r} holds a lone "
+                             f"surrogate, which UTF-8 cannot encode")
     return raw

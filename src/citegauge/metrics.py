@@ -157,11 +157,12 @@ def pearson(x: Sequence[float], y: Sequence[float]):
         raise ValueError("length mismatch")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
+    # np.sum of products, not a BLAS dot: the same digits at any thread count
+    sx = math.sqrt(float(np.sum(xc * xc)))
+    sy = math.sqrt(float(np.sum(yc * yc)))
     if sx == 0.0 or sy == 0.0:
         return DEGENERATE
-    r = float(xc @ yc) / (sx * sy)
+    r = float(np.sum(xc * yc)) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
 

@@ -2,22 +2,15 @@
 
 Pipeline: rank-based percentile transform of future-year counts, clipping
 of early-citation counts to T factor levels, dummy-coded design (venue +
-early-level factors), QR least-squares fit, sequential ANOVA variance
+early-level factors), least-squares fit, sequential ANOVA variance
 attribution, and boxplot aggregation of predictions.
 
-The design has two one-hot factors, so rows in the same (venue level,
-early level) cell are identical.  The fit, the ANOVA and the predictions
-therefore work on the cell table: one 0/1 design row per populated cell,
-its row count n_c and the mean of y in it.  Least squares on rows equals
-weighted least squares on the cell means with weights n_c, which is exact
-(the same coefficients, not an approximation); QR on the sqrt(n_c)-scaled
-cell design has the same |diag R| as QR on the rows, so rank deficiency
-is detected by the same rule.  Residual sums of squares are summed over
-the row residuals y - fitted[cell] rather than derived from cell sums,
-which would lose precision to cancellation.  ``DesignMatrix`` stores only
-the cell table and each row's cell; the per-row venue and early levels and
-the dense n x k design are expanded on request (``row_venues``,
-``row_early``, ``X``).
+Rows in one (venue level, early level) cell have one design row, so the
+fit and the ANOVA solve one reduced system from the venue x early tables
+of cell sizes and sums of y (_additive_fit), with a rank rule that needs
+no tolerance (_collinear_early).  Residual sums of squares are summed over
+the row residuals, as cell sums would lose precision to cancellation, and
+no sum goes through BLAS, whose digits depend on its thread count.
 """
 
 from __future__ import annotations
@@ -64,12 +57,11 @@ class DesignMatrix:
     and early level 0.  Early levels with no member rows also get no column
     (same treatment as a venue with no papers that year).
 
-    The design is stored as its cell table: ``cell_X`` has one 0/1 row per
-    populated (venue, early) cell, ``cell_counts`` the rows in each cell,
-    ``cell_venue`` / ``cell_early`` each cell's factor codes (0 for the
-    reference level, otherwise 1 + the level's index) and ``row_cell`` the
-    cell of each row.  ``row_venues``, ``row_early`` and the dense ``X``
-    are expanded from it on request.
+    The design is stored as its populated (venue, early) cells:
+    ``cell_counts`` the rows in each cell, ``cell_venue`` / ``cell_early``
+    each cell's factor codes (0 for the reference level, otherwise 1 + the
+    level's index) and ``row_cell`` the cell of each row.  ``row_venues``,
+    ``row_early`` and the dense ``X`` are expanded from them on request.
     """
 
     column_names: tuple[str, ...]
@@ -81,7 +73,6 @@ class DesignMatrix:
     cell_counts: np.ndarray
     cell_venue: np.ndarray
     cell_early: np.ndarray
-    cell_X: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -101,7 +92,14 @@ class DesignMatrix:
     @property
     def X(self) -> np.ndarray:
         """The dense n x k design."""
-        return self.cell_X[self.row_cell]
+        rows = np.arange(self.n_rows)
+        early = self.cell_early[self.row_cell]
+        X = np.zeros((self.n_rows, len(self.column_names)))
+        X[:, 0] = 1.0
+        # the reference venue's code, 0, is the intercept's column
+        X[rows, self.cell_venue[self.row_cell]] = 1.0
+        X[rows[early > 0], len(self.venue_levels) + early[early > 0]] = 1.0
+        return X
 
 
 @dataclass(frozen=True)
@@ -306,50 +304,14 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
     cells, row_cell, cell_counts = np.unique(
         row_v * n_early + row_e, return_inverse=True, return_counts=True)
     cell_venue, cell_early = np.divmod(cells, n_early)
-    cell_X = np.zeros((len(cells), k))
-    cell_X[:, 0] = 1.0
-    has_v, has_e = np.flatnonzero(cell_venue), np.flatnonzero(cell_early)
-    cell_X[has_v, cell_venue[has_v]] = 1.0
-    cell_X[has_e, len(venue_levels) + cell_early[has_e]] = 1.0
-    return DesignMatrix(
-        column_names=tuple(columns),
-        venue_levels=venue_levels,
-        reference_venue=reference_venue,
-        T=T,
-        early_levels=early_levels,
-        row_cell=row_cell,
-        cell_counts=cell_counts,
-        cell_venue=cell_venue,
-        cell_early=cell_early,
-        cell_X=cell_X,
-    )
+    return DesignMatrix(tuple(columns), venue_levels, reference_venue, T,
+                        early_levels, row_cell, cell_counts, cell_venue,
+                        cell_early)
 
 
-_RANK_TOL = 1e-10
-
-
-def _qr_solve(X: np.ndarray, y: np.ndarray, column_names: Sequence[str]) -> np.ndarray:
-    """Least squares via Householder QR; raises RankDeficient with the
-    offending columns.
-
-    X may have fewer rows than columns (fewer cells than columns); the
-    columns past the last row then have r_jj = 0, as they would in the
-    QR of the rows.
-    """
-    q, r = np.linalg.qr(X)
-    diag = np.zeros(X.shape[1])
-    diag[:min(X.shape)] = np.abs(np.diag(r))
-    scale = diag.max()  # > 0, as the intercept column is positive
-    bad = [column_names[j] for j in range(len(diag)) if diag[j] <= _RANK_TOL * scale]
-    if bad:
-        raise RankDeficient(bad)
-    return np.linalg.solve(r, q.T @ y)
-
-
-def _cell_means(design: DesignMatrix, frame: PercentileFrame):
-    """(y, weights sqrt(n_c), mean of y per cell, total sum of squares),
-    after the length check; an outcome without variance raises
-    ConstantOutcome, since no fit or decomposition of it means anything."""
+def _outcome(design: DesignMatrix, frame: PercentileFrame):
+    """(y, total sum of squares), after the length check; an outcome
+    without variance, which no fit explains, raises ConstantOutcome."""
     y = np.asarray(frame.percentiles, dtype=float)
     if y.shape[0] != design.n_rows:
         raise DimensionMismatch(
@@ -359,40 +321,77 @@ def _cell_means(design: DesignMatrix, frame: PercentileFrame):
         raise ConstantOutcome(
             f"every paper has the same count in {frame.future_year}, so the "
             f"percentiles have no variance to explain")
-    sums = np.bincount(design.row_cell, weights=y,
-                       minlength=len(design.cell_counts))
-    return y, np.sqrt(design.cell_counts), sums / design.cell_counts, ss_total
+    return y, ss_total
+
+
+def _collinear_early(design: DesignMatrix) -> list[int]:
+    """The early codes whose column is a sum of the columns before it: the
+    highest of each connected component of the levels, joined by their
+    populated cells, that does not hold early code 0 (its venue columns sum
+    to its early columns).  No other column is."""
+    n_venue = 1 + len(design.venue_levels)
+    parent = list(range(n_venue + 1 + len(design.early_levels)))
+
+    def root(node):
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
+    for v, e in zip(design.cell_venue.tolist(), design.cell_early.tolist()):
+        parent[root(v)] = root(n_venue + e)
+    highest = {root(n_venue + e): e for e in range(len(parent) - n_venue)}
+    highest.pop(root(n_venue))
+    return sorted(highest.values())
+
+
+def _additive_fit(design: DesignMatrix, y: np.ndarray):
+    """(alpha, beta, collinear early codes, RSS): least squares of y =
+    alpha[venue code] + beta[early code], beta 0 at code 0 and the collinear
+    codes.  From the tables of cell sizes N and sums S, with D = N's row
+    sums: (diag(N's column sums) - N' D^-1 N) beta = S's column sums -
+    N' D^-1 (S's row sums), then alpha = (S's row sums - N beta) / D."""
+    shape = (1 + len(design.venue_levels), 1 + len(design.early_levels))
+    cells = (design.cell_venue, design.cell_early)
+    N, S = np.zeros(shape), np.zeros(shape)
+    N[cells] = design.cell_counts
+    S[cells] = np.bincount(design.row_cell, weights=y,
+                           minlength=len(design.cell_counts))
+    collinear = _collinear_early(design)
+    free = np.setdiff1d(np.arange(1, shape[1]), collinear)
+    D, venue_sums = N.sum(axis=1), S.sum(axis=1)
+    share = N[:, free] / D[:, None]
+    system = (np.diag(N[:, free].sum(axis=0))
+              - np.einsum("ve,vf->ef", share, N[:, free]))
+    rhs = S[:, free].sum(axis=0) - np.einsum("ve,v->e", share, venue_sums)
+    beta = np.zeros(shape[1])
+    beta[free] = np.linalg.solve(system, rhs)
+    alpha = (venue_sums - np.einsum("ve,e->v", N, beta)) / D
+    fitted = alpha[design.cell_venue] + beta[design.cell_early]
+    return alpha, beta, collinear, _row_rss(y, fitted, design.row_cell)
 
 
 def _row_rss(y: np.ndarray, fitted: np.ndarray, row_group: np.ndarray) -> float:
     """Sum of squared row residuals y - fitted[group of the row]."""
     resid = y - fitted[row_group]
-    return float(resid @ resid)
+    return float(np.sum(resid * resid))   # not a BLAS dot: see above
 
 
 def fit_ols(design: DesignMatrix, frame: PercentileFrame) -> FittedModel:
-    """Fit percentiles on the design by QR least squares on the
-    sqrt(n_c)-weighted cell means (exactly the row least-squares fit)."""
-    y, w, means, tss = _cell_means(design, frame)
-    beta = _qr_solve(design.cell_X * w[:, None], w * means, design.column_names)
-
-    rss = _row_rss(y, design.cell_X @ beta, design.row_cell)
-    r_squared = 1.0 - rss / tss
-
-    n_venue = len(design.venue_levels)
-    venue_coefs = {v: float(beta[1 + i]) for i, v in enumerate(design.venue_levels)}
-    early_coefs = {lvl: float(beta[1 + n_venue + i])
-                   for i, lvl in enumerate(design.early_levels)}
+    """Fit percentiles on the design by least squares from its cell table;
+    a design whose columns are not independent raises RankDeficient
+    naming the columns that are sums of columns before them."""
+    y, tss = _outcome(design, frame)
+    alpha, beta, collinear, rss = _additive_fit(design, y)
+    if collinear:
+        raise RankDeficient(
+            [f"early:{design.early_levels[e - 1]}" for e in collinear])
     return FittedModel(
-        pub_year=frame.pub_year,
-        T=design.T,
-        reference_venue=design.reference_venue,
-        intercept=float(beta[0]),
-        venue_coefs=venue_coefs,
-        early_coefs=early_coefs,
-        rss=rss,
-        r_squared=r_squared,
-    )
+        frame.pub_year, design.T, design.reference_venue, float(alpha[0]),
+        venue_coefs={v: float(a - alpha[0])
+                     for v, a in zip(design.venue_levels, alpha[1:])},
+        early_coefs={lvl: float(b)
+                     for lvl, b in zip(design.early_levels, beta[1:])},
+        rss=rss, r_squared=1.0 - rss / tss)
 
 
 def _one_way_rss(y: np.ndarray, row_group: np.ndarray) -> float:
@@ -410,11 +409,10 @@ def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
     that explains nothing can come out a rounding error below zero; it is
     reported as 0.0.
     """
-    y, w, means, ss_total = _cell_means(design, frame)
-    # lstsq rather than _qr_solve: a rank-deficient design still has a
-    # well-defined projection, hence a full-model RSS
-    beta, *_ = np.linalg.lstsq(design.cell_X * w[:, None], w * means, rcond=None)
-    rss_full = _row_rss(y, design.cell_X @ beta, design.row_cell)
+    y, ss_total = _outcome(design, frame)
+    # a rank-deficient design still has a projection, hence a full-model
+    # RSS: its collinear columns add nothing to the column space
+    rss_full = _additive_fit(design, y)[3]
 
     def ordering(first_cells, first_name, second_name):
         rss_first = _one_way_rss(y, first_cells[design.row_cell])

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from itertools import chain
 
+import orjson
 import pytest
 
 from citegauge import corpus as corpus_mod
@@ -1095,6 +1096,64 @@ def test_constant_outcome_exit_1(subcommand, tmp_path, capsys):
     assert err == (f"citegauge {subcommand}: error: every paper has the same "
                    f"count in 2020, so the percentiles have no variance to "
                    f"explain\n")
+
+
+def surrogate_corpus(path):
+    """Three 2016 papers; line 2's venue is the JSON escape of a lone
+    surrogate, in valid UTF-8 bytes."""
+    lines = [json.dumps({"id": f"p{i}", "source": "ACL", "venue": venue,
+                         "year": 2016, "counts": {"2017": i}})
+             for i, venue in enumerate(["A", "A\ud800", "B"])]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize("args", [
+    ["groupstats", "--by", "venue", "--min-size", "1"],
+    ["report", "--outdir", "reports"]])
+def test_lone_surrogate_venue_exit_1_names_line(args, tmp_path, capsys,
+                                                monkeypatch):
+    """orjson refuses the escape, so the block is replayed, and the full
+    checks refuse the line; the run used to fail in the codec, naming no
+    line, after report had written three files."""
+    corpus = surrogate_corpus(tmp_path / "c.jsonl")
+    with pytest.raises(ValueError):
+        orjson.loads(corpus.read_text().splitlines()[1])
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([args[0], "--corpus", str(corpus), "--pub-year",
+                          "2016", *args[1:]], capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert err == (f"citegauge {args[0]}: error: line 2: field 'venue' holds "
+                   f"a lone surrogate, which UTF-8 cannot encode\n")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_lone_surrogate_alias_exit_1_names_file(fixture_args, tmp_path,
+                                                capsys):
+    aliases = tmp_path / "aliases.json"
+    aliases.write_text('{"NLPConf": "NLP\\udc80"}', encoding="ascii")
+    outdir = tmp_path / "reports"
+    code, out, err = run(["report", *fixture_args, "--aliases", str(aliases),
+                          "--outdir", str(outdir)], capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert err == (f"citegauge report: error: alias file {aliases}: "
+                   f"'NLP\\udc80' holds a lone surrogate, which UTF-8 "
+                   f"cannot encode\n")
+    assert not outdir.exists()
+
+
+def test_report_encodes_every_text_before_writing(fixture_args, tmp_path,
+                                                  capsys, monkeypatch):
+    """A text that UTF-8 cannot encode, here the last one, fails the run
+    before --outdir is made."""
+    monkeypatch.setattr("citegauge.report.triage_csv",
+                        lambda *a, **k: "id\nx\ud800\n")
+    outdir = tmp_path / "reports"
+    code, out, err = run(["report", *fixture_args, "--outdir", str(outdir)],
+                         capsys)
+    assert (code, out) == (EXIT_DATA_ERROR, "")
+    assert "surrogates not allowed" in err
+    assert not outdir.exists()
 
 
 def test_report_model_json_is_model_json_bytes(fixture_args, tmp_path,

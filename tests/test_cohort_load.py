@@ -454,6 +454,9 @@ LINE_KINDS = {
 #: Kinds of line given as their bytes.
 TEXT_KINDS = {"blank": b"  ", "bad json": b'{"id": "x", "source": }',
               "not utf-8": b'{"id": "\xff"}',
+              "lone surrogate": b'{"id": "s", "source": "ACL", '
+                                b'"venue": "A\\ud800", "year": 2016, '
+                                b'"counts": {}}',
               "repeated key": b'{"id": "x", "source": "ACL", "venue": "V", '
                               b'"year": 2016, "counts": {}, "venue": "W"}'}
 

@@ -2,8 +2,8 @@
 
 The oracle below is validate_record as it was before its accept path became
 table lookups, copied verbatim together with the two helpers it calls, with
-one later rule: two count keys naming one year are refused, where the later
-one used to be kept.
+two later rules: two count keys naming one year are refused, where the later
+one used to be kept, and so is an id or venue that holds a lone surrogate.
 Records are generated valid and then mutated in one field at a time; the
 validator under test must return an equal record, or raise the same
 exception class with the same message and line.
@@ -90,6 +90,12 @@ def oracle_validate_record(raw: dict, line=None, strict: bool = True) -> PaperRe
     venue = raw["venue"]
     if not isinstance(venue, str):
         raise ParseError(f"field 'venue' must be a string, got {venue!r}", line=line)
+    for name, text in (("id", paper_id), ("venue", venue)):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"field {name!r} holds a lone surrogate, which "
+                             f"UTF-8 cannot encode", line=line) from None
 
     pub_year = _check_year(raw["year"], "field 'year'", line=line)
 

@@ -1,12 +1,15 @@
 """Golden bytes of the full report run on the fixture corpus.
 
 tests/data/reports/ holds what scripts/run_reports.py wrote for the committed
-fixture corpus before the statistics read the cohort as columns.  The run is
-repeated here, through the script and through `citegauge report`, and every
-file must match byte for byte, so a change that moves one float by one ulp
-shows up even when two runs of the same build agree.  The fit's last digits
-depend on the LAPACK build; after a deliberate change of output, regenerate
-the files from a commit whose reports are known good.
+fixture corpus.  The six files with full-precision floats were last written
+when the fit became one reduced solve of the venue x early table and the
+sums left BLAS; the other three are as they were before the statistics read
+the cohort as columns.  The run is repeated here, through the script and
+through `citegauge report`, and every file must match byte for byte, so a
+change that moves one float by one ulp shows up even when two runs of the
+same build agree.  The fit's last digits depend on the LAPACK build; after a
+deliberate change of output, regenerate the files from a commit whose
+reports are known good.
 """
 
 import os

@@ -211,6 +211,25 @@ class TestBuildCorpus:
         assert set(report.failures) == {"x", "y"}
         assert load_corpus(out) == []
 
+    @pytest.mark.parametrize("field, meta", [
+        ("venue", {"venue": "A\ud800"}), ("id", {})])
+    def test_lone_surrogate_fails_its_id_only(self, field, meta, tmp_path):
+        """A venue or id that UTF-8 cannot encode, as a "\\ud800" escape in
+        an API body decodes, fails its own id; the writer used to stop the
+        job at it."""
+        first = "p1\ud800" if field == "id" else "p1"
+        papers = {first: {"year": 2016, "citing_years": [2017], **meta},
+                  "p2": {"year": 2016, "citing_years": [2017]}}
+        client, _, _ = make_client(papers)
+        out = tmp_path / "c.jsonl"
+        report = build_corpus([first, "p2"], out, tmp_path / "ckpt.json",
+                              client)
+        assert report.failures == {first: (
+            f"ParseError: field {field!r} holds a lone surrogate, which "
+            f"UTF-8 cannot encode")}
+        assert report.written == 1
+        assert [r.id for r in load_corpus(out)] == ["p2"]
+
     def test_empty_input(self, tmp_path):
         client, _, _ = make_client({})
         with pytest.raises(errors.EmptyInput):

@@ -218,20 +218,16 @@ class TestFitOls:
         assert np.allclose(got, beta, atol=1e-8)
 
     def test_rank_deficient_names_columns(self):
-        from citegauge.model import DesignMatrix
-        design = DesignMatrix(
-            column_names=("intercept", "venue:dup"),
-            venue_levels=("dup",), reference_venue="A", T=1,
-            early_levels=(),
-            # ten rows, all in the one cell (venue dup, early level 0)
-            row_cell=np.zeros(10, dtype=np.intp), cell_counts=np.array([10]),
-            cell_venue=np.array([1]), cell_early=np.array([0]),
-            cell_X=np.array([[1.0, 1.0]]))
-        frame_cls = percentile_transform(make_cohort([{2020: i} for i in range(10)]),
-                                         2020)
+        # venue A sees early levels 0 and 1, venue B levels 2 and 3, so
+        # early:2 + early:3 equals venue:B
+        cohort = make_cohort([{2017: i % 2 + 2 * (i >= 10), 2020: i}
+                              for i in range(20)], venues=["A"] * 10 + ["B"] * 10)
+        design = build_design_matrix(cohort, T=3, min_venue_size=1,
+                                     reference_venue="A")
+        frame = percentile_transform(cohort, 2020)
         with pytest.raises(errors.RankDeficient) as excinfo:
-            fit_ols(design, frame_cls)
-        assert "venue:dup" in excinfo.value.columns
+            fit_ols(design, frame)
+        assert excinfo.value.columns == ["early:3"]
 
     def test_dimension_mismatch(self):
         rng = random.Random(13)

@@ -4,17 +4,19 @@ The reference builds the n x k dummy design row by row from the design's
 level names, independently of the cell table, and fits it with QR (for the
 rank rule) and lstsq (for the coefficients and the ANOVA projections), as
 the row-based implementation did.  Every scenario runs on 30 seeded
-cohorts.
+cohorts.  On the fixture the fit also meets an exact rational solve.
 """
 
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from citegauge import errors
+from citegauge.corpus import load_cohort
 from citegauge.report import anova_csv
 from citegauge.model import (
     MISC_VENUE,
@@ -70,6 +72,33 @@ def dense_anova(X, y, n_venue):
     return ss_total, orderings
 
 
+def exact_least_squares(X, y):
+    """(coefficients, RSS) of the least-squares fit of y on a full-rank 0/1
+    design X, in exact rational arithmetic: Gauss-Jordan elimination of the
+    normal equations, with each float of y taken at its exact value."""
+    rows = [np.flatnonzero(row).tolist() for row in X]
+    ys = [Fraction(v) for v in y.tolist()]
+    k = X.shape[1]
+    gram = [[Fraction(int(v)) for v in row]
+            for row in X.astype(np.int64).T @ X.astype(np.int64)]
+    rhs = [Fraction(0)] * k
+    for cols, v in zip(rows, ys):
+        for j in cols:
+            rhs[j] += v
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if gram[r][c])
+        gram[c], gram[pivot] = gram[pivot], gram[c]
+        rhs[c], rhs[pivot] = rhs[pivot], rhs[c]
+        for r in range(k):
+            if r != c and gram[r][c]:
+                f = gram[r][c] / gram[c][c]
+                gram[r] = [a - f * b for a, b in zip(gram[r], gram[c])]
+                rhs[r] -= f * rhs[c]
+    beta = [rhs[c] / gram[c][c] for c in range(k)]
+    rss = sum((v - sum(beta[j] for j in cols)) ** 2 for cols, v in zip(rows, ys))
+    return beta, rss
+
+
 def assert_close(got, want, scale=1.0):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     bound = TOL * np.maximum(np.maximum(np.abs(want), scale), 1.0)
@@ -118,11 +147,18 @@ def scenario(name, rng):
         # each venue sees one early level, so venue and early columns coincide
         level_of = {v: rng.randint(0, T) for v in set(venues)}
         early = [level_of[v] for v in venues]
+    elif name == "blocks":
+        # each venue draws from its own 1-3 early levels, so a connected
+        # block of venues and levels can hold several early levels, and a
+        # design can have fewer cells than columns
+        levels_of = {v: rng.sample(range(T + 1), rng.randint(1, min(3, T + 1)))
+                     for v in sorted(set(venues))}
+        early = [rng.choice(levels_of[v]) for v in venues]
     return venues, early, future, kwargs
 
 
 SCENARIOS = ["misc", "reference", "single_venue", "T1", "T30", "gaps",
-             "tied", "confounded"]
+             "tied", "confounded", "blocks"]
 
 
 def build_case(name, seed):
@@ -183,13 +219,38 @@ def test_cells_match_dense_rows(name, seed):
 
 
 def test_rank_deficient_cases_occur():
-    # the confounded scenario must actually exercise the RankDeficient path
-    hits = 0
-    for seed in SEEDS:
-        _, design, _ = build_case("confounded", seed)
-        hits += bool(dense_rank_deficient_columns(dense_design(design),
-                                                  design.column_names))
-    assert hits >= len(SEEDS) // 2
+    # the confounded and blocks scenarios must actually exercise the
+    # RankDeficient path
+    for name, least in (("confounded", len(SEEDS) // 2),
+                        ("blocks", len(SEEDS) // 3)):
+        hits = 0
+        for seed in SEEDS:
+            _, design, frame = build_case(name, seed)
+            if dense_rank_deficient_columns(dense_design(design),
+                                            design.column_names):
+                with pytest.raises(errors.RankDeficient):
+                    fit_ols(design, frame)
+                hits += 1
+        assert hits >= least, name
+
+
+@pytest.mark.parametrize("T", [10, 30])
+def test_fixture_fit_matches_exact_least_squares(T, fixture_corpus_path):
+    """The fit of the fixture cohort against an exact rational solve of the
+    same least-squares problem: every coefficient within 1e-12, and the
+    RSS within 1e-13 of its exact value, relatively."""
+    cohort = load_cohort(fixture_corpus_path, 2016)
+    design = build_design_matrix(cohort, T=T)
+    frame = percentile_transform(cohort, 2020)
+    beta, rss = exact_least_squares(dense_design(design),
+                                    np.asarray(frame.percentiles))
+    fitted = fit_ols(design, frame)
+    got = ([fitted.intercept]
+           + [fitted.venue_coefs[v] for v in design.venue_levels]
+           + [fitted.early_coefs[k] for k in design.early_levels])
+    assert len(got) == len(beta) == len(design.column_names)
+    assert max(abs(Fraction(g) - b) for g, b in zip(got, beta)) <= 1e-12
+    assert abs(Fraction(fitted.rss) - rss) <= 1e-13 * rss
 
 
 def test_tied_percentiles_have_zero_total():
