@@ -25,6 +25,12 @@ call per count entry (``_columns``).  ``PaperRecord`` is the record type
 of the write path (ingest, import, ``write_corpus``) and of
 ``load_corpus``; ``filter_cohort`` loads records as the lines
 ``write_corpus`` writes, so a cohort has one way in.
+
+``json_value`` is the one decode rule of what the program reads, and
+``json_bytes`` the one encode rule of the corpus and checkpoint lines it
+writes: compact UTF-8 JSON from one ``orjson`` call, with stdlib ``json``
+only for what ``orjson`` refuses, an int past 64 bits or a lone surrogate.
+A corpus line (``record_to_json``) is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -363,11 +369,11 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     The test is _accepted's, made with C-level passes over the whole block:
     type sets, each line's key set, one source lookup per distinct source
     string, and for each distinct publication year its range check and one
-    subset test of the union of its lines' count keys; then the minimum
-    count.  Each key in a line's text is followed by one ':' outside
-    strings, so each line has at least as many colons as its value has
-    keys, and the block's colons add up to its keys only if no line
-    repeats a key.
+    subset test of the union of its lines' count keys, the lines grouped by
+    year in one pass; then the minimum count.  Each key in a line's text is
+    followed by one ':' outside strings, so each line has at least as many
+    colons as its value has keys, and the block's colons add up to its keys
+    only if no line repeats a key.
     """
     if not {*map(type, raws)} <= _DICT_ONLY or not (
             all(map(eq, map(dict.keys, raws), repeat(CORPUS_KEYS)))
@@ -383,9 +389,13 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     if None in source_of.values() \
             or not YEAR_MIN <= min(pub_years) <= max(pub_years) <= YEAR_MAX:
         return None
-    for year in pub_years:
-        group = counts if len(pub_years) == 1 else compress(
-            counts, map(eq, years, repeat(year)))
+    if len(pub_years) == 1:
+        groups = {years[0]: counts}
+    else:
+        groups = {year: [] for year in pub_years}
+        for year, line_counts in zip(years, counts):
+            groups[year].append(line_counts)
+    for year, group in groups.items():
         if not set().union(*group) <= _year_keys(year).keys():
             return None
     values = [*chain.from_iterable(map(dict.values, counts))]
@@ -552,24 +562,42 @@ def _columns(blocks: Iterable[list], pub_year: int,
                   counts=counts, overflow_years=frozenset(overflow))
 
 
-def record_to_json(record: PaperRecord) -> str:
-    """One canonical corpus line (counts keys sorted for byte-stable output)."""
-    obj = {
+def json_bytes(value) -> bytes:
+    """The UTF-8 bytes of json.dumps(value, ensure_ascii=False,
+    separators=(",", ":")), the one encode rule of the corpus and checkpoint
+    lines the program writes, for a value made of dicts, lists, strs, ints,
+    bools and None.  A lone surrogate, which UTF-8 cannot encode, is written
+    as its JSON escape, such as \\ud800, which json_value reads back.
+
+    orjson writes the bytes in one C call.  Stdlib json writes only what
+    orjson refuses: an int past 64 bits, such as a count of 2**64 or more,
+    which import can write, and a str holding a surrogate."""
+    try:
+        return orjson.dumps(value)
+    except orjson.JSONEncodeError:
+        return json.dumps(value, ensure_ascii=False, separators=(",", ":")
+                          ).encode("utf-8", "backslashreplace")
+
+
+def record_to_json(record: PaperRecord) -> bytes:
+    """One canonical corpus line in UTF-8, without its newline (counts keys
+    sorted for byte-stable output)."""
+    counts = record.counts
+    return json_bytes({
         "id": record.id,
         "source": record.source.value,
         "venue": record.venue,
         "year": record.pub_year,
-        "counts": {str(y): record.counts[y] for y in sorted(record.counts)},
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        "counts": {str(y): counts[y] for y in sorted(counts)},
+    })
 
 
 def write_corpus(records: Iterable[PaperRecord], path) -> int:
     """Write records as JSONL; returns the number written."""
     n = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         for record in records:
-            handle.write(record_to_json(record) + "\n")
+            handle.write(record_to_json(record) + b"\n")
             n += 1
     return n
 
@@ -584,8 +612,8 @@ def filter_cohort(records: Iterable[PaperRecord], pub_year: int,
     sources=None means all sources.  An empty cohort is legal; downstream
     statistics reject it.
     """
-    return _columns(_validated_lines(map(record_to_json, records), True,
-                                     pub_year, sources), pub_year)
+    lines = map(bytes.decode, map(record_to_json, records))
+    return _columns(_validated_lines(lines, True, pub_year, sources), pub_year)
 
 
 def read_journal(path) -> tuple[list[bytes], int | None, bytes]:

@@ -5,6 +5,9 @@ through a checkpoint journal: one JSON line appended per committed id, the
 last line counting, and the file replaced whole at a run's first commit
 and at its end.  Transport, clock and RNG are injectable so every
 retry/rate-limit path is testable under a virtual clock with no network.
+
+Each corpus record and each checkpoint line the writer commits is encoded
+by one corpus.json_bytes call, which is one orjson call.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import (PaperRecord, Source, json_value, read_journal, read_json,
-                     read_text, record_to_json, utf8_text, validate_record)
+from .corpus import (PaperRecord, Source, json_bytes, json_value, read_journal,
+                     read_json, read_text, record_to_json, utf8_text,
+                     validate_record)
 from .errors import (
     DuplicateId,
     EmptyInput,
@@ -236,7 +240,7 @@ class FetchCheckpoint:
     ids_sha256: str
 
     def _line(self) -> bytes:
-        return (json.dumps(self.__dict__) + "\n").encode("utf-8")
+        return json_bytes(self.__dict__) + b"\n"
 
     def save(self, path, journal=None):
         """Commit this checkpoint and return the journal the next save
@@ -390,8 +394,7 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
                     # counted, not handle.tell(): after truncate an
                     # append-mode handle reports the old size until its
                     # first write
-                    committed += handle.write(
-                        (record_to_json(record) + "\n").encode("utf-8"))
+                    committed += handle.write(record_to_json(record) + b"\n")
                     handle.flush()
                     report.written += 1
                     report.unknown_year_citations += unknown

@@ -501,6 +501,10 @@ def oracle_outcome(path, data, strict):
          strict=True)
 @example(kinds=["valid"] * 2 + ["before publication"] + ["valid"] * 3,
          block=3, strict=True)
+# the line counting before its own publication year is not of the block's
+# earliest year, and shares its year with a valid line
+@example(kinds=["other year", "before publication", "valid", "valid"],
+         block=3, strict=True)
 @example(kinds=["valid"] * 5 + ["bad json"], block=3, strict=True)
 # a duplicate id across a block boundary and inside a block, and before a
 # bad line in its block, whether the block decodes or not

@@ -11,6 +11,8 @@ from citegauge.corpus import (
     PaperRecord,
     Source,
     filter_cohort,
+    json_bytes,
+    json_value,
     load_cohort,
     load_corpus,
     read_journal,
@@ -166,8 +168,65 @@ def test_write_load_round_trip(tmp_path_factory, records):
 def test_round_trip_is_count_order_independent(tmp_path):
     a = make_record("a", counts={2018: 2, 2016: 1})
     b = make_record("b", counts={2016: 1, 2018: 2})
-    assert record_to_json(a).replace('"a"', '"x"') == \
-        record_to_json(b).replace('"b"', '"x"')
+    assert record_to_json(a).replace(b'"a"', b'"x"') == \
+        record_to_json(b).replace(b'"b"', b'"x"')
+
+
+def stdlib_line(record):
+    """The corpus line of a record as stdlib json writes it, the reference
+    for record_to_json."""
+    return json.dumps({"id": record.id, "source": record.source.value,
+                       "venue": record.venue, "year": record.pub_year,
+                       "counts": {str(y): record.counts[y]
+                                  for y in sorted(record.counts)}},
+                      ensure_ascii=False, separators=(",", ":")
+                      ).encode("utf-8")
+
+
+def test_record_to_json_is_stdlib_json_for_every_code_point(tmp_path):
+    """Ids and venues holding each code point but the surrogates, control
+    characters, quotes and backslashes among them, 4096 to a record."""
+    chunks = ("".join(chr(c) for c in range(start, min(start + 4096, 0x110000))
+                      if not 0xD800 <= c <= 0xDFFF)
+              for start in range(0, 0x110000, 4096))
+    records = [make_record(chunk, venue=chunk[::-1], counts={2017: i})
+               for i, chunk in enumerate(chunks)]
+    assert [*map(record_to_json, records)] == [*map(stdlib_line, records)]
+    write_corpus(records, tmp_path / "c.jsonl")
+    assert (tmp_path / "c.jsonl").read_bytes() == b"".join(
+        stdlib_line(record) + b"\n" for record in records)
+    assert load_corpus(tmp_path / "c.jsonl") == records
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                               10 ** 30])
+def test_record_to_json_is_stdlib_json_for_large_counts(n):
+    """orjson writes ints up to 2**64 - 1; stdlib json writes the line of a
+    count past that."""
+    record = make_record("a", counts={2018: n, 2016: 1})
+    assert record_to_json(record) == stdlib_line(record)
+    assert filter_cohort([record], 2016).ids == ("a",)
+
+
+def test_json_bytes_escapes_a_lone_surrogate():
+    """UTF-8 cannot encode a lone surrogate, so it is written as the JSON
+    escape that reads back to it; the rest of the text stays UTF-8."""
+    value = {"id": "p\ud800", "venue": "Ü\udfff", "n": 2 ** 64}
+    assert json_bytes(value) == \
+        b'{"id":"p\\ud800","venue":"\xc3\x9c\\udfff","n":18446744073709551616}'
+    assert json_value(json_bytes(value).decode("utf-8")) == value
+
+
+def test_lone_surrogate_record_fails_its_line(tmp_path):
+    """A record whose venue holds a lone surrogate is written with its
+    escape, a line that the load refuses, naming it."""
+    records = [make_record("a"), make_record("b", venue="V\ud800")]
+    error = "line 2: field 'venue' holds a lone surrogate"
+    with pytest.raises(errors.ParseError, match=error):
+        filter_cohort(records, 2016)
+    write_corpus(records, tmp_path / "c.jsonl")
+    with pytest.raises(errors.ParseError, match=error):
+        load_corpus(tmp_path / "c.jsonl")
 
 
 class TestFilterCohort:

@@ -89,6 +89,80 @@ class TestFetchCitationYears:
             client.fetch_paper_meta("missing")
 
 
+class EntryTransport(MockTransport):
+    """Citation pages whose entries are given as they are, not built from
+    years: papers[id]["entries"] lists them."""
+
+    def get_citations(self, paper_id, offset, limit):
+        self._maybe_fail("citations", paper_id)
+        self.page_requests += 1
+        entries = self.papers[paper_id]["entries"]
+        return {"total": len(entries),
+                "data": entries[offset:offset + limit]}
+
+
+def keyed(counts):
+    """A counts map with its keys' types: True and 1 are one dict key, but
+    "True" and "1" as counts keys."""
+    return sorted((repr(key), n) for key, n in counts.items())
+
+
+class TestCitationCounting:
+    """A citing paper counts under its year if that is an int, a bool
+    too, and else under UNKNOWN_YEAR; an entry that is not an object fails
+    its own id.  Pages of 3 entries, so most cases span pages."""
+
+    @pytest.mark.parametrize("entries, expected", [
+        ([{"year": 2017}, {"year": None}, {}, {"year": 2017}],
+         {2017: 2, UNKNOWN_YEAR: 2}),
+        ([{"year": 2018}, {"year": 2018.0}, {"year": 2018.0}, {"year": 2018}],
+         {2018: 2, UNKNOWN_YEAR: 2}),
+        ([{"year": True}, {"year": 1}, {"year": 1.0}, {"year": False}],
+         {True: 2, False: 1, UNKNOWN_YEAR: 1}),
+        ([{"year": "2018"}, {"year": [2018]}, {"year": {"y": 2018}},
+          {"year": 2018}], {2018: 1, UNKNOWN_YEAR: 3}),
+    ], ids=["none and missing", "float equal to an int", "bools",
+            "string and unhashable"])
+    def test_counts_by_kind_of_year(self, entries, expected):
+        client = ApiClient(ClientConfig(page_size=3), transport=EntryTransport(
+            {"a": {"entries": entries}}))
+        assert keyed(client.fetch_citation_years("a")) == keyed(expected)
+
+    def test_records_and_failures(self, tmp_path):
+        """A bool year folds into the unknown count as a year before
+        publication does; a year past YEAR_MAX fails its id."""
+        papers = {
+            "a": {"year": 2016, "entries": [{"year": True}, {"year": 2017.0},
+                                            {"year": 2017}, {}]},
+            "b": {"year": 2016, "entries": [{"year": 2017}, {"year": 2101}]},
+            "c": {"year": 2016, "entries": [{"year": 2015}, {"year": 2018}]},
+        }
+        client = ApiClient(ClientConfig(page_size=3),
+                           transport=EntryTransport(papers))
+        out = tmp_path / "c.jsonl"
+        report = build_corpus(sorted(papers), out, tmp_path / "ckpt.json",
+                              client)
+        assert report.failures == {
+            "b": "ParseError: counts key '2101' 2101 outside [1900, 2100]"}
+        assert (report.written, report.unknown_year_citations) == (2, 4)
+        assert [(r.id, r.counts) for r in load_corpus(out)] == [
+            ("a", {2017: 1}), ("c", {2018: 1})]
+
+    def test_entry_not_an_object_fails_its_id_only(self, tmp_path):
+        papers = {"a": {"year": 2016, "entries": [{"year": 2017}]},
+                  "b": {"year": 2016, "entries": [{"year": 2017}, [2017]]},
+                  "c": {"year": 2016, "entries": [{"year": 2018}] * 4}}
+        client = ApiClient(ClientConfig(page_size=3),
+                           transport=EntryTransport(papers))
+        out = tmp_path / "c.jsonl"
+        report = build_corpus(sorted(papers), out, tmp_path / "ckpt.json",
+                              client)
+        assert report.failures == {
+            "b": "AttributeError: 'list' object has no attribute 'get'"}
+        assert report.written == 2
+        assert [r.id for r in load_corpus(out)] == ["a", "c"]
+
+
 class TestRateBudget:
     def test_never_exceeds_in_any_sliding_window(self):
         budget = RateBudget(5, 10.0)
@@ -474,7 +548,8 @@ class TestCrashPoints:
 def checkpoint_line(last_id, corpus_bytes, ids):
     return json.dumps({"last_completed_paper_id": last_id,
                        "corpus_bytes": corpus_bytes,
-                       "ids_sha256": ingest.ids_sha256(ids)})
+                       "ids_sha256": ingest.ids_sha256(ids)},
+                      ensure_ascii=False, separators=(",", ":"))
 
 
 class TestCheckpointJournal:
@@ -520,6 +595,36 @@ class TestCheckpointJournal:
         report = build_corpus(ids, out, ckpt, make_client(papers)[0])
         assert (report.skipped, report.written) == (4, 2)
         assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
+
+    def test_journal_of_spaced_ascii_lines_resumes(self, tmp_path):
+        """Checkpoint lines used to be json.dumps(self.__dict__), with spaces
+        and ASCII escapes; such a journal still resumes."""
+        papers = make_papers(8)
+        ids = sorted(papers)
+        out, ckpt = self.crashed_run(tmp_path, papers, ids, 5)
+        ckpt.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                                for line in ckpt.read_text().splitlines()))
+        assert ckpt.read_text().count(", ") == 10
+        report = build_corpus(ids, out, ckpt, make_client(papers)[0])
+        assert (report.skipped, report.written) == (5, 3)
+        assert out.read_bytes() == self.clean_corpus(tmp_path, papers, ids)
+
+    @pytest.mark.parametrize("last_id", ["id005", "Ünï 論文", 'a"\\\n\t',
+                                         "p\ud800"])
+    def test_line_decodes_with_stdlib_json(self, last_id, tmp_path):
+        """A line is compact UTF-8 JSON, which stdlib json.loads reads as
+        every earlier reader did; an id that UTF-8 cannot encode is
+        escaped."""
+        checkpoint = FetchCheckpoint(last_id, 2 ** 40,
+                                     ingest.ids_sha256([last_id]))
+        line = checkpoint._line()
+        assert json.loads(line.decode("utf-8")) == checkpoint.__dict__
+        assert line.index(b"\n") == len(line) - 1
+        if "\ud800" not in last_id:
+            assert line == (checkpoint_line(last_id, 2 ** 40, [last_id])
+                            + "\n").encode("utf-8")
+        checkpoint.rewrite(tmp_path / "ckpt.json")
+        assert FetchCheckpoint.load(tmp_path / "ckpt.json") == checkpoint
 
     def test_unterminated_line_after_complete_lines_counts(self, tmp_path):
         papers = make_papers(6)

@@ -145,7 +145,7 @@ def scenario(name, rng):
         future = [rng.randint(0, 9)] * n
     elif name == "confounded":
         # each venue sees one early level, so venue and early columns coincide
-        level_of = {v: rng.randint(0, T) for v in set(venues)}
+        level_of = {v: rng.randint(0, T) for v in sorted(set(venues))}
         early = [level_of[v] for v in venues]
     elif name == "blocks":
         # each venue draws from its own 1-3 early levels, so a connected

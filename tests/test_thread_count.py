@@ -1,10 +1,11 @@
 """Report bytes do not depend on the BLAS thread count.
 
 The fixture is too small for OpenBLAS to thread, so the corpus here is the
-benchmark's seed-1 report-wide input (14000 papers, 124 design columns),
-made by perfbench/gen.py.  `citegauge report` runs in two child processes,
-one with one BLAS thread and one with two, and every file must match byte
-for byte.
+benchmark's seed-1 report-wide input (14000 papers, 124 design columns at
+the default --T 10), made by perfbench/gen.py.  `citegauge report` runs in
+two child processes, one with one BLAS thread and one with two, and every
+file must match byte for byte.  At --T 300 the same corpus has 185 design
+columns, 71 of them early levels, so the solve is larger.
 """
 
 import os
@@ -12,11 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+@pytest.mark.parametrize("T", ["10", "300"])
+def test_report_bytes_do_not_depend_on_blas_threads(T, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         import gen
@@ -35,7 +39,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
         outdir = tmp_path / f"threads-{threads}"
         subprocess.run([sys.executable, "-m", "citegauge.cli", "report",
                         "--corpus", corpus, "--pub-year", "2016",
-                        "--outdir", str(outdir)],
+                        "--T", T, "--outdir", str(outdir)],
                        env=env, check=True, capture_output=True)
         outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
 
