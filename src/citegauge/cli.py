@@ -40,6 +40,22 @@ MAX_T = 2 ** 63 - 1
 #: venues below the model's DEFAULT_MIN_VENUE_SIZE.
 REPORT_YEARS = 8
 REPORT_THRESHOLDS = (1, 2, 3, 10, 20)
+#: The flags that one mode of a subcommand reads and the others never do:
+#: (flag, default, the mode, whether the parsed args choose it).  Given in
+#: another mode, such a flag is a usage error, not silently ignored.
+_MODE_FLAGS = {
+    "groupstats": (
+        ("--thresholds", REPORT_THRESHOLDS, "--by early",
+         lambda args: args.by == "early"),
+        ("--early-offset", DEFAULT_EARLY_OFFSET, "--by early",
+         lambda args: args.by == "early"),
+        ("--min-size", 1, "--by venue", lambda args: args.by == "venue")),
+    "triage": (
+        ("--future-offset", DEFAULT_FUTURE_OFFSET, "--thresholds",
+         lambda args: args.thresholds is not None),
+        ("--min-venue-size", 1, "--thresholds",
+         lambda args: args.thresholds is not None)),
+}
 
 
 def _int_in(low: int, high: float = math.inf):
@@ -54,27 +70,48 @@ def _int_in(low: int, high: float = math.inf):
     return integer
 
 
+def _distinct(items: list, values: list) -> list:
+    """values, the parsed items of a list flag, if no two are equal; else
+    an ArgumentTypeError naming the first repeated item."""
+    seen = set()
+    for item, value in zip(items, values):
+        if value in seen:
+            raise argparse.ArgumentTypeError(
+                f"item {item!r} repeats an earlier item")
+        seen.add(value)
+    return values
+
+
 def _positive_int_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers, each >= 1, e.g. "1,2,3,10,20"."""
-    values = []
-    for item in text.split(","):
+    """argparse type: comma-separated distinct integers, each >= 1, e.g.
+    "1,2,3,10,20"."""
+    items, values = text.split(","), []
+    for item in items:
         try:
             values.append(_int_in(1)(item))
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"item {item!r} is not an integer >= 1") from None
-    return values
+    return _distinct(items, values)
 
 
 def _parse_years(text: str) -> list[int]:
-    """argparse type: "2016..2023" (inclusive, ascending) or "2016,2017,2020"."""
+    """argparse type: "2016..2023" (inclusive, ascending) or distinct years
+    "2016,2017,2020"."""
     if ".." in text:
         lo, hi = (_year(part) for part in text.split("..", 1))
         if lo > hi:
             raise argparse.ArgumentTypeError(
                 f"year range {text!r} is reversed or empty")
         return list(range(lo, hi + 1))
-    return [_year(y) for y in text.split(",")]
+    items = text.split(",")
+    return _distinct(items, [_year(y) for y in items])
+
+
+def _venue_list(text: str) -> list[str]:
+    """argparse type: comma-separated distinct venue names."""
+    names = text.split(",")
+    return _distinct(names, names)
 
 
 def _year(text: str) -> int:
@@ -196,16 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cohort_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--years", type=_parse_years, required=True)
-    p.add_argument("--venues", required=True, help="comma-separated venue names")
+    p.add_argument("--venues", type=_venue_list, required=True,
+                   help="comma-separated venue names")
 
     p = sub.add_parser("groupstats", help="h/median/mu/sigma/N per group")
     _add_cohort_flags(p, offsets=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--by", choices=["early", "venue"], default="early")
     p.add_argument("--thresholds", type=_positive_int_list,
-                   default=REPORT_THRESHOLDS,
                    help="early-citation thresholds, each >= 1 (by=early)")
-    p.add_argument("--min-size", type=_int_in(1), default=1,
+    p.add_argument("--min-size", type=_int_in(1),
                    help="venues below this pool into 'All other venues' (by=venue)")
 
     p = sub.add_parser("fit", help="fit the percentile regression for one year")
@@ -230,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="optional fitted model JSON")
     p.add_argument("--thresholds", type=_positive_int_list, default=None,
                    help="also emit threshold-vs-venue comparison rows")
-    p.add_argument("--min-venue-size", type=_int_in(1), default=1)
+    p.add_argument("--min-venue-size", type=_int_in(1),
+                   help="venues smaller than this are not compared "
+                   "(with --thresholds)")
 
     p = sub.add_parser(
         "report", help="write every report table from one pass over the corpus",
@@ -249,7 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nominator", default=None)
     p.add_argument("--paper", default=None)
 
+    for name, flags in _MODE_FLAGS.items():
+        # None marks a mode flag not given; main puts its default in
+        sub.choices[name].set_defaults(**{_dest(flag): None
+                                          for flag, *_ in flags})
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _mode_flag_error(args) -> str | None:
+    """Put in the default of each mode flag not given; the usage error of
+    one given that the chosen mode never reads, or None."""
+    for flag, default, mode, chosen in _MODE_FLAGS.get(args.subcommand, ()):
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
+        elif not chosen(args):
+            return f"argument {flag}: read only with {mode}"
+    return None
 
 
 def _cmd_ingest(args) -> int:
@@ -350,7 +408,7 @@ def _corr(cohort, args) -> str:
 
 def _venuecorr(cohort, args) -> str:
     return _correlation_text(metrics_mod.venue_correlation_table(
-        cohort, args.venues.split(","), args.years), args.format)
+        cohort, args.venues, args.years), args.format)
 
 
 def _groupstats(cohort, args) -> str:
@@ -482,6 +540,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    error = _mode_flag_error(args)
+    if error:
+        print(f"citegauge {args.subcommand}: error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _HANDLERS[args.subcommand](args)
     except (CiteGaugeError, OSError, ValueError) as exc:

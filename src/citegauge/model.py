@@ -11,6 +11,11 @@ of cell sizes and sums of y (_additive_fit), with a rank rule that needs
 no tolerance (_collinear_early).  Residual sums of squares are summed over
 the row residuals, as cell sums would lose precision to cancellation, and
 no sum goes through BLAS, whose digits depend on its thread count.
+
+Predictions have one path, predict_codes: one FittedModel.predict call per
+distinct (venue, clipped early level) pair, gathered per row, so the
+boxplots (predict_cohort) and triage --model read the same table and each
+value is bit for bit a predict call.
 """
 
 from __future__ import annotations
@@ -427,15 +432,28 @@ def anova_decompose(design: DesignMatrix, frame: PercentileFrame) -> AnovaTable:
                       early_first=early_first)
 
 
+def predict_codes(model: FittedModel, venue_names: Sequence[str],
+                  venue_codes: np.ndarray, early: np.ndarray) -> np.ndarray:
+    """model.predict(venue_names[venue_codes[i]], early[i]) for every i, as
+    a float64 vector: one predict call per distinct (venue code,
+    min(early, T)) pair, gathered per row.
+
+    The clip never exceeds the largest count, so a model's T of any size
+    stays within int64."""
+    early = np.minimum(early, min(model.T, int(np.max(early, initial=0))))
+    levels, level_index = np.unique(early, return_inverse=True)
+    pairs, row_pair = np.unique(np.asarray(venue_codes, np.int64) * len(levels)
+                                + level_index, return_inverse=True)
+    names = map(venue_names.__getitem__, (pairs // len(levels)).tolist())
+    values = map(model.predict, names, levels[pairs % len(levels)].tolist())
+    return np.fromiter(values, float, count=len(pairs))[row_pair]
+
+
 def predict_cohort(model: FittedModel, design: DesignMatrix) -> np.ndarray:
-    """Model predictions for every design row, computed once per cell."""
-    venues = (model.reference_venue,) + design.venue_levels
-    early = (0,) + design.early_levels
-    per_cell = np.array([
-        model.predict(venues[v], early[e])
-        for v, e in zip(design.cell_venue.tolist(), design.cell_early.tolist())
-    ])
-    return per_cell[design.row_cell]
+    """Model predictions for every design row, one predict call per cell."""
+    early = np.array((0, *design.early_levels), np.int64)[design.cell_early]
+    return predict_codes(model, (design.reference_venue, *design.venue_levels),
+                         design.cell_venue, early)[design.row_cell]
 
 
 def boxplot_aggregate(values: Sequence[float], codes: np.ndarray,

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Cohort, json_value, read_journal, utf8_text
 from .errors import EmptyCohort, EmptyGroup, LedgerError, ParseError
 from .metrics import DEFAULT_EARLY_OFFSET, GroupStats
-from .model import FittedModel
+from .model import FittedModel, predict_codes
 
 REVIEWS_PER_NOMINATION = 4
 
@@ -52,18 +52,15 @@ def ddi_rank(cohort: Cohort, early_offset: int = DEFAULT_EARLY_OFFSET,
     """Rank papers by descending early count; ties break by descending
     predicted percentile (when a model is supplied), then ascending id.
 
-    The last tie-break is the cohort's own (id) order, kept by the stable
-    sort.
+    The predictions come from model.predict_codes, one predict call per
+    distinct (venue, clipped early level) pair.  The last tie-break is the
+    cohort's own (id) order, kept by the stable sort.
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot rank an empty cohort")
     early = cohort.counts_in(cohort.pub_year + early_offset)
-    predicted = None
-    if model is not None:
-        venues = map(cohort.venue_names.__getitem__,
-                     cohort.venue_codes.tolist())
-        predicted = np.fromiter(map(model.predict, venues, early.tolist()),
-                                float, count=len(cohort))
+    predicted = None if model is None else predict_codes(
+        model, cohort.venue_names, cohort.venue_codes, early)
     keys = (-early,) if predicted is None else (-predicted, -early)
     return Ranking(np.lexsort(keys), cohort.ids, cohort.venue_codes,
                    cohort.venue_names, early, predicted)

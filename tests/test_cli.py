@@ -73,6 +73,16 @@ class TestUsage:
         ["corr", "--years", "2020..2016"],
         ["corr", "--years", "2016,,2017"],
         ["venuecorr", "--venues", "TopJournal", "--years", "2017..2016"],
+        # a flag that the chosen mode never reads
+        ["groupstats", "--by", "venue", "--thresholds", "1,2"],
+        ["groupstats", "--by", "venue", "--early-offset", "2"],
+        ["groupstats", "--min-size", "2"],
+        ["triage", "--min-venue-size", "2"],
+        ["triage", "--future-offset", "3"],
+        # a repeated list item
+        ["groupstats", "--thresholds", "3,1,1"],
+        ["corr", "--years", "2017,2017,2016"],
+        ["venuecorr", "--years", "2016", "--venues", "NLP,NLP"],
     ], ids=lambda a: "-".join(a))
     def test_bad_cohort_flag_exit_2(self, args, fixture_args, capsys):
         code, out, err = run([args[0], *fixture_args, *args[1:]], capsys)
@@ -163,6 +173,7 @@ class TestUsage:
     @pytest.mark.parametrize("subcommand", ["groupstats", "triage"])
     @pytest.mark.parametrize("value,bad_item", [
         ("1,x", "x"), ("-2,0", "-2"), ("0", "0"), ("1,,2", ""), ("3,1.5", "1.5"),
+        ("3,1,1", "1"),
     ])
     def test_bad_thresholds_exit_2(self, subcommand, value, bad_item,
                                    fixture_args, capsys):
@@ -329,16 +340,6 @@ class TestImportAndCorr:
         assert code == EXIT_OK
         assert out.splitlines()[0] == ",2016,2017"
         assert out.splitlines()[1].startswith("EMNLP,")
-
-    def test_venuecorr_repeated_venue_prints_two_rows(self, fixture_args,
-                                                      capsys):
-        code, out, _ = run(["venuecorr", *fixture_args, "--years", "2016..2020",
-                            "--venues", "TopJournal,TopJournal"], capsys)
-        assert code == EXIT_OK
-        for block in out.split("\n\n"):    # the rounded and the full table
-            rows = [line for line in block.splitlines()
-                    if line.startswith("TopJournal,")]
-            assert len(rows) == 2 and rows[0] == rows[1]
 
 
 class TestGroupStats:

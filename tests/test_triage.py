@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from citegauge import errors
@@ -11,6 +12,7 @@ from citegauge.model import (
     build_design_matrix,
     fit_ols,
     percentile_transform,
+    predict_cohort,
 )
 from citegauge.triage import (
     NominationLedger,
@@ -18,7 +20,13 @@ from citegauge.triage import (
     rule_of_thumb,
 )
 
-from conftest import make_cohort, random_cohort, random_records, ranked_rows
+from conftest import (
+    make_cohort,
+    random_cohort,
+    random_records,
+    ranked_rows,
+    venues_of,
+)
 
 
 def toy_model(venue_coefs):
@@ -80,6 +88,86 @@ class TestDdiRank:
                     for p in records if p.pub_year == 2016]
         expected.sort(key=lambda r: (-r[1], -r[3], r[0]))
         assert ranked_rows(ddi_rank(cohort, model=model)) == expected
+
+
+def hand_model(T=10, intercept=20.0, venue_coefs=None, early_coefs=None):
+    """A FittedModel with reference venue "A" and the given coefficients."""
+    return FittedModel(pub_year=2016, T=T, reference_venue="A",
+                       intercept=intercept, venue_coefs=venue_coefs or {},
+                       early_coefs=early_coefs or {}, rss=0.0, r_squared=1.0)
+
+
+#: Hand-built models for every branch of FittedModel.predict, on cohorts of
+#: venues A (the reference) to D.
+HAND_MODELS = {
+    "misc": hand_model(venue_coefs={"B": 2.5, MISC_VENUE: -4.0}),
+    "unknown-without-misc": hand_model(venue_coefs={"B": 2.5}),
+    "reference-in-venue-coefs": hand_model(venue_coefs={"A": 100.0, "B": 1.0}),
+    "early-key-0": hand_model(early_coefs={0: 50.0, 3: 2.0, 5: -1.5}),
+    "unseen-level-below": hand_model(early_coefs={1: 1.0, 3: 3.0, 7: 7.25}),
+    "no-level-below": hand_model(early_coefs={5: 5.0, 8: 8.0}),
+    "counts-above-T": hand_model(T=3, early_coefs={1: 0.5, 2: 1.5, 3: 2.5}),
+    "T-1": hand_model(T=1, venue_coefs={"C": 3.0}, early_coefs={1: 9.0}),
+    "T-10**30": hand_model(T=10 ** 30, venue_coefs={MISC_VENUE: 1.0},
+                           early_coefs={1: 1.0, 4: 4.0, 10 ** 30: 30.0}),
+    "negative-zero": hand_model(intercept=-0.0, venue_coefs={"B": 0.0},
+                                early_coefs={2: 0.0}),
+}
+
+
+def seeded_cohort(seed):
+    rng = random.Random(seed)
+    return random_cohort(rng, rng.randint(1, 150), venues=("A", "B", "C", "D"),
+                         max_count=rng.choice([0, 2, 12, 40]))
+
+
+class TestOnePredictionPath:
+    """ddi_rank and predict_cohort read one table of predict calls, one per
+    distinct (venue, clipped early level); every entry is a predict call."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", HAND_MODELS)
+    def test_ranking_predictions_are_per_paper_predict(self, name, seed):
+        model = HAND_MODELS[name]
+        cohort = seeded_cohort(seed)
+        early = cohort.counts_in(2017).tolist()
+        expected = np.array([model.predict(venue, count) for venue, count
+                             in zip(venues_of(cohort), early)])
+        # tobytes tells -0.0 from 0.0
+        assert ddi_rank(cohort, model=model).predicted.tobytes() == \
+            expected.tobytes()
+
+    @pytest.mark.parametrize("name", HAND_MODELS)
+    def test_one_predict_call_per_venue_and_clipped_level(self, name,
+                                                          monkeypatch):
+        model = HAND_MODELS[name]
+        calls = []
+        predict = FittedModel.predict
+        monkeypatch.setattr(FittedModel, "predict", lambda self, venue, early:
+                            calls.append((venue, early)) or
+                            predict(self, venue, early))
+        cohort = random_cohort(random.Random(7), 400,
+                               venues=("A", "B", "C", "D"), max_count=25)
+        ddi_rank(cohort, model=model)
+        pairs = {(venue, min(count, model.T)) for venue, count
+                 in zip(venues_of(cohort), cohort.counts_in(2017).tolist())}
+        assert sorted(calls) == sorted(pairs)
+
+    def test_predict_cohort_one_call_per_cell(self, fixture_corpus_path,
+                                              monkeypatch):
+        cohort = filter_cohort(load_corpus(fixture_corpus_path), 2016)
+        design = build_design_matrix(cohort, T=30)
+        model = fit_ols(design, percentile_transform(cohort, 2020))
+        expected = np.array([model.predict(venue, level) for venue, level
+                             in zip(design.row_venues, design.row_early)])
+        calls = []
+        predict = FittedModel.predict
+        monkeypatch.setattr(FittedModel, "predict", lambda self, venue, early:
+                            calls.append((venue, early)) or
+                            predict(self, venue, early))
+        assert predict_cohort(model, design).tobytes() == expected.tobytes()
+        assert len(calls) == len(design.cell_counts)
+
 
 def gs(label, mu, h, n=10, threshold=None):
     return GroupStats(label=label, h=h, median=mu, mu=mu, sigma=1.0, n=n,
