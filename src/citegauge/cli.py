@@ -109,8 +109,10 @@ def _parse_years(text: str) -> list[int]:
 
 
 def _venue_list(text: str) -> list[str]:
-    """argparse type: comma-separated distinct venue names."""
+    """argparse type: comma-separated distinct venue names, none empty."""
     names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError("item '' is not a venue name")
     return _distinct(names, names)
 
 
@@ -407,6 +409,10 @@ def _corr(cohort, args) -> str:
 
 
 def _venuecorr(cohort, args) -> str:
+    known = set(cohort.venue_names)
+    for venue in args.venues:
+        if venue not in known:
+            raise ValueError(f"no paper of the cohort has venue {venue!r}")
     return _correlation_text(metrics_mod.venue_correlation_table(
         cohort, args.venues, args.years), args.format)
 

@@ -160,7 +160,10 @@ def _check_count(key, value, pub_year: int, line=None) -> tuple[int, int]:
         year = int(key)
     except (TypeError, ValueError):
         raise ParseError(f"counts key {key!r} is not a year", line=line) from None
-    _check_year(year, f"counts key {key!r}", line=line)
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        shown = repr(key) if str(key) == str(year) else f"{key!r} ({year})"
+        raise ParseError(f"counts key {shown} outside [{YEAR_MIN}, {YEAR_MAX}]",
+                         line=line)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise NegativeCount(
             f"counts[{year}] must be a non-negative integer, got {value!r}",

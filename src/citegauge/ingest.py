@@ -117,8 +117,8 @@ class HttpTransport:
         external = body.get("externalIds") or {}
         source = next((source.value for source in SOURCE_PRECEDENCE
                        if source.value in external), Source.OTHER.value)
-        return {"id": paper_id, "venue": body.get("venue"),
-                "year": body.get("year"), "source": source}
+        return {"venue": body.get("venue"), "year": body.get("year"),
+                "source": source}
 
     def get_citations(self, paper_id: str, offset: int, limit: int) -> dict:
         body = self._get(f"/paper/{paper_id}/citations",
@@ -147,8 +147,8 @@ class HttpTransport:
 class ApiClient:
     """Rate-limited, retrying client over an injectable transport.
 
-    The transport must expose get_paper(id) -> {"id", "venue", "source",
-    "year"} and get_citations(id, offset, limit) -> {"total", "data":
+    The transport must expose get_paper(id) -> {"venue", "source", "year"}
+    and get_citations(id, offset, limit) -> {"total", "data":
     [{"year": int-or-None}, ...]}.  Transports signal throttling by raising
     HttpError(429) and transient failures with ConnectionError.
     """

@@ -8,8 +8,8 @@ the fourth after publication.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
@@ -149,49 +149,66 @@ def group_by_venue(cohort: Cohort, min_size: int = 1,
     return rows
 
 
-def pearson(x: Sequence[float], y: Sequence[float]):
-    """Pearson correlation, or DEGENERATE if either variable has zero variance."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("length mismatch")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    # np.sum of products, not a BLAS dot: the same digits at any thread count
-    sx = math.sqrt(float(np.sum(xc * xc)))
-    sy = math.sqrt(float(np.sum(yc * yc)))
-    if sx == 0.0 or sy == 0.0:
-        return DEGENERATE
-    r = float(np.sum(xc * yc)) / (sx * sy)
-    return min(1.0, max(-1.0, r))
-
-
-def _correlation_table(cohort: Cohort, rows: list,
-                       years: Sequence[int]) -> CorrelationTable:
-    """Each (label, vector) row's Pearson correlations with each year's counts."""
-    columns = [cohort.counts_in(y) for y in years]
-    return CorrelationTable(tuple(label for label, _ in rows), tuple(years),
-                            tuple(tuple(pearson(vector, c) for c in columns)
-                                  for _, vector in rows))
-
-
-def year_correlation_matrix(cohort: Cohort, years: Sequence[int]) -> CorrelationTable:
-    """Symmetric year x year Pearson correlation table over cohort counts."""
+def _year_counts(cohort: Cohort, years: Sequence[int]) -> np.ndarray:
+    """The years' counts as one matrix, a row per year: int64, or Python
+    ints (dtype object) when a sum of n products of two counts could pass
+    2**63 - 1."""
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     if not years:
         raise ValueError("years must be non-empty")
-    return _correlation_table(cohort, [(y, cohort.counts_in(y)) for y in years],
-                              years)
+    counts = np.stack([cohort.counts_in(y) for y in years])
+    wide = len(cohort) * counts.max().item() ** 2 >= 2 ** 63
+    return counts.astype(object) if wide else counts
+
+
+def _correlation_table(labels: Sequence, years: Sequence[int], n: int,
+                       rows: tuple, columns: tuple, cross: list) -> CorrelationTable:
+    """Pearson r of each labelled row vector with each year's counts, from
+    exact integer sums over the n papers.
+
+    rows and columns hold the sums and the sums of squares of the row
+    vectors and of the years' counts, and cross[i][j] is the sum of
+    products of row i and year j.  With each vector's Sx and
+    Vx = n Sxx - Sx**2, an entry is (n Sxy - Sx Sy) / sqrt(Vx Vy) from
+    exact ints, rounded once to the nearest double from 40 digits; it is
+    DEGENERATE exactly when a vector is constant (V = 0).
+    """
+    rows, columns = ([(s, n * ss - s * s) for s, ss in zip(*m)] for m in (rows, columns))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        entries = tuple(
+            tuple(DEGENERATE if vx * vy == 0 else
+                  float(Decimal(n * sxy - sx * sy) / Decimal(vx * vy).sqrt())
+                  for (sy, vy), sxy in zip(columns, row_cross))
+            for (sx, vx), row_cross in zip(rows, cross))
+    return CorrelationTable(tuple(labels), tuple(years), entries)
+
+
+def year_correlation_matrix(cohort: Cohort, years: Sequence[int]) -> CorrelationTable:
+    """Symmetric year x year Pearson correlation table over cohort counts."""
+    counts = _year_counts(cohort, years)
+    cross = (counts @ counts.T).tolist()
+    moments = (counts.sum(axis=1).tolist(), [row[i] for i, row in enumerate(cross)])
+    return _correlation_table(years, years, len(cohort), moments, moments, cross)
 
 
 def venue_correlation_table(cohort: Cohort, venue_names: Sequence[str],
                             years: Sequence[int]) -> CorrelationTable:
     """Venue x year table of venue-indicator correlations (exact venue-string
-    equality)."""
-    if len(cohort) < 2:
-        raise EmptyCohort("correlation needs a cohort of size >= 2")
+    equality).
+
+    An indicator's sum and sum of squares are its venue's size, and its
+    cross sums are its venue's count sums, so no indicator is built: sums
+    has a row per venue code, then a zero row (code -1) for a venue with
+    no paper.
+    """
+    counts = _year_counts(cohort, years)
+    sums = np.zeros((len(cohort.venue_names) + 1, len(years)), counts.dtype)
+    np.add.at(sums, cohort.venue_codes, counts.T)
     code_of = {name: code for code, name in enumerate(cohort.venue_names)}
-    return _correlation_table(cohort, [
-        (venue, (cohort.venue_codes == code_of.get(venue, -1)).astype(np.float64))
-        for venue in venue_names], years)
+    codes = [code_of.get(venue, -1) for venue in venue_names]
+    sizes = np.bincount(cohort.venue_codes, minlength=len(sums))[codes].tolist()
+    columns = (counts.sum(axis=1).tolist(), (counts * counts).sum(axis=1).tolist())
+    return _correlation_table(venue_names, years, len(cohort), (sizes, sizes),
+                              columns, sums[codes].tolist())

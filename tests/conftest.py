@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from citegauge.corpus import PaperRecord, Source, filter_cohort
+from citegauge.metrics import DEGENERATE
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,6 +82,28 @@ def entry(table, row_label, col_label):
     """The entry of a CorrelationTable at a row and a column label."""
     return table.entries[table.row_labels.index(row_label)][
         table.col_labels.index(col_label)]
+
+
+def exact_pearson(x, y):
+    """Pearson r of two integer sequences, rounded once to the nearest
+    double, or DEGENERATE when either is constant.  Every step is exact
+    integer arithmetic: q = isqrt(r**2 * 4**k) is floor(|r| * 2**k) with
+    at least 64 bits, so (2q + 1) / 2**(k + 1), a value strictly between
+    q / 2**k and the next multiple of 2**-k when the root is inexact,
+    rounds as |r| does (int / int is correctly rounded)."""
+    n = len(x)
+    sx, sy = sum(x), sum(y)
+    vx = n * sum(a * a for a in x) - sx * sx
+    vy = n * sum(b * b for b in y) - sy * sy
+    if vx == 0 or vy == 0:
+        return DEGENERATE
+    cov = n * sum(a * b for a, b in zip(x, y)) - sx * sy
+    var = vx * vy
+    k = var.bit_length() + 64
+    scaled = cov * cov << 2 * k
+    q = math.isqrt(scaled // var)
+    inexact = q * q * var != scaled
+    return math.copysign((2 * q + inexact) / (1 << k + 1), cov)
 
 
 def group_codes(groups):

@@ -83,6 +83,8 @@ class TestUsage:
         ["groupstats", "--thresholds", "3,1,1"],
         ["corr", "--years", "2017,2017,2016"],
         ["venuecorr", "--years", "2016", "--venues", "NLP,NLP"],
+        # an empty list item
+        ["venuecorr", "--years", "2016", "--venues", ",TopJournal"],
     ], ids=lambda a: "-".join(a))
     def test_bad_cohort_flag_exit_2(self, args, fixture_args, capsys):
         code, out, err = run([args[0], *fixture_args, *args[1:]], capsys)
@@ -340,6 +342,22 @@ class TestImportAndCorr:
         assert code == EXIT_OK
         assert out.splitlines()[0] == ",2016,2017"
         assert out.splitlines()[1].startswith("EMNLP,")
+
+    @pytest.mark.parametrize("venues,aliased,missing", [
+        ("Nowhere,TopJournal", False, "Nowhere"),
+        ("TopJournal,NLPConf", True, "NLPConf"),   # merged away by the alias
+    ])
+    def test_venuecorr_venue_without_paper_exit_1(
+            self, venues, aliased, missing, fixture_args, tmp_path, capsys):
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text('{"NLPConf": "TopJournal"}')
+        extra = ["--aliases", str(aliases)] if aliased else []
+        code, out, err = run(["venuecorr", *fixture_args, "--years", "2016",
+                              "--venues", venues, *extra], capsys)
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert err == (f"citegauge venuecorr: error: no paper of the cohort "
+                       f"has venue {missing!r}\n")
 
 
 class TestGroupStats:

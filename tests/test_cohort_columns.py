@@ -3,10 +3,11 @@
 replaced.
 
 The oracles below are the previous implementations, copied verbatim apart
-from their names and two later rules (the design refuses a kept venue named
+from their names and three later rules (the design refuses a kept venue named
 misc while smaller venues fold into misc; boxplot rows come in group order,
-not label order, which put early level 100 before 11): each walked the
-cohort paper by paper.  They read a
+not label order, which put early level 100 before 11; a correlation is the
+exact r of the Python-int counts, rounded once, from conftest.exact_pearson):
+each walked the cohort paper by paper.  They read a
 PaperCohort, the record tuple a Cohort was before it became columns, built
 from the same records as the Cohort under test.  The percentile,
 design and ranking oracles return plain tuples of the fields they built,
@@ -50,7 +51,6 @@ from citegauge.metrics import (
     group_by_early_threshold,
     group_by_venue,
     h_index,
-    pearson,
     venue_correlation_table,
     year_correlation_matrix,
 )
@@ -66,7 +66,7 @@ from citegauge.model import (
 )
 from citegauge.triage import ddi_rank
 
-from conftest import group_codes, ranked_rows, venues_of
+from conftest import exact_pearson, group_codes, ranked_rows, venues_of
 
 
 # --- oracles: the per-paper implementations ----------------------------------
@@ -162,12 +162,12 @@ def old_year_correlation_matrix(cohort, years):
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     if not years:
         raise ValueError("years must be non-empty")
-    vectors = {y: old_future_counts(cohort.papers, y) for y in years}
+    vectors = {y: [p.counts.get(y, 0) for p in cohort.papers] for y in years}
     n = len(years)
     grid = [[None] * n for _ in range(n)]
     for i, a in enumerate(years):
         for j, b in enumerate(years[i:], start=i):
-            r = pearson(vectors[a], vectors[b])
+            r = exact_pearson(vectors[a], vectors[b])
             grid[i][j] = r
             grid[j][i] = r
     return CorrelationTable(
@@ -180,9 +180,9 @@ def old_year_correlation_matrix(cohort, years):
 def old_indicator_correlation(cohort, venue_predicate, year):
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
-    indicator = np.array([1.0 if venue_predicate(p) else 0.0 for p in cohort])
-    counts = old_future_counts(cohort.papers, year)
-    return pearson(indicator, counts)
+    indicator = [1 if venue_predicate(p) else 0 for p in cohort]
+    counts = [p.counts.get(year, 0) for p in cohort.papers]
+    return exact_pearson(indicator, counts)
 
 
 def old_venue_correlation_table(cohort, venue_names, years, membership=None):

@@ -280,7 +280,7 @@ class TestFilterCohort:
                    make_record("b", counts={year: 2})]
         with pytest.raises(errors.ParseError) as info:
             filter_cohort(records, 2016)
-        assert str(info.value) == (f"line 2: counts key '{year}' {year} "
+        assert str(info.value) == (f"line 2: counts key '{year}' "
                                    f"outside [1900, 2100]")
 
 

@@ -108,7 +108,10 @@ def oracle_validate_record(raw: dict, line=None, strict: bool = True) -> PaperRe
             year = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"counts key {key!r} is not a year", line=line) from None
-        _check_year(year, f"counts key {key!r}", line=line)
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            shown = repr(key) if str(key) == str(year) else f"{key!r} ({year})"
+            raise ParseError(f"counts key {shown} outside [{YEAR_MIN}, "
+                             f"{YEAR_MAX}]", line=line)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise NegativeCount(
                 f"counts[{year}] must be a non-negative integer, got {value!r}",
@@ -320,7 +323,7 @@ def test_validate_record_matches_full_checks(raw, line, strict):
       "counts": {"2_017": 1, "+2018": 2}}, True, None, None),
     ({"id": "p", "source": "ACL", "venue": "V", "year": 2016,
       "counts": {"2017": 1, "1_899": 1}}, True, ParseError,
-     "line 7: counts key '1_899' 1899 outside [1900, 2100]"),
+     "line 7: counts key '1_899' (1899) outside [1900, 2100]"),
     ({"id": "p", "source": "ACL", "venue": "V", "year": 2016,
       "counts": {"2017.0": 1}}, True, ParseError,
      "line 7: counts key '2017.0' is not a year"),

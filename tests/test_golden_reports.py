@@ -3,8 +3,9 @@
 tests/data/reports/ holds what scripts/run_reports.py wrote for the committed
 fixture corpus.  The six files with full-precision floats were last written
 when the fit became one reduced solve of the venue x early table and the
-sums left BLAS; the other three are as they were before the statistics read
-the cohort as columns.  The run is repeated here, through the script and
+sums left BLAS, and year_correlations.csv again when each correlation became
+the exact r of integer sums, rounded once; the other three are as they were
+before the statistics read the cohort as columns.  The run is repeated here, through the script and
 through `citegauge report`, and every file must match byte for byte, so a
 change that moves one float by one ulp shows up even when two runs of the
 same build agree.  The fit's last digits depend on the LAPACK build; after a

@@ -143,7 +143,7 @@ class TestCitationCounting:
         report = build_corpus(sorted(papers), out, tmp_path / "ckpt.json",
                               client)
         assert report.failures == {
-            "b": "ParseError: counts key '2101' 2101 outside [1900, 2100]"}
+            "b": "ParseError: counts key '2101' outside [1900, 2100]"}
         assert (report.written, report.unknown_year_citations) == (2, 4)
         assert [(r.id, r.counts) for r in load_corpus(out)] == [
             ("a", {2017: 1}), ("c", {2018: 1})]
@@ -751,7 +751,7 @@ def citations_body(offset, years, last=True):
 
 
 #: What get_paper makes of paper_body().
-PAPER_META = {"id": "p", "venue": "EMNLP", "year": 2016, "source": "Other"}
+PAPER_META = {"venue": "EMNLP", "year": 2016, "source": "Other"}
 
 
 class TestHttpTransport:

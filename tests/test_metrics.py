@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegauge import errors
@@ -13,12 +13,17 @@ from citegauge.metrics import (
     group_by_early_threshold,
     group_by_venue,
     h_index,
-    pearson,
     venue_correlation_table,
     year_correlation_matrix,
 )
 
-from conftest import entry, make_cohort, random_cohort, random_records
+from conftest import (
+    entry,
+    exact_pearson,
+    make_cohort,
+    random_cohort,
+    random_records,
+)
 
 
 def h_index_oracle(counts):
@@ -149,13 +154,20 @@ class TestGroupByVenue:
         assert sum(r.n for r in rows) == len(cohort)
 
 
+def pair_r(x, y):
+    """The year table's entry for two count vectors, one paper per pair."""
+    cohort = make_cohort([{2016: a, 2017: b} for a, b in zip(x, y)])
+    return entry(year_correlation_matrix(cohort, [2016, 2017]), 2016, 2017)
+
+
 class TestPearson:
     def test_perfectly_linear_two_papers(self):
         # counts (1,2) and (2,4): hand-check gives exactly 1
-        assert pearson([1, 2], [2, 4]) == pytest.approx(1.0, abs=1e-15)
+        assert pair_r([1, 2], [2, 4]) == pytest.approx(1.0, abs=1e-15)
+        assert pair_r([1, 2], [2, 4]) == 1.0
 
     def test_degenerate_on_zero_variance(self):
-        assert pearson([3, 3, 3], [1, 2, 3]) is DEGENERATE
+        assert pair_r([3, 3, 3], [1, 2, 3]) is DEGENERATE
 
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)),
                     min_size=2, max_size=100))
@@ -164,7 +176,7 @@ class TestPearson:
         x = [p[0] for p in pairs]
         y = [p[1] for p in pairs]
         expected = pearson_oracle(x, y)
-        got = pearson(x, y)
+        got = pair_r(x, y)
         if expected is None:
             assert got is DEGENERATE
         else:
@@ -173,19 +185,69 @@ class TestPearson:
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
                     min_size=3, max_size=40),
-           st.floats(min_value=0.1, max_value=100),
-           st.floats(min_value=-50, max_value=50))
+           st.integers(min_value=1, max_value=100),
+           st.integers(min_value=0, max_value=50))
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_positive_affine(self, pairs, scale, shift):
+        # r is exact before its one rounding, so the double is the same
         x = [p[0] for p in pairs]
         y = [p[1] for p in pairs]
-        base = pearson(x, y)
-        transformed = pearson([scale * v + shift for v in x], y)
+        base = pair_r(x, y)
+        transformed = pair_r([scale * v + shift for v in x], y)
         if base is DEGENERATE:
-            # float rounding can leave a sub-1e-9 residual variance
-            assert transformed is DEGENERATE or abs(transformed) < 1e-7
+            assert transformed is DEGENERATE
         else:
-            assert transformed == pytest.approx(base, abs=1e-9)
+            assert transformed == base
+
+
+#: Counts that keep the sums small, reach past 2**53 in int64, or push a
+#: sum of products past 2**63 so the tables take Python ints.
+COUNTS = st.one_of(st.integers(0, 6), st.integers(0, 2 ** 29),
+                   st.integers(2 ** 62 - 4, 2 ** 62 + 4))
+
+
+@st.composite
+def small_cohorts(draw):
+    """(rows, venues): 2-12 papers' counts in 2016..2018 and venues of A,
+    B and C; each year is constant with some probability."""
+    n = draw(st.integers(2, 12))
+    columns = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            columns.append([draw(COUNTS)] * n)
+        else:
+            columns.append(draw(st.lists(COUNTS, min_size=n, max_size=n)))
+    venues = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    return [dict(zip([2016, 2017, 2018], counts))
+            for counts in zip(*columns)], venues
+
+
+class TestExactTables:
+    """Each entry of both tables is the double nearest the exact Pearson r."""
+
+    @given(small_cohorts())
+    @example(([{2016: 2 ** 62, 2017: 1}, {2016: 0, 2017: 2 ** 62},
+               {2016: 2 ** 62 + 1, 2017: 3}], ["A", "B", "A"]))
+    @settings(max_examples=300, deadline=None)
+    def test_entries_are_the_rounded_exact_values(self, cohort_rows):
+        rows, venues = cohort_rows
+        cohort = make_cohort(rows, venues=venues)
+        years = [2016, 2017, 2018]
+        vectors = {y: [row.get(y, 0) for row in rows] for y in years}
+        table = year_correlation_matrix(cohort, years)
+        for i, a in enumerate(years):
+            assert table.entries[i][i] in (1.0, DEGENERATE)
+            for j, b in enumerate(years):
+                assert table.entries[i][j] == exact_pearson(vectors[a],
+                                                            vectors[b])
+                assert table.entries[i][j] == table.entries[j][i]
+        names = ["A", "B", "C", "absent"]
+        table = venue_correlation_table(cohort, names, years)
+        for i, name in enumerate(names):
+            indicator = [int(v == name) for v in venues]
+            for j, year in enumerate(years):
+                assert table.entries[i][j] == exact_pearson(indicator,
+                                                            vectors[year])
 
 
 class TestYearCorrelationMatrix:
