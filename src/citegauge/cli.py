@@ -479,30 +479,35 @@ def _cmd_report(args) -> int:
     """The nine report files from one load, one percentile transform and
     one fit per design (--T for the model and anova, BOXPLOT_T for both
     boxplots).  Every text is computed and encoded before --outdir is
-    made, so a run that fails on the data writes nothing.  The flags that report
-    does not take keep the library defaults."""
+    made, so a run that fails on the data writes nothing; each is kept
+    only as its bytes.  The flags that report does not take keep the
+    library defaults."""
     cohort = _load_cohort(args)
+    data = {}   # file name -> its UTF-8 bytes, each text let go once encoded
+
+    def add(name: str, text: str) -> None:
+        data[name] = text.encode("utf-8")
+
     years = list(range(cohort.pub_year, cohort.pub_year + REPORT_YEARS))
-    texts = {"year_correlations.csv": report_mod.correlation_csv(
-        metrics_mod.year_correlation_matrix(cohort, years))}
+    add("year_correlations.csv", report_mod.correlation_csv(
+        metrics_mod.year_correlation_matrix(cohort, years)))
     threshold_stats = _threshold_groups(cohort, REPORT_THRESHOLDS)
-    texts["early_threshold_groups.csv"] = report_mod.group_stats_csv(
-        threshold_stats)
-    texts["venue_groups.csv"] = report_mod.group_stats_csv(
-        metrics_mod.group_by_venue(cohort, min_size=DEFAULT_MIN_VENUE_SIZE))
+    add("early_threshold_groups.csv",
+        report_mod.group_stats_csv(threshold_stats))
+    add("venue_groups.csv", report_mod.group_stats_csv(
+        metrics_mod.group_by_venue(cohort, min_size=DEFAULT_MIN_VENUE_SIZE)))
     design, frame = _model_inputs(cohort, args.T)
     fitted = model_mod.fit_ols(design, frame)
-    texts["model.json"] = model_mod.model_json(fitted)
-    texts["coefficients.csv"] = report_mod.coefficients_csv(fitted)
-    texts["anova.csv"] = report_mod.anova_csv(
-        model_mod.anova_decompose(design, frame))
+    add("model.json", model_mod.model_json(fitted))
+    add("coefficients.csv", report_mod.coefficients_csv(fitted))
+    add("anova.csv", report_mod.anova_csv(
+        model_mod.anova_decompose(design, frame)))
     design = model_mod.build_design_matrix(cohort, T=BOXPLOT_T)
     predictions = model_mod.predict_cohort(model_mod.fit_ols(design, frame),
                                            design)
-    texts["boxplot_by_early.csv"] = _boxplot_text(design, predictions, "early")
-    texts["boxplot_by_venue.csv"] = _boxplot_text(design, predictions, "venue")
-    texts["triage.csv"] = _triage_text(cohort, threshold_stats)
-    data = {name: text.encode("utf-8") for name, text in texts.items()}
+    add("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
+    add("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
+    add("triage.csv", _triage_text(cohort, threshold_stats))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

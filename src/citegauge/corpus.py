@@ -19,12 +19,23 @@ key repeats.  A block that this refuses is replayed line by line
 (``_replay``) through the per-line accept test (``_accepted``); a line
 that it refuses is decoded again by the reference decoder, stdlib
 ``json`` with a hook that refuses a repeated key, and meets the full
-checks, the only reject path: every error message comes from there.  The
-cohort's rows go onto typed columns a block at a time, with no Python
-call per count entry (``_columns``).  ``PaperRecord`` is the record type
-of the write path (ingest, import, ``write_corpus``) and of
-``load_corpus``; ``filter_cohort`` loads records as the lines
-``write_corpus`` writes, so a cohort has one way in.
+checks, the only reject path: every error message comes from there.
+
+The cohort's columns are built as its blocks arrive (``_columns``), with
+no Python call per count entry: the ids go onto a list, the venue codes
+onto a typed array, and each block's counts, in one numpy scatter, onto
+one line-order row per count year (``_CountRows``), held in the narrowest
+of uint8, uint16, uint32 and int64 that fits every count so far.  No
+per-entry array outlives its block.  At the end the ids are sorted in
+place, with no per-paper int object, and the int64 id-order matrix is
+filled one row at a time, each line-order row let go once gathered.  So
+the load's traced peak is the cohort it returns plus the set of seen ids,
+which stays because a duplicate id is refused in line order, and the
+narrow rows: about 1.3x the cohort.
+
+``PaperRecord`` is the record type of the write path (ingest, import,
+``write_corpus``) and of ``load_corpus``; ``filter_cohort`` loads records
+as the lines ``write_corpus`` writes, so a cohort has one way in.
 
 ``json_value`` is the one decode rule of what the program reads, and
 ``json_bytes`` the one encode rule of the corpus and checkpoint lines it
@@ -500,45 +511,35 @@ def _columns(blocks: Iterable[list], pub_year: int,
     A block's new venues become codes through the alias map once per
     distinct raw name, so raw names with one alias share a code; codes are
     renumbered by first appearance in id order at the end.  Each block's
-    codes, count years and values are appended to typed arrays that grow,
-    the years and values as one numpy array each, so no Python call is made
-    per count entry and no per-paper object but the id outlives its block.
+    counts go onto one narrow line-order row per count year as the block
+    arrives (_CountRows), so no per-entry array and no per-paper object but
+    the id outlives its block.  At the end the ids are sorted in place with
+    no per-paper int object, and the int64 id-order matrix is filled from
+    the rows one row at a time, so the counts are held at full width once.
     """
     aliases = aliases or {}
     code_of: dict[str, int] = {}    # raw venue -> code
     names: dict[str, int] = {}      # venue name -> code, in line order
-    ids, codes, sizes = [], array("i"), array("H")
-    years, values, overflow = array("h"), array("q"), set()
+    ids, codes, rows = [], array("i"), _CountRows()
     for block_ids, _, venues, _, counts in blocks:
         for venue in {*venues}.difference(code_of):
             code_of[venue] = names.setdefault(aliases.get(venue, venue),
                                               len(names))
         ids += block_ids
         codes.extend(map(code_of.__getitem__, venues))
-        sizes.extend(map(len, counts))
-        entry_years = _key_years(counts)
-        years.frombytes(entry_years.view(np.uint8))
-        try:
-            values.frombytes(np.fromiter(
-                chain.from_iterable(map(dict.values, counts)),
-                dtype=np.int64, count=len(entry_years)).view(np.uint8))
-        except OverflowError:
-            # a count past int64 stays out of the matrix; its year is
-            # noted instead
-            for count_year, value in zip(entry_years.tolist(),
-                                         chain.from_iterable(
-                                             map(dict.values, counts))):
-                if not _INT64_MIN <= value <= _INT64_MAX:
-                    overflow.add(count_year)
-                    value = 0
-                values.append(value)
+        rows.add(counts)
 
     n = len(ids)
-    order = sorted(range(n), key=ids.__getitem__)
-    ids = tuple(map(ids.__getitem__, order))
-    order = np.array(order, dtype=np.intp)
-    column = np.empty(n, dtype=np.int32)
-    column[order] = np.arange(n, dtype=np.int32)
+    # each id is its own str object, as two equal ids are a duplicate, so
+    # ordering the line-order objects and the sorted ones by id() pairs
+    # them up; list.sort compares the strs in code-point order
+    lines_by_id = np.fromiter(map(id, ids), dtype=np.uintp, count=n).argsort()
+    ids.sort()
+    places_by_id = np.fromiter(map(id, ids), dtype=np.uintp, count=n).argsort()
+    order = np.empty(n, dtype=np.intp)
+    order[places_by_id] = lines_by_id
+    del lines_by_id, places_by_id
+    ids = tuple(ids)
 
     line_codes = np.frombuffer(codes, dtype=np.int32)[order]
     # line-order codes by the id-order position of their first paper
@@ -546,23 +547,91 @@ def _columns(blocks: Iterable[list], pub_year: int,
     recode = np.empty(len(names), dtype=np.int32)
     recode[first] = np.arange(len(names), dtype=np.int32)
     line_names = list(names)
-
-    # one matrix row per year some count names, through a dense year table;
-    # the indices stay int16 and int32, which numpy casts chunk by chunk
-    entry_year = np.frombuffer(years, dtype=np.int16)
-    present = np.zeros(YEAR_MAX + 1, dtype=bool)
-    present[entry_year] = True
-    row_of = (np.cumsum(present) - 1).astype(np.int16)
-    counts = np.zeros((int(present.sum()), n), dtype=np.int64)
-    counts[row_of[entry_year],
-           np.repeat(column, np.frombuffer(sizes, dtype=np.uint16))] \
-        = np.frombuffer(values, dtype=np.int64)
-    counts.flags.writeable = False
+    years, counts = rows.matrix(order)
     return Cohort(pub_year=pub_year, ids=ids,
                   venue_codes=recode[line_codes],
                   venue_names=tuple(map(line_names.__getitem__, first.tolist())),
-                  years=tuple(np.flatnonzero(present).tolist()),
-                  counts=counts, overflow_years=frozenset(overflow))
+                  years=years, counts=counts,
+                  overflow_years=frozenset(rows.overflow))
+
+
+#: The dtypes of a cohort's line-order count rows while it loads, narrowest
+#: first; the rows take the narrowest that holds every count read so far.
+_ROW_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+
+
+class _CountRows:
+    """A cohort's counts while it loads: one line-order row per count year,
+    in order of first appearance, that grows by a block of lines at a time.
+
+    The rows are bytearrays of the narrowest of _ROW_DTYPES that holds every
+    count so far, all of one dtype, widened together when a block brings a
+    larger count.  A count past int64 stays out of the rows, and its year
+    goes into overflow."""
+
+    def __init__(self):
+        self.years: list[int] = []
+        self.rows: list[bytearray | None] = []
+        self.row_of = np.full(YEAR_MAX + 1, -1, dtype=np.intp)
+        self.dtype = np.dtype(_ROW_DTYPES[0])
+        self.lines = 0
+        self.overflow: set[int] = set()
+
+    def add(self, counts: list[dict]) -> None:
+        """Append a block's lines, given by their canonical counts.
+
+        Its entries go into a dense rows x lines block with one numpy
+        scatter, and each row of the block onto its year's row; a year
+        first seen here starts as zeros for the lines before."""
+        entry_years = _key_years(counts)
+        entry_rows = self.row_of[entry_years]
+        if (entry_rows < 0).any():
+            for year in np.unique(entry_years[entry_rows < 0]).tolist():
+                self.row_of[year] = len(self.rows)
+                self.years.append(year)
+                self.rows.append(bytearray(self.lines * self.dtype.itemsize))
+            entry_rows = self.row_of[entry_years]
+        try:
+            values = np.fromiter(
+                chain.from_iterable(map(dict.values, counts)),
+                dtype=np.int64, count=len(entry_years))
+        except OverflowError:
+            values = []
+            for count_year, value in zip(entry_years.tolist(),
+                                         chain.from_iterable(
+                                             map(dict.values, counts))):
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    self.overflow.add(count_year)
+                    value = 0
+                values.append(value)
+            values = np.array(values, dtype=np.int64)
+        top = int(values.max(initial=0))
+        if top > np.iinfo(self.dtype).max:
+            wide = np.dtype(next(dtype for dtype in _ROW_DTYPES
+                                 if top <= np.iinfo(dtype).max))
+            for j, row in enumerate(self.rows):
+                self.rows[j] = bytearray(
+                    np.frombuffer(row, dtype=self.dtype).astype(wide))
+            self.dtype = wide
+        block = np.zeros((len(self.rows), len(counts)), dtype=self.dtype)
+        block[entry_rows, np.repeat(np.arange(len(counts)), np.fromiter(
+            map(len, counts), dtype=np.intp, count=len(counts)))] = values
+        for row, line_counts in zip(self.rows, block.view(np.uint8)):
+            row.extend(line_counts)
+        self.lines += len(counts)
+
+    def matrix(self, order: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """The years, ascending, and the read-only int64 years x papers
+        matrix whose column j is line order[j], filled one row at a time,
+        each line-order row let go once gathered."""
+        years = sorted(self.years)
+        counts = np.empty((len(years), self.lines), dtype=np.int64)
+        for i, year in enumerate(years):
+            j = self.years.index(year)
+            counts[i] = np.frombuffer(self.rows[j], dtype=self.dtype)[order]
+            self.rows[j] = None
+        counts.flags.writeable = False
+        return tuple(years), counts
 
 
 def json_bytes(value) -> bytes:

@@ -8,23 +8,23 @@ retry/rate-limit path is testable under a virtual clock with no network.
 
 Each corpus record and each checkpoint line the writer commits is encoded
 by one corpus.json_bytes call, which is one orjson call.
+
+urllib, hashlib and concurrent.futures are imported in the functions that
+use them (HttpTransport._get, ids_sha256, build_corpus), so a process that
+runs no ingest, such as every report, loads no network, TLS or hashing
+stack and no thread pool.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
 import random
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -129,6 +129,10 @@ class HttpTransport:
                 "total": None if "next" in body else offset + len(data)}
 
     def _get(self, path: str, params: dict) -> dict:
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         url = (self.config.base_url + urllib.parse.quote(path, safe="/:")
                + "?" + urllib.parse.urlencode(params))
         request = urllib.request.Request(url, headers=self.headers)
@@ -222,6 +226,8 @@ class ApiClient:
 def ids_sha256(paper_ids: list[str]) -> str:
     """Digest of an ids list, so a checkpoint resumes only the list it was
     written for."""
+    import hashlib
+
     return hashlib.sha256(json.dumps(paper_ids).encode("utf-8")).hexdigest()
 
 
@@ -350,6 +356,8 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
     every id is committed.  Per-id fetch failures go into the report, not
     fatal.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not paper_ids:

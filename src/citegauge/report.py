@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain, repeat
+from itertools import repeat
 
 from .metrics import DEGENERATE, CorrelationTable, GroupStats
 from .model import AnovaTable, BoxplotRow, FittedModel
@@ -110,23 +110,37 @@ def boxplot_csv(rows_in: list[BoxplotRow]) -> str:
     return _csv_string(rows)
 
 
+#: Ranking rows rendered at a time: the Python values of one chunk's cells
+#: are all that is alive of the ranking's rows while its text is written.
+_CHUNK = 1024
+
+
 def triage_csv(ranking: Ranking,
                comparisons: list[ThresholdComparison] | None = None) -> str:
-    """The ranking, written column-wise with no per-paper row list, then
-    the comparison rows if any."""
-    order = ranking.order
-    predicted = (repeat("") if ranking.predicted is None
-                 else map(fmt1, ranking.predicted[order].tolist()))
-    return _csv_string(chain(
-        [["rank", "id", "early_count", "venue", "predicted_percentile"]],
-        zip(range(1, len(order) + 1),
-            map(ranking.ids.__getitem__, order.tolist()),
-            ranking.early[order].tolist(),
+    """The ranking, then the comparison rows if any.
+
+    The ranking is written from its columns _CHUNK rows at a time, with no
+    per-paper row list, and the text is joined once from the chunks'
+    texts, so at most the text, its chunks and one chunk's values are alive
+    at once."""
+    order, predicted = ranking.order, ranking.predicted
+    texts = [_csv_string([["rank", "id", "early_count", "venue",
+                           "predicted_percentile"]])]
+    for start in range(0, len(order), _CHUNK):
+        chunk = order[start:start + _CHUNK]
+        texts.append(_csv_string(zip(
+            range(start + 1, start + len(chunk) + 1),
+            map(ranking.ids.__getitem__, chunk.tolist()),
+            ranking.early[chunk].tolist(),
             map(ranking.venue_names.__getitem__,
-                ranking.venue_codes[order].tolist()),
-            predicted),
-        [[], ["threshold", "group_mu", "group_h", "frac_venues_below_mu",
-              "frac_venues_below_h"]] if comparisons else [],
-        ([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
-          repr(c.frac_venues_below_mu), repr(c.frac_venues_below_h)]
-         for c in comparisons or ())))
+                ranking.venue_codes[chunk].tolist()),
+            repeat("") if predicted is None
+            else map(fmt1, predicted[chunk].tolist()))))
+    if comparisons:
+        texts.append(_csv_string([
+            [], ["threshold", "group_mu", "group_h", "frac_venues_below_mu",
+                 "frac_venues_below_h"],
+            *([str(c.threshold), fmt1(c.group_mu), str(c.group_h),
+               repr(c.frac_venues_below_mu), repr(c.frac_venues_below_h)]
+              for c in comparisons)]))
+    return "".join(texts)

@@ -839,3 +839,143 @@ def test_report_path_builds_no_paper_record(fixture_corpus_path, tmp_path,
     capsys.readouterr()
     with pytest.raises(AssertionError):
         load_corpus(fixture_corpus_path)
+
+
+# --- edge cases of the column build, through both ways in ----------------------
+
+def full_columns(cohort):
+    """A Cohort's columns with its count years, overflow years, matrix
+    shape and distinct venue names."""
+    return (columns(cohort), cohort.years, cohort.overflow_years,
+            cohort.counts.shape, cohort.venue_names)
+
+
+def oracle_full_columns(pub_year, papers):
+    years = tuple(sorted({year for p in papers for year in p.counts}))
+    overflow = frozenset(year for p in papers
+                         for year, value in p.counts.items() if value >= 2 ** 63)
+    return (oracle_columns(pub_year, papers), years, overflow,
+            (len(years), len(papers)),
+            tuple(dict.fromkeys(p.venue for p in papers)))
+
+
+def assert_loads_as_oracle(path, aliases=None):
+    """load_cohort, and filter_cohort on the corpus's records, give the
+    oracle's full columns."""
+    expected = oracle_full_columns(*oracle_cohort(path, PUB_YEAR,
+                                                  aliases=aliases))
+    assert full_columns(load_cohort(path, PUB_YEAR, aliases=aliases)) \
+        == expected
+    records = [replace(r, venue=(aliases or {}).get(r.venue, r.venue))
+               for r in load_corpus(path)]
+    assert full_columns(filter_cohort(records, PUB_YEAR)) == expected
+    return expected
+
+
+def write_lines(path, papers):
+    """A corpus of (id, venue, year, counts) papers, in order."""
+    path.write_text("".join(
+        json.dumps({"id": paper_id, "source": "ACL", "venue": venue,
+                    "year": year, "counts": counts}) + "\n"
+        for paper_id, venue, year, counts in papers), encoding="utf-8")
+
+
+def test_ids_in_code_point_order(tmp_path):
+    """Ids that differ only by trailing NULs, which a fixed-width string
+    array would pad away, and ids past ASCII and past the BMP, whose
+    UTF-16 order is not their code-point order."""
+    ids = ["a", "a\0", "a\0\0", "a\0b", "b", "Z", "ä", "日本", "\uffff",
+           "\U0001F600", "\ud7ff"]
+    rng = random.Random(5)
+    rng.shuffle(ids)
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [(paper_id, f"V{i % 3}", PUB_YEAR,
+                        {str(PUB_YEAR + i % 4): i + 1})
+                       for i, paper_id in enumerate(ids)])
+    expected = assert_loads_as_oracle(path)
+    assert expected[0][1] == tuple(sorted(ids))
+
+
+@pytest.mark.parametrize("other_years", [False, True])
+@pytest.mark.parametrize("lines", [255, 256, 257, 513])
+def test_block_sizes_late_and_gapped_count_years(lines, other_years,
+                                                 tmp_path):
+    """Corpora around one and two blocks, whose count years skip a year
+    and whose last line, alone in its block past 256 and 512 lines, has a
+    count in a year no line before it has, between two years that they
+    have; with other_years, one line in three is of another publication
+    year, so the cohort's lines do not fill the blocks.  Ids are shuffled,
+    so id order is not line order."""
+    rng = random.Random(lines)
+    numbers = list(range(lines))
+    rng.shuffle(numbers)
+    papers = []
+    for i, number in enumerate(numbers):
+        year = PUB_YEAR + 1 if other_years and i % 3 == 1 else PUB_YEAR
+        counts = {str(year): rng.randint(0, 3),
+                  str(year + 3): rng.choice([0, 1, 300, 70000])}
+        if i == lines - 1:
+            year, counts = PUB_YEAR, {str(PUB_YEAR + 1): 5}
+        papers.append((f"p{number:04d}", rng.choice("ABC"), year, counts))
+    path = tmp_path / "c.jsonl"
+    write_lines(path, papers)
+    _, years, _, shape, _ = assert_loads_as_oracle(path)
+    assert years[:2] == (PUB_YEAR, PUB_YEAR + 1)
+    assert PUB_YEAR + 2 not in years
+    assert shape[1] == sum(1 for p in papers if p[2] == PUB_YEAR)
+
+
+def test_count_past_int64_and_counts_of_every_width(tmp_path):
+    """Counts that first need one byte, then two, four and eight, each
+    width first reached in a later block of 256 lines, and a count past
+    int64 in the second block."""
+    rng = random.Random(3)
+    widest = {10: 255, 270: 2 ** 16 - 1, 520: 2 ** 16, 800: 2 ** 32,
+              900: 2 ** 63 - 1}
+    papers = []
+    for i in range(1000):
+        counts = {str(PUB_YEAR): widest.get(i, rng.randint(0, 255)),
+                  str(PUB_YEAR + 1 + i % 3): i}
+        if i == 300:
+            counts[str(PUB_YEAR + 5)] = 2 ** 64
+        papers.append((f"id{rng.random()}", "V", PUB_YEAR, counts))
+    path = tmp_path / "c.jsonl"
+    write_lines(path, papers)
+    _, years, overflow, _, _ = assert_loads_as_oracle(path)
+    assert overflow == {PUB_YEAR + 5} and PUB_YEAR + 5 in years
+    assert load_cohort(path, PUB_YEAR).counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("papers", [
+    [],
+    [("q", "V", PUB_YEAR + 1, {str(PUB_YEAR + 1): 2})],
+    [("p", "V", PUB_YEAR, {})],
+    [("p", "V", PUB_YEAR, {str(PUB_YEAR + 3): 7})],
+    [("q", "V", PUB_YEAR - 1, {}), ("p", "W", PUB_YEAR,
+                                    {str(PUB_YEAR): 1})],
+], ids=["empty file", "no cohort line", "one paper without counts",
+        "one paper", "one paper among others"])
+def test_one_paper_and_empty_cohorts(papers, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_lines(path, papers)
+    expected = assert_loads_as_oracle(path)
+    n = sum(1 for p in papers if p[2] == PUB_YEAR)
+    assert expected[3] == (len(expected[1]), n)
+
+
+@pytest.mark.parametrize("aliases", [
+    {"A": "B"}, {"B": "A"}, {"A": "C", "B": "C"}, {"A": "Z", "B": "Z"},
+    {"C": "A", "Q": "B"}])
+def test_aliases_that_merge_raw_venues(aliases, tmp_path):
+    """Raw venues that one alias names share one code and one name, the
+    names numbered by first appearance in id order."""
+    rng = random.Random(9)
+    papers = [(f"p{rng.randint(0, 10 ** 6):07d}-{i}", rng.choice("ABC"),
+               PUB_YEAR, {str(PUB_YEAR + 1): i}) for i in range(300)]
+    path = tmp_path / "c.jsonl"
+    write_lines(path, papers)
+    expected = assert_loads_as_oracle(path, aliases)
+    names = expected[4]
+    assert len(names) == len({aliases.get(v, v) for v in "ABC"})
+    cohort = load_cohort(path, PUB_YEAR, aliases=aliases)
+    assert len(set(cohort.venue_codes.tolist())) == len(names)

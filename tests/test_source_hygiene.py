@@ -3,7 +3,8 @@ function, method, property and class of the package is used by the
 program, the package's third-party imports are its declared dependencies,
 cli.py imports none, every JSON decode in the package catches every way
 text can fail to decode, only corpus.py decodes input JSON or opens a file
-to read, and README.md shows every subcommand.
+to read, importing the CLI loads none of the modules only ingest uses, and
+README.md shows every subcommand.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library: a name bound by a top-level import must be read somewhere
@@ -16,7 +17,9 @@ a caller in the tests alone does not count.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -317,3 +320,22 @@ def test_readme_shows_every_subcommand(capsys):
     missing = [name for name in listed.split(",")
                if f"citegauge {name} " not in readme]
     assert not missing, f"README.md shows no example of: {missing}"
+
+
+#: Modules that only ingest uses: the network and TLS stack, the hashing
+#: behind the checkpoint's ids digest and the fetchers' thread pool.
+INGEST_ONLY_MODULES = ("urllib.request", "http.client", "ssl", "email",
+                       "hashlib", "concurrent.futures")
+
+
+def test_importing_the_cli_loads_no_ingest_only_module():
+    """A report process imports the CLI and runs no ingest, so it loads
+    none of the modules that only ingest uses: ingest imports them in the
+    functions that use them."""
+    probe = ("import sys, citegauge.cli; print(' '.join(sorted(name for name "
+             f"in {INGEST_ONLY_MODULES!r} if name in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            check=True, capture_output=True, text=True).stdout
+    assert loaded.split() == []
