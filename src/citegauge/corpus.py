@@ -12,26 +12,31 @@ the cohort's ids, an int venue code per paper with the distinct venue
 names, and a years x papers count matrix.  The file is read in blocks of
 ``_BLOCK`` lines.  A block's lines are decoded with ``orjson`` and meet
 one accept test together (``_accepted_block``), made of C-level passes
-over the block: its counts check is one subset test of the union of the
-count keys of each publication year's lines against the canonical year
-keys from that year on, and a count of the block's colons proves that no
-key repeats.  A block that this refuses is replayed line by line
-(``_replay``) through the per-line accept test (``_accepted``); a line
-that it refuses is decoded again by the reference decoder, stdlib
-``json`` with a hook that refuses a repeated key, and meets the full
-checks, the only reject path: every error message comes from there.
+over the block: a sum of the lines' key counts proves each line's key set,
+its counts check is one subset test of the union of the count keys of
+each publication year's lines against the canonical year keys from that
+year on, one count of the block's colons proves that no key repeats (with
+a second chance for colons in the ids and venues of a block with no
+backslash), and the ids go into the set of those seen with one update,
+taken out again if the block repeats one.  A block that this refuses is
+replayed line by line (``_replay``) through the per-line accept test
+(``_accepted``); a line that it refuses is decoded again by the reference
+decoder, stdlib ``json`` with a hook that refuses a repeated key, and
+meets the full checks, the only reject path: every error message comes
+from there.
 
 The cohort's columns are built as its blocks arrive (``_columns``), with
 no Python call per count entry: the ids go onto a list, the venue codes
-onto a typed array, and each block's counts, in one numpy scatter, onto
-one line-order row per count year (``_CountRows``), held in the narrowest
-of uint8, uint16, uint32 and int64 that fits every count so far.  No
-per-entry array outlives its block.  At the end the ids are sorted in
-place, with no per-paper int object, and the int64 id-order matrix is
-filled one row at a time, each line-order row let go once gathered.  So
-the load's traced peak is the cohort it returns plus the set of seen ids,
-which stays because a duplicate id is refused in line order, and the
-narrow rows: about 1.3x the cohort.
+onto a typed array, and each block's counts, in one numpy scatter of the
+count values that the accept test listed, onto one line-order row per
+count year (``_CountRows``), held in the narrowest of uint8, uint16,
+uint32 and int64 that fits every count so far.  No per-entry array
+outlives its block.  At the end the ids are sorted in place, with no
+per-paper int object, and the int64 id-order matrix is filled one row at
+a time, each line-order row let go once gathered.  So the load's traced
+peak is the cohort it returns plus the set of seen ids, which stays
+because a duplicate id is refused in line order, and the narrow rows:
+about 1.3x the cohort.
 
 ``PaperRecord`` is the record type of the write path (ingest, import,
 ``write_corpus``) and of ``load_corpus``; ``filter_cohort`` loads records
@@ -97,6 +102,7 @@ _FIELDS = itemgetter("id", "source", "venue", "year", "counts")
 #: The place values of the four digits of a year.
 _PLACES = np.array([1000, 100, 10, 1], dtype=np.int16)
 _SCALARS = {str, int, float, bool, type(None)}
+_ALL_SOURCES = frozenset(Source)
 
 
 @cache
@@ -321,10 +327,13 @@ _BLOCK = 256
 def _validated_lines(lines: Iterable[str], strict: bool,
                      pub_year: int | None = None,
                      sources: Iterable[Source] | None = None
-                     ) -> Iterator[list]:
-    """The (ids, sources, venues, pub_years, counts) columns of the corpus
-    lines published in pub_year (None: any year) by a source in sources
-    (None: any source), one block of _BLOCK lines at a time, in line order.
+                     ) -> Iterator[tuple[list, list | None]]:
+    """(columns, values) of the corpus lines published in pub_year (None:
+    any year) by a source in sources (None: any source), one block of
+    _BLOCK lines at a time, in line order: the (ids, sources, venues,
+    pub_years, counts) columns, and the block's count values flat in entry
+    order if the columns hold every line of a block the accept test took
+    whole, else None.
 
     Every line is validated, kept or not, and the first invalid line or
     duplicate id raises, naming its line.  A block's lines are decoded with
@@ -334,66 +343,100 @@ def _validated_lines(lines: Iterable[str], strict: bool,
     orjson refuses a str that holds a lone surrogate, which is what a byte
     that is not UTF-8 decodes to, and a lone surrogate escape such as
     "\\ud800", so such a block is always replayed, and the full checks
-    refuse the line.  The
-    counts keys of every row are the canonical 4-digit year strings.
+    refuse the line.  The counts keys of every row are the canonical
+    4-digit year strings.
     """
     sources = frozenset(Source if sources is None else sources)
+    every_source = sources >= _ALL_SOURCES
     seen: set[str] = set()
     lines = iter(lines)
     for first in count(1, _BLOCK):
         block_lines = [*islice(lines, _BLOCK)]
         if not block_lines:
             break
-        block = _block_columns(block_lines, first, strict, seen)
+        block, values = _block_columns(block_lines, first, strict, seen)
         if not block:
             continue
-        keep = [*map(sources.__contains__, block[1])]
+        keep = None if every_source else [*map(sources.__contains__, block[1])]
         if pub_year is not None:
-            keep = [*map(and_, keep, map(eq, block[3], repeat(pub_year)))]
-        if not all(keep):
+            in_year = map(eq, block[3], repeat(pub_year))
+            keep = [*in_year] if keep is None else [*map(and_, keep, in_year)]
+        if keep is not None and not all(keep):
             # the lines left out are let go before the next block is read
             block = [[*compress(column, keep)] for column in block]
-        yield block
+            values = None
+        yield block, values
 
 
 def _block_columns(lines: list[str], first: int, strict: bool,
-                   seen: set[str]) -> list:
-    """The (ids, sources, venues, pub_years, counts) columns of the block of
-    lines whose first is line first, accept-tested together or replayed;
-    empty for a block of blank lines.  The decoded lines, of which the
-    columns keep only the fields, are let go when this returns, before the
-    next block is read."""
-    texts = [*filter(None, map(str.strip, lines))]
+                   seen: set[str]) -> tuple[list, list | None]:
+    """(columns, values) of the block of lines whose first is line first,
+    accept-tested together (_accepted_block) or replayed, with values None
+    for a replayed block; empty columns for a block of blank lines.  The
+    decoded lines, of which the columns keep only the fields, are let go
+    when this returns, before the next block is read.
+
+    The lines are decoded as they are read, as JSON allows whitespace
+    around a value; only a block that fails that decode, as one with a
+    blank line does, is stripped and decoded again without its blank
+    lines."""
+    texts = lines
     try:
         raws = [*map(orjson.loads, texts)]
     except (ValueError, RecursionError):
-        raws = None
+        texts = [*filter(None, map(str.strip, lines))]
+        try:
+            raws = [*map(orjson.loads, texts)]
+        except (ValueError, RecursionError):
+            raws = None
     return (raws and _accepted_block(texts, raws, strict, seen)
-            or [*zip(*_replay(lines, first, raws, strict, seen))])
+            or ([*zip(*_replay(lines, first, raws, strict, seen))], None))
 
 
 def _accepted_block(texts: list[str], raws: list, strict: bool,
-                    seen: set[str]) -> list | None:
-    """The (ids, sources, venues, pub_years, counts) columns of a block of
-    decoded lines if each line passes the accept test, carries the
-    repeated-key certificate and holds an id that no line before it does;
-    else None.  seen holds the ids of the lines before the block, and then
-    those of the block too.
+                    seen: set[str]) -> tuple[list, list] | None:
+    """(columns, values) of a block of decoded lines if each line passes the
+    accept test, carries the repeated-key certificate and holds an id that
+    no line before it does, else None: the (ids, sources, venues,
+    pub_years, counts) columns and the count values flat in entry order.
+    seen holds the ids of the lines before the block, and then, if the
+    block is accepted, those of the block too.
 
-    The test is _accepted's, made with C-level passes over the whole block:
-    type sets, each line's key set, one source lookup per distinct source
-    string, and for each distinct publication year its range check and one
-    subset test of the union of its lines' count keys, the lines grouped by
-    year in one pass; then the minimum count.  Each key in a line's text is
-    followed by one ':' outside strings, so each line has at least as many
-    colons as its value has keys, and the block's colons add up to its keys
-    only if no line repeats a key.
+    The test is _accepted's, made with C-level passes over the whole block.
+    The key sets: each line holds every corpus key, or _FIELDS raises
+    KeyError, so a block whose lines hold 5n keys in all holds exactly the
+    corpus keys on each line; a lenient load checks the other keys of a
+    block with more (_scalar_extras).  Then type sets, one source lookup per
+    distinct source string, and for each distinct publication year its
+    range check and one subset test of the union of its lines' count keys,
+    the lines grouped by year in one pass; then the minimum count.
+
+    The repeated-key certificate: each key in a line's text is followed by
+    one ':' outside strings, so each line has at least as many colons as
+    its value has keys, and the block's colons add up to its keys only if
+    no line repeats a key.  A block with more colons has a second chance if
+    its text holds no backslash: each decoded string is then its text, so
+    the colons add up to the keys plus the colons of the decoded ids and
+    venues (and, in a lenient load, of the other keys' names and string
+    values) only if no line repeats a key, whose separator and dropped
+    value add colons to the text alone.  A backslash may spell a colon as
+    an escape, so such a block is replayed.
+
+    The ids: none may be in seen, and adding them must grow seen by one per
+    line; if it grows by less, a line repeats an id of the block, and as
+    none was in seen before, taking them all out again restores it.
     """
-    if not {*map(type, raws)} <= _DICT_ONLY or not (
-            all(map(eq, map(dict.keys, raws), repeat(CORPUS_KEYS)))
-            or not strict and all(map(_scalar_extras, raws))):
+    if not {*map(type, raws)} <= _DICT_ONLY:
         return None
-    ids, names, venues, years, counts = columns = [*zip(*map(_FIELDS, raws))]
+    keys = sum(map(len, raws))
+    if keys != len(CORPUS_KEYS) * len(raws) and (
+            strict or not all(map(_scalar_extras, raws))):
+        return None
+    try:
+        columns = [*zip(*map(_FIELDS, raws))]
+    except KeyError:
+        return None
+    ids, names, venues, years, counts = columns
     if not ({*map(type, ids), *map(type, names), *map(type, venues)}
             <= _STR_ONLY and all(ids) and {*map(type, years)} <= _INT_ONLY
             and {*map(type, counts)} <= _DICT_ONLY):
@@ -416,14 +459,31 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     if not ({*map(type, values)} <= _INT_ONLY
             and (not values or min(values) >= 0)):
         return None
-    if sum(map(str.count, texts, repeat(":"))) \
-            != sum(map(len, raws)) + len(values):
+    text = "".join(texts)
+    colons = text.count(":") - keys - len(values)
+    if colons and ("\\" in text or colons != _string_colons(
+            raws, ids, venues, strict)):
         return None
-    if len({*ids}) != len(ids) or not seen.isdisjoint(ids):
+    if not seen.isdisjoint(ids):
         return None
+    before = len(seen)
     seen.update(ids)
+    if len(seen) != before + len(ids):
+        seen.difference_update(ids)
+        return None
     columns[1] = [*map(source_of.__getitem__, names)]
-    return columns
+    return columns, values
+
+
+def _string_colons(raws: list, ids: tuple, venues: tuple, strict: bool) -> int:
+    """The colons of the decoded ids and venues of a block's lines and, in
+    a lenient load, of the names and string values of their other keys."""
+    strings = [*ids, *venues]
+    if not strict:
+        for raw in raws:
+            for key in raw.keys() - CORPUS_KEYS:
+                strings += (key, raw[key]) if type(raw[key]) is str else (key,)
+    return "".join(strings).count(":")
 
 
 def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
@@ -475,7 +535,8 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
     """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return [_record(*fields) for block in _validated_lines(handle, strict)
+        return [_record(*fields)
+                for block, _ in _validated_lines(handle, strict)
                 for fields in zip(*block)]
 
 
@@ -521,13 +582,13 @@ def _columns(blocks: Iterable[list], pub_year: int,
     code_of: dict[str, int] = {}    # raw venue -> code
     names: dict[str, int] = {}      # venue name -> code, in line order
     ids, codes, rows = [], array("i"), _CountRows()
-    for block_ids, _, venues, _, counts in blocks:
+    for (block_ids, _, venues, _, counts), values in blocks:
         for venue in {*venues}.difference(code_of):
             code_of[venue] = names.setdefault(aliases.get(venue, venue),
                                               len(names))
         ids += block_ids
         codes.extend(map(code_of.__getitem__, venues))
-        rows.add(counts)
+        rows.add(counts, values)
 
     n = len(ids)
     # each id is its own str object, as two equal ids are a duplicate, so
@@ -556,29 +617,32 @@ def _columns(blocks: Iterable[list], pub_year: int,
 
 
 #: The dtypes of a cohort's line-order count rows while it loads, narrowest
-#: first; the rows take the narrowest that holds every count read so far.
-_ROW_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+#: first, each with the largest count it holds; the rows take the narrowest
+#: that holds every count read so far.
+_ROW_MAX = {np.dtype(dtype): int(np.iinfo(dtype).max)
+            for dtype in (np.uint8, np.uint16, np.uint32, np.int64)}
 
 
 class _CountRows:
     """A cohort's counts while it loads: one line-order row per count year,
     in order of first appearance, that grows by a block of lines at a time.
 
-    The rows are bytearrays of the narrowest of _ROW_DTYPES that holds every
-    count so far, all of one dtype, widened together when a block brings a
-    larger count.  A count past int64 stays out of the rows, and its year
-    goes into overflow."""
+    The rows are bytearrays of the narrowest of _ROW_MAX's dtypes that holds
+    every count so far, all of one dtype, widened together when a block
+    brings a larger count.  A count past int64 stays out of the rows, and
+    its year goes into overflow."""
 
     def __init__(self):
         self.years: list[int] = []
         self.rows: list[bytearray | None] = []
         self.row_of = np.full(YEAR_MAX + 1, -1, dtype=np.intp)
-        self.dtype = np.dtype(_ROW_DTYPES[0])
+        self.dtype = next(iter(_ROW_MAX))
         self.lines = 0
         self.overflow: set[int] = set()
 
-    def add(self, counts: list[dict]) -> None:
-        """Append a block's lines, given by their canonical counts.
+    def add(self, counts: list[dict], values: list | None = None) -> None:
+        """Append a block's lines, given by their canonical counts, and
+        their count values flat in entry order if the caller has them.
 
         Its entries go into a dense rows x lines block with one numpy
         scatter, and each row of the block onto its year's row; a year
@@ -591,10 +655,11 @@ class _CountRows:
                 self.years.append(year)
                 self.rows.append(bytearray(self.lines * self.dtype.itemsize))
             entry_rows = self.row_of[entry_years]
+        if values is None:
+            values = chain.from_iterable(map(dict.values, counts))
         try:
-            values = np.fromiter(
-                chain.from_iterable(map(dict.values, counts)),
-                dtype=np.int64, count=len(entry_years))
+            values = np.fromiter(values, dtype=np.int64,
+                                 count=len(entry_years))
         except OverflowError:
             values = []
             for count_year, value in zip(entry_years.tolist(),
@@ -606,9 +671,9 @@ class _CountRows:
                 values.append(value)
             values = np.array(values, dtype=np.int64)
         top = int(values.max(initial=0))
-        if top > np.iinfo(self.dtype).max:
-            wide = np.dtype(next(dtype for dtype in _ROW_DTYPES
-                                 if top <= np.iinfo(dtype).max))
+        if top > _ROW_MAX[self.dtype]:
+            wide = next(dtype for dtype, most in _ROW_MAX.items()
+                        if top <= most)
             for j, row in enumerate(self.rows):
                 self.rows[j] = bytearray(
                     np.frombuffer(row, dtype=self.dtype).astype(wide))

@@ -152,12 +152,19 @@ def group_by_venue(cohort: Cohort, min_size: int = 1,
 def _year_counts(cohort: Cohort, years: Sequence[int]) -> np.ndarray:
     """The years' counts as one matrix, a row per year: int64, or Python
     ints (dtype object) when a sum of n products of two counts could pass
-    2**63 - 1."""
+    2**63 - 1.  Years that are a run of the cohort's rows, none of them an
+    overflow year, are a view of its matrix, not a copy."""
     if len(cohort) < 2:
         raise EmptyCohort("correlation needs a cohort of size >= 2")
     if not years:
         raise ValueError("years must be non-empty")
-    counts = np.stack([cohort.counts_in(y) for y in years])
+    years = tuple(years)
+    first = cohort.years.index(years[0]) if years[0] in cohort.years else 0
+    if (cohort.years[first:first + len(years)] == years
+            and cohort.overflow_years.isdisjoint(years)):
+        counts = cohort.counts[first:first + len(years)]
+    else:
+        counts = np.stack([cohort.counts_in(y) for y in years])
     wide = len(cohort) * counts.max().item() ** 2 >= 2 ** 63
     return counts.astype(object) if wide else counts
 

@@ -306,8 +306,14 @@ def build_design_matrix(cohort: Cohort, T: int = DEFAULT_T,
         raise TooFewRows(f"{n} rows < {k} columns")
 
     n_early = 1 + len(early_levels)
-    cells, row_cell, cell_counts = np.unique(
-        row_v * n_early + row_e, return_inverse=True, return_counts=True)
+    # the populated cells as np.unique of the row keys finds them, from a
+    # count of each key and a table of cell numbers, with no n-long sort
+    row_key = row_v * n_early + row_e
+    key_counts = np.bincount(row_key)
+    cells = np.flatnonzero(key_counts)
+    cell_of_key = np.zeros(len(key_counts), dtype=np.intp)
+    cell_of_key[cells] = np.arange(len(cells))
+    row_cell, cell_counts = cell_of_key[row_key], key_counts[cells]
     cell_venue, cell_early = np.divmod(cells, n_early)
     return DesignMatrix(tuple(columns), venue_levels, reference_venue, T,
                         early_levels, row_cell, cell_counts, cell_venue,

@@ -431,11 +431,11 @@ def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
 
 # --- block boundaries: the block test and its line-by-line replay ---------------
 
-#: Kinds of line, each a change to a valid line of a 2016 paper: kept,
-#: dropped, taking the reference path or invalid.  A line cited before
-#: publication is a 2017 paper's, so that a block test that checked a
-#: 2016 line's count keys for it would pass it; a duplicate repeats the id
-#: of the line before it.
+#: Kinds of line, each a change to a valid line of a 2016 paper, or a
+#: function of that line giving the change: kept, dropped, taking the
+#: reference path or invalid.  A line cited before publication is a 2017
+#: paper's, so that a block test that checked a 2016 line's count keys for
+#: it would pass it; a duplicate repeats the id of the line before it.
 LINE_KINDS = {
     "valid": {},
     "other year": {"year": PUB_YEAR + 1, "counts": {str(PUB_YEAR + 1): 1}},
@@ -445,6 +445,7 @@ LINE_KINDS = {
     "extra list": {"tags": ["x"]},
     "odd key": {"counts": {f" {PUB_YEAR}": 3}},
     "colon": {"venue": "CoRR: cs.CL"},
+    "arXiv id": lambda raw: {"id": "arXiv:" + raw["id"]},
     "past int64": {"counts": {str(PUB_YEAR + 1): 2 ** 64}},
     "negative": {"counts": {str(PUB_YEAR + 1): -1}},
     "before publication": {"year": PUB_YEAR + 1,
@@ -458,7 +459,14 @@ TEXT_KINDS = {"blank": b"  ", "bad json": b'{"id": "x", "source": }',
                                 b'"venue": "A\\ud800", "year": 2016, '
                                 b'"counts": {}}',
               "repeated key": b'{"id": "x", "source": "ACL", "venue": "V", '
-                              b'"year": 2016, "counts": {}, "venue": "W"}'}
+                              b'"year": 2016, "counts": {}, "venue": "W"}',
+              "missing key": b'{"id": "m", "source": "ACL", "venue": "V", '
+                             b'"year": 2016}',
+              # the dropped venue's colons and its separator are the text's
+              # alone, so the colon certificate's second chance refuses it
+              "repeated colons": b'{"id": "r", "source": "ACL", '
+                                 b'"venue": "a::b", "year": 2016, '
+                                 b'"counts": {}, "venue": "V:"}'}
 
 
 def kinds_corpus(kinds):
@@ -468,12 +476,16 @@ def kinds_corpus(kinds):
         raw = {"id": f"p{i - (kind == 'duplicate'):03d}", "source": "ACL",
                "venue": f"V{i % 3}", "year": PUB_YEAR,
                "counts": {str(PUB_YEAR): i, str(PUB_YEAR + 2): 2 * i}}
-        lines.append(TEXT_KINDS[kind] if kind in TEXT_KINDS else json.dumps(
-            raw | LINE_KINDS[kind], ensure_ascii=False).encode("utf-8"))
+        if kind in TEXT_KINDS:
+            lines.append(TEXT_KINDS[kind])
+            continue
+        change = LINE_KINDS[kind]
+        raw |= change(raw) if callable(change) else change
+        lines.append(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
     return b"\n".join(lines) + b"\n"
 
 
-def oracle_outcome(path, data, strict):
+def oracle_outcome(path, data, strict, sources=None):
     """The oracle's outcome on the corpus data, which it reads from path,
     with a byte that is not UTF-8 failing its line in line order."""
     lines = data.split(b"\n")
@@ -482,12 +494,13 @@ def oracle_outcome(path, data, strict):
             line.decode("utf-8")
         except UnicodeDecodeError as exc:
             path.write_bytes(b"\n".join(lines[:line_num - 1]))
-            before = outcome(old_columns, path, strict=strict)
+            before = outcome(old_columns, path, strict=strict,
+                             sources=sources)
             return before if before[0] == "error" else (
                 "error", ParseError, f"line {line_num}: byte "
                 f"{line[exc.start]:#04x} is not UTF-8")
     path.write_bytes(data)
-    return outcome(old_columns, path, strict=strict)
+    return outcome(old_columns, path, strict=strict, sources=sources)
 
 
 @settings(max_examples=200, deadline=None,
@@ -532,18 +545,34 @@ def oracle_outcome(path, data, strict):
          strict=True)
 @example(kinds=["extra scalar", "valid", "extra list", "other year",
                 "other source", "non-ascii"], block=2, strict=False)
+# a line short of a key and one with a key too many hold 5 keys a line
+# between them, and the one short of a key fails as the only bad line
+@example(kinds=["valid", "valid", "missing key", "extra scalar", "valid"],
+         block=2, strict=True)
+# colons in ids and venues, on the block path, and a dropped value's
+@example(kinds=["arXiv id", "colon", "arXiv id", "valid", "repeated colons",
+                "colon"], block=2, strict=True)
+# a duplicate inside a block of ids new until then: the block test has put
+# them in the ids seen and takes them out again, so that its replay refuses
+# the second of the pair, not the first
+@example(kinds=["valid", "valid", "valid", "valid", "duplicate", "valid"],
+         block=3, strict=True)
 def test_blocks_load_as_per_record_path(kinds, block, strict, tmp_path):
     """With blocks of 2 and 3 lines, every block boundary meets a line of
     each kind: load_cohort, and load_corpus with filter_cohort, give the
-    per-record oracle's outcome."""
+    per-record oracle's outcome, with every source kept and with a subset
+    that leaves the "other source" lines out."""
     data = kinds_corpus(kinds)
     path = tmp_path / "c.jsonl"
-    expected = oracle_outcome(path, data, strict)
-    path.write_bytes(data)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_BLOCK", block)
-        assert outcome(new_columns, path, strict=strict) == expected
-        assert outcome(via_records, path, None, strict, None) == expected
+    for sources in (None, {Source.ACL}):
+        expected = oracle_outcome(path, data, strict, sources)
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK", block)
+            assert outcome(new_columns, path, strict=strict,
+                           sources=sources) == expected
+            assert outcome(via_records, path, sources, strict, None) \
+                == expected
 
 
 # --- the benchmark's corpora take the fast path ---------------------------------
@@ -602,17 +631,29 @@ def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
     assert len(load_cohort(path, PUB_YEAR)) == 10
 
 
-def test_lines_with_colons_take_the_reference_path(monkeypatch, tmp_path):
-    """A colon in an id or venue is one more than the repeated-key
-    certificate counts, so such a line is decoded again, and loads."""
-    path = tmp_path / "c.jsonl"
-    path.write_text("".join(json.dumps(
+@pytest.mark.parametrize("escape,calls", [(False, (0, 0, 0)),
+                                          (True, (20, 20, 1))],
+                         ids=["plain", "escaped"])
+def test_lines_with_colons_take_the_fast_path(escape, calls, monkeypatch,
+                                              tmp_path):
+    """A colon in an id or venue is one more than the keys the repeated-key
+    certificate counts.  On a block with no backslash the certificate also
+    counts the decoded ids' and venues' colons, so such lines load without
+    a replay.  A backslash, which may spell a colon as an escape, sends the
+    block to the replay, and each of its lines with a colon to the
+    reference decode."""
+    lines = [json.dumps(
         {"id": f"arXiv:2412.{i:05d}", "source": "ArXiv",
          "venue": "CoRR: cs.CL" if i % 3 else "a::b",
-         "year": PUB_YEAR + i % 2, "counts": {"2017": i}}) + "\n"
-        for i in range(20)), encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == (20, 20, 1)
-    assert "arXiv:2412.00004" in load_cohort(path, PUB_YEAR).ids
+         "year": PUB_YEAR + i % 2, "counts": {"2017": i}}) for i in range(20)]
+    if escape:
+        lines[7] = lines[7].replace("CoRR", "\\u0043oRR")
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert slow_path_calls(monkeypatch, path) == calls
+    cohort = load_cohort(path, PUB_YEAR)
+    assert "arXiv:2412.00004" in cohort.ids
+    assert outcome(new_columns, path) == outcome(old_columns, path)
 
 
 def test_lenient_extra_scalars_take_the_fast_path(monkeypatch, tmp_path):
@@ -632,11 +673,14 @@ def test_lenient_extra_scalars_take_the_fast_path(monkeypatch, tmp_path):
 @pytest.mark.parametrize("strict,members", [
     (True, {"id": '"Ünï-{}"', "venue": '"日本語"'}),
     (False, {"note": '"x"', "tag": "null", "n": "2.5", "flag": "true"}),
-], ids=["non-ascii", "lenient-scalars"])
+    (False, {"id": '"arXiv:{}"', "venue": '"a:b"', "note:x": '"c::d"',
+             "t:": "1"}),
+], ids=["non-ascii", "lenient-scalars", "lenient-colons"])
 def test_other_valid_lines_take_the_fast_path(strict, members, monkeypatch,
                                               tmp_path):
     """Valid UTF-8 beyond ASCII, and under --lenient extra keys that hold
-    scalars, need neither the replay nor the reference decode."""
+    scalars, colons in their names and values among them, need neither the
+    replay nor the reference decode."""
     lines = []
     for i in range(20):
         texts = {key: value.replace("{}", str(i))

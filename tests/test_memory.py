@@ -12,6 +12,10 @@ perfbench/gen.py as tests/test_thread_count.py makes it).
   are rendered a chunk at a time and the text joined once from the
   chunks' texts, so the peak is the text twice.  Measured 2.00 (6.63 when
   every column was one n-long list); the bound adds 0.25.
+- year_correlation_matrix's traced peak over the bytes of the counts it
+  correlates, the cohort's 8 count years.  Those years are a run of the
+  cohort's matrix, which it reads in place; a stacked copy of them would
+  put the ratio past 1.  Measured 0.008; the bound is 0.05.
 
 Each measure runs after a warm-up on the fixture, so that modules numpy
 imports on first use are not counted.
@@ -30,6 +34,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 LOAD_PEAK_BOUND = 1.45
 TRIAGE_TRANSIENT_BOUND = 2.25
+YEAR_CORRELATION_PEAK_BOUND = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +94,13 @@ def test_triage_csv_transient_is_near_its_text(wide_corpus):
     assert text.count("\n") > 14000
     assert transient / len(text) <= TRIAGE_TRANSIENT_BOUND, (
         transient, len(text))
+
+
+def test_year_correlation_reads_the_counts_in_place(wide_corpus):
+    cohort = load_cohort(wide_corpus, 2016)
+    assert len(cohort.years) == 8
+    table, _, peak = traced(
+        lambda: metrics.year_correlation_matrix(cohort, cohort.years))
+    assert len(table.entries) == 8
+    assert peak / cohort.counts.nbytes <= YEAR_CORRELATION_PEAK_BOUND, (
+        peak, cohort.counts.nbytes)

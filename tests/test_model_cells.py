@@ -18,6 +18,7 @@ import pytest
 from citegauge import errors
 from citegauge.corpus import load_cohort
 from citegauge.report import anova_csv
+from citegauge.metrics import DEFAULT_EARLY_OFFSET
 from citegauge.model import (
     MISC_VENUE,
     PercentileFrame,
@@ -216,6 +217,31 @@ def test_cells_match_dense_rows(name, seed):
     assert_close(fitted.rss, rss, ss_total)
     assert_close(fitted.r_squared, 1.0 - rss / ss_total)
     assert_close(predict_cohort(fitted, design), X @ beta)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_cells_are_np_unique_of_the_row_codes(name, seed):
+    """The cells, each row's cell and the cell sizes are, to the dtype,
+    those of np.unique over the rows' (venue level, early level) codes,
+    found from the cohort's venue names and early counts."""
+    cohort, design, _ = build_case(name, seed)
+    venue_code = {v: i for i, v in
+                  enumerate((design.reference_venue, *design.venue_levels))}
+    early_code = {e: i for i, e in enumerate((0, *design.early_levels))}
+    names = [cohort.venue_names[c] for c in cohort.venue_codes]
+    early = cohort.counts_in(cohort.pub_year + DEFAULT_EARLY_OFFSET)
+    misc = venue_code.get(MISC_VENUE)
+    keys = np.array([venue_code.get(v, misc) * len(early_code)
+                     + early_code[min(e, design.T)]
+                     for v, e in zip(names, early.tolist())], dtype=np.intp)
+    cells, row_cell, cell_counts = np.unique(keys, return_inverse=True,
+                                             return_counts=True)
+    got = design.cell_venue * len(early_code) + design.cell_early
+    for mine, want in ((got, cells), (design.row_cell, row_cell),
+                       (design.cell_counts, cell_counts)):
+        assert mine.dtype == want.dtype
+        assert np.array_equal(mine, want)
 
 
 def test_rank_deficient_cases_occur():
