@@ -13,14 +13,17 @@ names, and a years x papers count matrix.  The file is read in blocks of
 ``_BLOCK`` lines.  A block's lines are decoded with ``orjson`` and meet
 one accept test together (``_accepted_block``), made of C-level passes
 over the block: a sum of the lines' key counts proves each line's key set,
-its counts check is one subset test of the union of the count keys of
-each publication year's lines against the canonical year keys from that
-year on, one count of the block's colons proves that no key repeats (with
-a second chance for colons in the ids and venues of a block with no
-backslash), and the ids go into the set of those seen with one update,
-taken out again if the block repeats one.  A block that this refuses is
-replayed line by line (``_replay``) through the per-line accept test
-(``_accepted``); a line that it refuses is decoded again by the reference
+a str join of each str column its types, its counts check is one subset
+test of the union of the count keys of each publication year's lines
+against the canonical year keys from that year on, one ``orjson``
+re-encode of the block's count values proves each a non-negative int, one
+count of the block's colons proves that no key repeats (with a second
+chance for colons in the ids and venues of a block with no backslash),
+and the ids go into the set of those seen with one update, taken out
+again if the block repeats one.  A block that this refuses is replayed
+line by line (``_replay``) through the per-line accept test
+(``_accepted``) and the same colon count, second chance included, made
+for the line; a line that they refuse is decoded again by the reference
 decoder, stdlib ``json`` with a hook that refuses a repeated key, and
 meets the full checks, the only reject path: every error message comes
 from there.
@@ -97,7 +100,7 @@ class Source(str, Enum):
 
 #: A lowercased source name costs the accept test one dict lookup.
 _SOURCES = {member.value.lower(): member for member in Source}
-_INT_ONLY, _STR_ONLY, _DICT_ONLY = {int}, {str}, {dict}
+_INT_ONLY, _DICT_ONLY = {int}, {dict}
 _FIELDS = itemgetter("id", "source", "venue", "year", "counts")
 #: The place values of the four digits of a year.
 _PLACES = np.array([1000, 100, 10, 1], dtype=np.int16)
@@ -406,10 +409,12 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     The key sets: each line holds every corpus key, or _FIELDS raises
     KeyError, so a block whose lines hold 5n keys in all holds exactly the
     corpus keys on each line; a lenient load checks the other keys of a
-    block with more (_scalar_extras).  Then type sets, one source lookup per
-    distinct source string, and for each distinct publication year its
-    range check and one subset test of the union of its lines' count keys,
-    the lines grouped by year in one pass; then the minimum count.
+    block with more (_scalar_extras).  Then a str join of each str column,
+    which raises TypeError on any other value, type sets of the other
+    columns, one source lookup per distinct source string, and for each
+    distinct publication year its range check and one subset test of the
+    union of its lines' count keys, the lines grouped by year in one pass;
+    then one re-encode of the count values (_non_negative_ints).
 
     The repeated-key certificate: each key in a line's text is followed by
     one ':' outside strings, so each line has at least as many colons as
@@ -437,8 +442,12 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     except KeyError:
         return None
     ids, names, venues, years, counts = columns
-    if not ({*map(type, ids), *map(type, names), *map(type, venues)}
-            <= _STR_ONLY and all(ids) and {*map(type, years)} <= _INT_ONLY
+    try:  # a join raises TypeError on a value that is not a str
+        for column in ids, names, venues:
+            "".join(column)
+    except TypeError:
+        return None
+    if not (all(ids) and {*map(type, years)} <= _INT_ONLY
             and {*map(type, counts)} <= _DICT_ONLY):
         return None
     source_of = {name: _SOURCES.get(name.lower()) for name in {*names}}
@@ -456,8 +465,7 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
         if not set().union(*group) <= _year_keys(year).keys():
             return None
     values = [*chain.from_iterable(map(dict.values, counts))]
-    if not ({*map(type, values)} <= _INT_ONLY
-            and (not values or min(values) >= 0)):
+    if not _non_negative_ints(values):
         return None
     text = "".join(texts)
     colons = text.count(":") - keys - len(values)
@@ -473,6 +481,25 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
         return None
     columns[1] = [*map(source_of.__getitem__, names)]
     return columns, values
+
+
+def _non_negative_ints(values: list) -> bool:
+    """Whether each of values, a list of values that orjson.loads gave, is
+    a non-negative int, proved by one C-level re-encode: the text of the
+    list without its brackets holds only digits and commas.
+
+    orjson decodes an integer as an int only inside [-2**63, 2**64) and
+    as a float outside it, so it can encode every int it decodes, and each
+    value that is not a non-negative int leaves some other byte in the
+    text: a bool or None a letter, a float "." or "e", a negative int "-",
+    a str '"', a list or an object a bracket or brace.
+    "-0" decodes to the int 0.  A list or object nested past orjson's
+    encode limit, which is below its decode limit, raises, and is refused
+    too."""
+    try:
+        return not orjson.dumps(values)[1:-1].translate(None, b"0123456789,")
+    except orjson.JSONEncodeError:
+        return False
 
 
 def _string_colons(raws: list, ids: tuple, venues: tuple, strict: bool) -> int:
@@ -493,8 +520,10 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
     orjson values of its non-blank lines, or None if the block's decode
     failed; the first invalid line or duplicate id raises.
 
-    A line whose value fails the accept test or may repeat a key, as does
-    any line that is not UTF-8, is decoded again from its bytes (utf8_text,
+    A line whose value fails the accept test, or whose colons do not prove
+    that no key repeats by the block's certificate made for the one line
+    (so a line with a backslash must have one colon per key), as does any
+    line that is not UTF-8, is decoded again from its bytes (utf8_text,
     json_value) and goes through the full checks.  On the corpus keys of
     accepted values, which hold only dicts, strs and non-bool ints, the two
     decoders agree, and where they differ (ints past uint64, lone surrogate
@@ -516,9 +545,13 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
             except (ValueError, RecursionError):
                 raw = None
         fields = _accepted(raw, strict)
-        # each key in the text is followed by one ':' outside strings, so as
-        # many colons as the accepted value has keys prove that no key repeats
-        if fields is None or line.count(":") != len(raw) + len(fields[4]):
+        # the repeated-key certificate of _accepted_block, for one line
+        if fields is not None:
+            colons = line.count(":") - len(raw) - len(fields[4])
+            if colons and ("\\" in line or colons != _string_colons(
+                    [raw], (fields[0],), (fields[2],), strict)):
+                fields = None
+        if fields is None:
             try:
                 raw = json_value(utf8_text(
                     line.encode("utf-8", "surrogateescape")))

@@ -15,6 +15,7 @@ give equal columns, or raise the same exception class with the same
 message and line.
 """
 
+import functools
 import json
 import random
 import sys
@@ -22,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -291,8 +293,8 @@ def test_first_bad_line_in_line_order_whether_json_or_utf8(
 #: not an int, and the constants and overflowing number that only stdlib
 #: json reads.
 BAD_COUNT_TEXTS = ["-1", "-12", str(-2 ** 63 - 1), "true", "false", "1.0",
-                   "2.5", "1e1", "null", '"4"', "[]", "NaN", "Infinity",
-                   "-Infinity", "1e400"]
+                   "2.5", "1e1", "null", '"4"', "[]", "{}", "NaN",
+                   "Infinity", "-Infinity", "1e400"]
 #: Valid ones: "-0", and values past int64, past uint64 and past a
 #: double's exact integers, which orjson may give as a float or refuse.
 COUNT_TEXTS = ["0", "1", "17", "-0",
@@ -429,6 +431,59 @@ def test_line_text_loads_as_per_record_path(lines, strict, tmp_path):
         outcome(old_columns, path, strict=strict)
 
 
+# --- the count values' re-encode certificate -----------------------------------
+
+#: A value nested deeper than orjson encodes, and not as deep as it decodes.
+DEEP = functools.reduce(lambda inner, _: [inner], range(300), [])
+DEEP_TEXT = json.dumps(DEEP)
+
+#: JSON texts of a value nested in lists and objects, count texts at the leaves.
+nested_texts = st.recursive(
+    st.sampled_from(COUNT_TEXTS + BAD_COUNT_TEXTS),
+    lambda inner: st.lists(inner, max_size=3).map(
+        lambda texts: "[" + ",".join(texts) + "]")
+    | st.lists(inner, max_size=3).map(lambda texts: "{" + ",".join(
+        f'"{i}":{text}' for i, text in enumerate(texts)) + "}"),
+    max_leaves=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts=st.lists(st.one_of(st.sampled_from(COUNT_TEXTS),
+                                st.sampled_from(BAD_COUNT_TEXTS),
+                                nested_texts), max_size=8))
+@example(texts=[])
+@example(texts=["-0", "0"])
+@example(texts=[str(2 ** 64 - 1), str(2 ** 64)])
+@example(texts=["1", DEEP_TEXT])
+@example(texts=['"1"', '"1,2"', "[1,2]"])
+def test_count_value_certificate_is_the_type_test(texts):
+    """For every list that orjson decodes, the re-encode proves all of it
+    non-negative ints exactly when each value is an int, not a bool, and
+    not negative."""
+    try:
+        values = orjson.loads("[" + ",".join(texts) + "]")
+    except (ValueError, RecursionError):
+        return
+    assert corpus._non_negative_ints(values) == all(
+        type(v) is int and v >= 0 for v in values)
+
+
+def test_orjson_gives_a_float_past_its_int_range():
+    """The certificate's premise: an integer that orjson would not hold in
+    64 bits decodes to a float, which it encodes with "e" or ".", not to an
+    int that it could not encode; and its encode refuses some nesting that
+    its decode reads."""
+    for number in (2 ** 64, -2 ** 63 - 1, 10 ** 30):
+        value = orjson.loads(str(number))
+        assert type(value) is float
+        assert orjson.dumps(value).translate(None, b"-0123456789")
+    assert orjson.loads(str(2 ** 64 - 1)) == 2 ** 64 - 1
+    assert orjson.loads(str(-2 ** 63)) == -2 ** 63
+    assert orjson.loads(DEEP_TEXT) == DEEP
+    with pytest.raises(orjson.JSONEncodeError):
+        orjson.dumps(DEEP)
+
+
 # --- block boundaries: the block test and its line-by-line replay ---------------
 
 #: Kinds of line, each a change to a valid line of a 2016 paper, or a
@@ -448,6 +503,14 @@ LINE_KINDS = {
     "arXiv id": lambda raw: {"id": "arXiv:" + raw["id"]},
     "past int64": {"counts": {str(PUB_YEAR + 1): 2 ** 64}},
     "negative": {"counts": {str(PUB_YEAR + 1): -1}},
+    "bool count": {"counts": {str(PUB_YEAR + 1): True}},
+    "float count": {"counts": {str(PUB_YEAR + 1): 1.0}},
+    "null count": {"counts": {str(PUB_YEAR + 1): None}},
+    "str count": {"counts": {str(PUB_YEAR + 1): "4"}},
+    "list count": {"counts": {str(PUB_YEAR + 1): []}},
+    "object count": {"counts": {str(PUB_YEAR + 1): {}}},
+    # orjson decodes this nesting but will not encode it
+    "deep count": {"counts": {str(PUB_YEAR + 1): DEEP}},
     "before publication": {"year": PUB_YEAR + 1,
                            "counts": {str(PUB_YEAR): 1}},
     "duplicate": {},
@@ -601,12 +664,16 @@ def slow_path_calls(monkeypatch, path, strict=True):
     return len(decodes), len(checks), len(replays)
 
 
-@pytest.mark.parametrize("workload", ["report-wide", "report-long", "fixture"])
-def test_benchmark_corpus_takes_the_fast_path(workload, fixture_corpus_path,
+@pytest.mark.parametrize("workload,strict", [
+    pytest.param(workload, strict, id=workload + ("" if strict else "-lenient"))
+    for workload in ["report-wide", "report-long", "fixture"]
+    for strict in [True, False]])
+def test_benchmark_corpus_takes_the_fast_path(workload, strict,
+                                              fixture_corpus_path,
                                               monkeypatch, tmp_path):
     """A change that sent every valid line to the reference decode or the
     full checks, or every block to the replay, would keep every output and
-    lose the load's speed; this catches it."""
+    lose the load's speed, with or without --lenient; this catches it."""
     path = fixture_corpus_path
     if workload != "fixture":
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -616,7 +683,7 @@ def test_benchmark_corpus_takes_the_fast_path(workload, fixture_corpus_path,
         finally:
             sys.modules.pop("gen", None)
         path = tmp_path / "corpus.jsonl"
-    assert slow_path_calls(monkeypatch, path) == (0, 0, 0)
+    assert slow_path_calls(monkeypatch, path, strict) == (0, 0, 0)
 
 
 def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
@@ -631,29 +698,33 @@ def test_lines_with_a_minus_take_the_fast_path(monkeypatch, tmp_path):
     assert len(load_cohort(path, PUB_YEAR)) == 10
 
 
-@pytest.mark.parametrize("escape,calls", [(False, (0, 0, 0)),
-                                          (True, (20, 20, 1))],
-                         ids=["plain", "escaped"])
-def test_lines_with_colons_take_the_fast_path(escape, calls, monkeypatch,
-                                              tmp_path):
+@pytest.mark.parametrize("escape,strict,calls", [
+    (False, True, (0, 0, 0)), (True, True, (1, 1, 1)),
+    (True, False, (1, 1, 1))], ids=["plain", "escaped", "escaped-lenient"])
+def test_lines_with_colons_take_the_fast_path(escape, strict, calls,
+                                              monkeypatch, tmp_path):
     """A colon in an id or venue is one more than the keys the repeated-key
     certificate counts.  On a block with no backslash the certificate also
     counts the decoded ids' and venues' colons, so such lines load without
     a replay.  A backslash, which may spell a colon as an escape, sends the
-    block to the replay, and each of its lines with a colon to the
-    reference decode."""
+    block to the replay, which gives each line the same second chance, so
+    only the line with the backslash takes the reference decode; under
+    --lenient the second chance counts the colons of the other keys too."""
+    extra = {} if strict else {"note:x": "c::d", "t:": 1}
     lines = [json.dumps(
         {"id": f"arXiv:2412.{i:05d}", "source": "ArXiv",
          "venue": "CoRR: cs.CL" if i % 3 else "a::b",
-         "year": PUB_YEAR + i % 2, "counts": {"2017": i}}) for i in range(20)]
+         "year": PUB_YEAR + i % 2, "counts": {"2017": i}, **extra})
+        for i in range(20)]
     if escape:
         lines[7] = lines[7].replace("CoRR", "\\u0043oRR")
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert slow_path_calls(monkeypatch, path) == calls
-    cohort = load_cohort(path, PUB_YEAR)
+    assert slow_path_calls(monkeypatch, path, strict) == calls
+    cohort = load_cohort(path, PUB_YEAR, strict=strict)
     assert "arXiv:2412.00004" in cohort.ids
-    assert outcome(new_columns, path) == outcome(old_columns, path)
+    assert outcome(new_columns, path, strict=strict) == \
+        outcome(old_columns, path, strict=strict)
 
 
 def test_lenient_extra_scalars_take_the_fast_path(monkeypatch, tmp_path):
