@@ -374,32 +374,32 @@ def _flag_model_inputs(cohort, args):
 
 
 def _boxplot_text(design, predictions, by: str) -> str:
-    """Prediction boxplots by early level or venue level, grouped by each
-    row's cell's level code."""
+    """Prediction boxplots by early level or venue level: each cell's
+    prediction counts once per row of the cell, grouped by the cell's level
+    code."""
     if by == "early":
         labels = [f"{lvl:02d}" for lvl in (0, *design.early_levels)]
         rows = model_mod.boxplot_aggregate(
-            predictions, design.cell_early[design.row_cell], labels)
+            predictions, design.cell_counts, design.cell_early, labels)
     else:
         rows = model_mod.boxplot_aggregate(
-            predictions, design.cell_venue[design.row_cell],
+            predictions, design.cell_counts, design.cell_venue,
             (design.reference_venue, *design.venue_levels),
             sort_by_median=True)
     return report_mod.boxplot_csv(rows)
 
 
-def _triage_text(cohort, threshold_stats, min_venue_size=1,
-                 early_offset=DEFAULT_EARLY_OFFSET,
-                 future_offset=DEFAULT_FUTURE_OFFSET, fitted=None) -> str:
+def _triage_text(cohort, threshold_stats, venue_stats, min_venue_size=1,
+                 early_offset=DEFAULT_EARLY_OFFSET, fitted=None) -> str:
     """The ranking, plus comparison rows of the early-threshold groups
-    `threshold_stats` against the venues when they are given."""
+    `threshold_stats` against the venue rows `venue_stats` of at least
+    min_venue_size papers when they are given."""
     ranking = triage_mod.ddi_rank(cohort, early_offset, fitted)
     comparisons = None
     if threshold_stats is not None:
-        venue_stats = [s for s in metrics_mod.group_by_venue(
-            cohort, future_offset=future_offset) if s.n >= min_venue_size]
         comparisons = triage_mod.rule_of_thumb(
-            [s for s in threshold_stats if s.threshold != 0], venue_stats)
+            [s for s in threshold_stats if s.threshold != 0],
+            [s for s in venue_stats if s.n >= min_venue_size])
     return report_mod.triage_csv(ranking, comparisons)
 
 
@@ -449,11 +449,15 @@ def _boxplot(cohort, args) -> str:
 
 def _triage(cohort, args) -> str:
     fitted = model_mod.load_model(args.model) if args.model else None
-    threshold_stats = (_threshold_groups(cohort, args.thresholds,
-                                         args.early_offset, args.future_offset)
-                       if args.thresholds else None)
-    return _triage_text(cohort, threshold_stats, args.min_venue_size,
-                        args.early_offset, args.future_offset, fitted)
+    threshold_stats = venue_stats = None
+    if args.thresholds:
+        threshold_stats = _threshold_groups(cohort, args.thresholds,
+                                            args.early_offset,
+                                            args.future_offset)
+        venue_stats = metrics_mod.group_by_venue(
+            cohort, future_offset=args.future_offset)
+    return _triage_text(cohort, threshold_stats, venue_stats,
+                        args.min_venue_size, args.early_offset, fitted)
 
 
 #: The single report subcommands, each a function (cohort, args) -> text.
@@ -476,8 +480,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """The nine report files from one load, one percentile transform and
-    one fit per design (--T for the model and anova, BOXPLOT_T for both
+    """The nine report files from one load, one percentile transform, one
+    venue grouping (venue_groups.csv and the triage comparisons) and one
+    fit per design (--T for the model and anova, BOXPLOT_T for both
     boxplots).  Every text is computed and encoded before --outdir is
     made, so a run that fails on the data writes nothing; each is kept
     only as its bytes.  The flags that report does not take keep the
@@ -494,8 +499,10 @@ def _cmd_report(args) -> int:
     threshold_stats = _threshold_groups(cohort, REPORT_THRESHOLDS)
     add("early_threshold_groups.csv",
         report_mod.group_stats_csv(threshold_stats))
+    venue_stats = metrics_mod.group_by_venue(cohort)
     add("venue_groups.csv", report_mod.group_stats_csv(
-        metrics_mod.group_by_venue(cohort, min_size=DEFAULT_MIN_VENUE_SIZE)))
+        metrics_mod.pool_venue_rows(cohort, venue_stats,
+                                    DEFAULT_MIN_VENUE_SIZE)))
     design, frame = _model_inputs(cohort, args.T)
     fitted = model_mod.fit_ols(design, frame)
     add("model.json", model_mod.model_json(fitted))
@@ -507,7 +514,7 @@ def _cmd_report(args) -> int:
                                            design)
     add("boxplot_by_early.csv", _boxplot_text(design, predictions, "early"))
     add("boxplot_by_venue.csv", _boxplot_text(design, predictions, "venue"))
-    add("triage.csv", _triage_text(cohort, threshold_stats))
+    add("triage.csv", _triage_text(cohort, threshold_stats, venue_stats))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

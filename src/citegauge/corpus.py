@@ -762,6 +762,21 @@ def record_to_json(record: PaperRecord) -> bytes:
     })
 
 
+def corpus_line(raw: dict) -> bytes:
+    """record_to_json(validate_record(raw)), encoded straight from the
+    fields that the strict checks return, with no PaperRecord between: its
+    count keys are canonical 4-digit years, so they sort as the years do."""
+    paper_id, source, venue, pub_year, counts = (_accepted(raw)
+                                                 or _full_checks(raw, None, True))
+    return json_bytes({
+        "id": paper_id,
+        "source": source.value,
+        "venue": venue,
+        "year": pub_year,
+        "counts": {key: counts[key] for key in sorted(counts)},
+    })
+
+
 def write_corpus(records: Iterable[PaperRecord], path) -> int:
     """Write records as JSONL; returns the number written."""
     n = 0

@@ -6,8 +6,10 @@ last line counting, and the file replaced whole at a run's first commit
 and at its end.  Transport, clock and RNG are injectable so every
 retry/rate-limit path is testable under a virtual clock with no network.
 
-Each corpus record and each checkpoint line the writer commits is encoded
-by one corpus.json_bytes call, which is one orjson call.
+Each corpus line and each checkpoint line the writer commits is encoded
+by one corpus.json_bytes call, which is one orjson call; a fetched paper's
+line is encoded once, in its fetcher thread, from the checked fields
+(corpus.corpus_line).
 
 urllib, hashlib and concurrent.futures are imported in the functions that
 use them (HttpTransport._get, ids_sha256, build_corpus), so a process that
@@ -28,8 +30,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .corpus import (PaperRecord, Source, json_bytes, json_value, read_journal,
-                     read_json, read_text, record_to_json, utf8_text,
+from .corpus import (PaperRecord, Source, corpus_line, json_bytes, json_value,
+                     read_journal, read_json, read_text, utf8_text,
                      validate_record)
 from .errors import (
     DuplicateId,
@@ -320,7 +322,9 @@ class IngestReport:
     unknown_year_citations: int = 0
 
 
-def _record_from_fetch(paper_id: str, meta: dict, counts: dict) -> tuple[PaperRecord, int]:
+def _line_from_fetch(paper_id: str, meta: dict, counts: dict) -> tuple[bytes, int]:
+    """(corpus line without its newline, citations of unknown year) of one
+    fetched paper."""
     pub_year = meta.get("year")
     unknown = counts.pop(UNKNOWN_YEAR, 0)
     # counts below the publication year cannot satisfy record invariants;
@@ -338,7 +342,7 @@ def _record_from_fetch(paper_id: str, meta: dict, counts: dict) -> tuple[PaperRe
         "year": pub_year,
         "counts": {str(y): n for y, n in clean.items()},
     }
-    return validate_record(raw), unknown
+    return corpus_line(raw), unknown
 
 
 def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
@@ -379,7 +383,7 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
         try:
             meta = client.fetch_paper_meta(paper_id)
             counts = client.fetch_citation_years(paper_id)
-            return paper_id, _record_from_fetch(paper_id, meta, counts), None
+            return paper_id, _line_from_fetch(paper_id, meta, counts), None
         except Exception as exc:  # recorded per-id, never fatal
             return paper_id, None, f"{type(exc).__name__}: {exc}"
 
@@ -398,11 +402,11 @@ def build_corpus(paper_ids: list[str], out_path, checkpoint_path,
                 if error is not None:
                     report.failures[paper_id] = error
                 else:
-                    record, unknown = result
+                    line, unknown = result
                     # counted, not handle.tell(): after truncate an
                     # append-mode handle reports the old size until its
                     # first write
-                    committed += handle.write(record_to_json(record) + b"\n")
+                    committed += handle.write(line + b"\n")
                     handle.flush()
                     report.written += 1
                     report.unknown_year_citations += unknown

@@ -4,13 +4,20 @@ Groups are formed either by venue or by an early-citation threshold
 (citations in the first calendar year after publication); statistics
 summarize each member's citations in a later calendar year, by default
 the fourth after publication.
+
+Every group row comes from one kernel, _run_stats, over groups laid out
+as contiguous runs of one array (venues after one stable sort by code): h
+for all runs from one np.bincount, and per run only a partition for the
+median and two reductions for mu and sigma, the float64 operations of
+np.median, np.mean and np.std, so the rows are theirs bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,38 +60,76 @@ class CorrelationTable:
 
 
 def h_index(counts: Sequence[int]) -> int:
-    """Largest h such that at least h of the counts are >= h.
+    """Largest h such that at least h of the counts are >= h."""
+    counts = np.asarray(counts)
+    return int(_h_indexes(counts, np.array([len(counts)]))[0])
 
-    Sorted descending, c_i - i falls strictly with the 1-based rank i, so
-    c_i >= i holds on a prefix whose length is h.
+
+def _h_indexes(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The h-index of each run of counts, run i being the next sizes[i].
+
+    A run of n has n + 1 slots, and a count c tallies in slot min(c, n)
+    (0 if c < 0) of its run, so one np.bincount tallies every run.  The
+    tally from slot k up counts the run's counts >= k; it falls as k
+    rises, so it is >= k exactly for k = 0..h.
     """
-    ordered = np.sort(np.asarray(counts))[::-1]
-    return int(np.count_nonzero(ordered >= np.arange(1, len(ordered) + 1)))
+    slots = sizes + 1
+    first = np.cumsum(slots) - slots
+    run_of_count = np.repeat(np.arange(len(sizes)), sizes)
+    tally = np.bincount(
+        first[run_of_count] + np.clip(counts, 0, sizes[run_of_count]
+                                      ).astype(np.intp),
+        minlength=int(slots.sum()))
+    from_here = np.append(np.cumsum(tally[::-1])[::-1], 0)
+    at_least = from_here[:-1] - np.repeat(from_here[first + slots], slots)
+    rank = np.arange(len(tally)) - np.repeat(first, slots)
+    return np.add.reduceat(at_least >= rank, first) - 1
 
 
-def split_by_code(values: np.ndarray, codes: np.ndarray,
-                  n_levels: int) -> list[np.ndarray]:
-    """values split into one array per code 0..n_levels-1, each in the
-    order the values come in."""
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=n_levels))
-    return np.split(values[order], ends[:-1])
+def _median(values: np.ndarray) -> float:
+    """np.median(values): the middle value, or the mean of the two middle
+    values, of a partition at the middle ranks."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return np.partition(values, half)[half]
+    middle = np.partition(values, (half - 1, half))
+    return (middle[half - 1] + middle[half]) / 2
+
+
+def _run_stats(counts: np.ndarray, sizes: np.ndarray, labels: Iterable[str],
+               thresholds: Iterable[int | None]) -> list[GroupStats]:
+    """GroupStats of each run of the int64 counts, run i being the next
+    sizes[i] >= 1 of them, labelled labels[i] with thresholds[i].
+
+    Each statistic is the float64 value that np.median, np.mean and np.std
+    give on the run: the counts become float64 first (a sum cast from int64
+    chunk by chunk rounds differently past 2**53); mu is np.add.reduce of
+    the run over its size, and sigma the root of np.add.reduce of the
+    squared deviations over the size.  The deviations are taken over every
+    run at once; the reductions and the median's partition run per run, on
+    its contiguous slice, as numpy's pairwise sum depends on the order of
+    the values and np.add.reduceat sums another way.
+    """
+    values = counts.astype(np.float64)
+    ends = np.cumsum(sizes)
+    runs = [slice(start, end) for start, end
+            in zip((ends - sizes).tolist(), ends.tolist())]
+    mu = np.array([np.add.reduce(values[run]) for run in runs]) / sizes
+    deviation = values - np.repeat(mu, sizes)
+    deviation *= deviation
+    sigma = np.sqrt(np.array([np.add.reduce(deviation[run])
+                              for run in runs]) / sizes)
+    return [GroupStats(label=label, threshold=threshold, h=h,
+                       median=float(_median(values[run])), mu=m, sigma=s,
+                       n=n)
+            for label, threshold, h, run, m, s, n in zip(
+                labels, thresholds, _h_indexes(counts, sizes).tolist(), runs,
+                mu.tolist(), sigma.tolist(), sizes.tolist())]
 
 
 def _count_stats(counts: np.ndarray, label: str,
                  threshold: int | None = None) -> GroupStats:
-    # float64 before the reductions, as the counts have always been: a sum
-    # cast from int64 chunk by chunk rounds differently past 2**53
-    values = counts.astype(np.float64)
-    return GroupStats(
-        label=label,
-        threshold=threshold,
-        h=h_index(counts),
-        median=float(np.median(values)),
-        mu=float(np.mean(values)),
-        sigma=float(np.std(values)),
-        n=len(counts),
-    )
+    return _run_stats(counts, np.array([len(counts)]), [label], [threshold])[0]
 
 
 def group_by_early_threshold(cohort: Cohort, thresholds: Sequence[int],
@@ -127,26 +172,62 @@ def group_by_venue(cohort: Cohort, min_size: int = 1,
     smaller venues pool into a final "All other venues" row, and a kept
     venue of that name raises PooledLabelClash.
 
-    The pooled counts come venue by venue in order of first appearance, and
-    in id order within a venue.
+    Only the kept venues are summarised, all in one _run_stats call over
+    their counts ordered by venue code.  The pooled counts come venue by
+    venue in order of first appearance, and in id order within a venue.
     """
+    future, codes, sizes = _venue_columns(cohort, min_size, future_offset)
+    kept = sizes >= min_size
+    names = cohort.venue_names
+    rows = _run_stats(_by_code(future, codes, kept), sizes[kept],
+                      [names[code] for code in np.flatnonzero(kept).tolist()],
+                      repeat(None))
+    rows.sort(key=lambda r: (-r.mu, r.label))
+    return rows + _pooled_row(future, codes, ~kept)
+
+
+def pool_venue_rows(cohort: Cohort, rows: Sequence[GroupStats], min_size: int,
+                    future_offset: int = DEFAULT_FUTURE_OFFSET) -> list[GroupStats]:
+    """group_by_venue(cohort, min_size, future_offset), made from rows, its
+    result at min_size=1: the rows of >= min_size members, then the pooled
+    row of the others."""
+    future, codes, sizes = _venue_columns(cohort, min_size, future_offset)
+    return ([row for row in rows if row.n >= min_size]
+            + _pooled_row(future, codes, sizes < min_size))
+
+
+def _venue_columns(cohort: Cohort, min_size: int, future_offset: int):
+    """(future counts, venue codes, venue sizes) of a cohort that may be
+    grouped by venue at min_size."""
     if len(cohort) == 0:
         raise EmptyCohort("cannot group an empty cohort")
     future = cohort.counts_in(cohort.pub_year + future_offset)
-    names = cohort.venue_names
-    groups = split_by_code(future, cohort.venue_codes, len(names))
-    refuse_pooled_label(names, [len(g) for g in groups], min_size,
+    codes = cohort.venue_codes
+    sizes = np.bincount(codes, minlength=len(cohort.venue_names))
+    refuse_pooled_label(cohort.venue_names, sizes.tolist(), min_size,
                         OTHER_VENUES_LABEL)
-    rows, other = [], []
-    for venue, counts in zip(names, groups):
-        if len(counts) >= min_size:
-            rows.append(_count_stats(counts, venue))
-        else:
-            other.append(counts)
-    rows.sort(key=lambda r: (-r.mu, r.label))
-    if other:
-        rows.append(_count_stats(np.concatenate(other), OTHER_VENUES_LABEL))
-    return rows
+    return future, codes, sizes
+
+
+def _by_code(values: np.ndarray, codes: np.ndarray,
+             chosen: np.ndarray) -> np.ndarray:
+    """The values whose code is chosen (a mask over the codes), ordered by
+    code, and in the order they come in within a code.  The codes are sorted
+    at their narrowest width: numpy's stable sort of 8- or 16-bit ints is a
+    radix sort, 8 times as fast as its sort of the int32 codes at 14k."""
+    rows = chosen[codes]
+    if not rows.all():
+        values, codes = values[rows], codes[rows]
+    narrow = codes.astype(np.min_scalar_type(len(chosen)))
+    return values[np.argsort(narrow, kind="stable")]
+
+
+def _pooled_row(future: np.ndarray, codes: np.ndarray,
+                pooled: np.ndarray) -> list[GroupStats]:
+    """[the "All other venues" row of the pooled venues], or [] if none."""
+    if not pooled.any():
+        return []
+    return [_count_stats(_by_code(future, codes, pooled), OTHER_VENUES_LABEL)]
 
 
 def _year_counts(cohort: Cohort, years: Sequence[int]) -> np.ndarray:

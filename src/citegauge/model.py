@@ -13,9 +13,12 @@ the row residuals, as cell sums would lose precision to cancellation, and
 no sum goes through BLAS, whose digits depend on its thread count.
 
 Predictions have one path, predict_codes: one FittedModel.predict call per
-distinct (venue, clipped early level) pair, gathered per row, so the
-boxplots (predict_cohort) and triage --model read the same table and each
-value is bit for bit a predict call.
+distinct (venue, clipped early level) pair, so the boxplots (predict_cohort,
+one value per cell) and triage --model (gathered per row) read the same
+table and each value is bit for bit a predict call.  A prediction is
+constant within a cell, so boxplot_aggregate takes the cell values with
+the cell sizes and finds each quartile's rows by the running cell size:
+no per-row pass, and the numbers are np.percentile's of the rows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     RankDeficient,
     TooFewRows,
 )
-from .metrics import DEFAULT_EARLY_OFFSET, refuse_pooled_label, split_by_code
+from .metrics import DEFAULT_EARLY_OFFSET, refuse_pooled_label
 
 MISC_VENUE = "misc"
 DEFAULT_MIN_VENUE_SIZE = 40
@@ -456,45 +459,70 @@ def predict_codes(model: FittedModel, venue_names: Sequence[str],
 
 
 def predict_cohort(model: FittedModel, design: DesignMatrix) -> np.ndarray:
-    """Model predictions for every design row, one predict call per cell."""
+    """Model predictions for every design cell, one predict call per cell;
+    row i's prediction is entry design.row_cell[i]."""
     early = np.array((0, *design.early_levels), np.int64)[design.cell_early]
     return predict_codes(model, (design.reference_venue, *design.venue_levels),
-                         design.cell_venue, early)[design.row_cell]
+                         design.cell_venue, early)
 
 
-def boxplot_aggregate(values: Sequence[float], codes: np.ndarray,
-                      labels: Sequence[str],
+#: The quartiles of a boxplot, as np.percentile takes them from [25, 50, 75].
+_QUARTILES = np.array([[0.25], [0.5], [0.75]])
+
+
+def boxplot_aggregate(values: Sequence[float], sizes: Sequence[int],
+                      codes: np.ndarray, labels: Sequence[str],
                       sort_by_median: bool = False) -> list[BoxplotRow]:
-    """Five-number summary (linear-interpolation quartiles) per group.
+    """Five-number summary (linear-interpolation quartiles) per group of
+    rows, where values[i] is the value of sizes[i] >= 1 rows, such as a
+    design cell's prediction and its row count.
 
-    values[i] is in group codes[i], an int in range(len(labels)), whose row
-    is labelled labels[codes[i]]; a group with no value gets no row.  The
-    rows come out in code order (early-level plots), or with sort_by_median
-    median-descending, then by label (venue plots).
+    The rows of values[i] are in group codes[i], an int in
+    range(len(labels)), whose row is labelled labels[codes[i]]; a group
+    with no value gets no row.  The rows come out in code order
+    (early-level plots), or with sort_by_median median-descending, then by
+    label (venue plots).
+
+    Each number is np.percentile's (or min's, max's) of the group's values
+    repeated by size, from the values sorted within each group: the k-th
+    row of a group is in the value where the group's running size passes
+    k.  A quartile q of N rows sits at the virtual index (N - 1) q, between
+    rows a and b at its fraction t, and is a + (b - a) t, or
+    b - (b - a) (1 - t) where t >= 0.5, as np.percentile interpolates.
     """
-    codes = np.asarray(codes)
+    values = np.asarray(values, dtype=np.float64)
+    sizes, codes = np.asarray(sizes, dtype=np.int64), np.asarray(codes)
     if len(values) == 0:
         raise ValueError("no values to aggregate")
-    if len(values) != len(codes):
-        raise DimensionMismatch("values and groups differ in length")
+    if not len(values) == len(sizes) == len(codes):
+        raise DimensionMismatch("values, sizes and groups differ in length")
     if codes.min() < 0 or codes.max() >= len(labels):
         raise ValueError(f"group codes must lie in [0, {len(labels)})")
-    buckets = split_by_code(np.asarray(values, dtype=np.float64), codes,
-                            len(labels))
-    rows = []
-    for label, data in zip(labels, buckets):
-        if not len(data):
-            continue
-        q1, med, q3 = np.percentile(data, [25, 50, 75])
-        rows.append(BoxplotRow(
-            label=label,
-            minimum=float(data.min()),
-            q1=float(q1),
-            median=float(med),
-            q3=float(q3),
-            maximum=float(data.max()),
-            n=len(data),
-        ))
+    if sizes.min() < 1:
+        raise ValueError("sizes must be >= 1")
+    order = np.lexsort((values, codes))
+    values, codes = values[order], codes[order]
+    rows_to = np.cumsum(sizes[order])   # the rows up to each value's last
+    groups = np.flatnonzero(np.bincount(codes, minlength=len(labels)))
+    first = np.searchsorted(codes, groups)
+    last = np.searchsorted(codes, groups, side="right") - 1
+    start = rows_to[first] - sizes[order[first]]
+    n = rows_to[last] - start
+    virtual = (n - 1) * _QUARTILES
+    # as in np.percentile, a virtual index at the last row (N = 1 here)
+    # takes that row on both sides, with t counted from index -1
+    top = virtual >= n - 1
+    below = np.where(top, n - 1, np.floor(virtual))
+    above = np.where(top, below, below + 1)
+    t = np.where(top, virtual + 1, virtual - below)
+    a, b = (values[np.searchsorted(rows_to, start + k, side="right")]
+            for k in (below.astype(np.int64), above.astype(np.int64)))
+    diff = b - a
+    quartiles = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    rows = [BoxplotRow(labels[g], low, q1, median, q3, high, size)
+            for g, low, q1, median, q3, high, size in zip(
+                groups.tolist(), values[first].tolist(), *quartiles.tolist(),
+                values[last].tolist(), n.tolist())]
     if sort_by_median:
         rows.sort(key=lambda r: (-r.median, r.label))
     return rows

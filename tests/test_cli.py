@@ -1043,11 +1043,13 @@ REPORT_FILES = ["year_correlations.csv", "early_threshold_groups.csv",
 
 def test_report_shares_load_percentiles_and_fits(fixture_args, tmp_path,
                                                  monkeypatch, capsys):
-    """One load, one percentile transform, one design and fit at --T and
-    one at T=30, whose predictions serve both boxplots."""
+    """One load, one percentile transform, one venue grouping for
+    venue_groups.csv and triage, and one design and fit at --T and one at
+    T=30, whose predictions serve both boxplots."""
     calls = Counter()
     for module, name in [(corpus_mod, "load_cohort"),
                          (metrics_mod, "group_by_early_threshold"),
+                         (metrics_mod, "group_by_venue"),
                          (model_mod, "percentile_transform"),
                          (model_mod, "build_design_matrix"),
                          (model_mod, "fit_ols"),
@@ -1061,7 +1063,7 @@ def test_report_shares_load_percentiles_and_fits(fixture_args, tmp_path,
                        capsys)
     assert code == EXIT_OK
     assert calls == {"load_cohort": 1, "group_by_early_threshold": 1,
-                     "percentile_transform": 1, "build_design_matrix": 2,
+                     "group_by_venue": 1, "percentile_transform": 1, "build_design_matrix": 2,
                      "fit_ols": 2, "predict_cohort": 1}
     assert out == "".join(f"wrote {outdir / name}\n" for name in REPORT_FILES)
 

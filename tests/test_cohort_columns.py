@@ -404,8 +404,8 @@ def check_all(rng, cohort, old):
                     for p in old],
                    [rng.choice([3, "3", 12, "b"]) for _ in old]):
         for by_median in (False, True):
-            assert boxplot_aggregate(values, *group_codes(groups),
-                                     by_median) == \
+            assert boxplot_aggregate(values, [1] * len(values),
+                                     *group_codes(groups), by_median) == \
                 old_boxplot_aggregate(values, groups, by_median)
 
 

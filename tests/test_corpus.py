@@ -10,6 +10,7 @@ from citegauge import errors
 from citegauge.corpus import (
     PaperRecord,
     Source,
+    corpus_line,
     filter_cohort,
     json_bytes,
     json_value,
@@ -438,3 +439,47 @@ class TestReadJournal:
         path.write_bytes(b'{"a": 1}\n\n{"b": 2}\n  ')
         assert read_journal(path) == ([b'{"a": 1}', b"", b'{"b": 2}'], None,
                                       b"")
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("error", type(exc), str(exc))
+
+
+#: Count keys as a fetch writes them, and odd ones the full checks
+#: normalise or refuse.
+COUNT_KEYS = st.one_of(st.integers(2010, 2030).map(str),
+                       st.sampled_from([" 2017", "2018 ", "+2019", "02020",
+                                        "2101", "x", "\u0662\u0660\u0661\u0668"]))
+COUNT_VALUES = st.one_of(st.integers(0, 50),
+                         st.integers(2 ** 63 - 2, 2 ** 64 + 2),
+                         st.sampled_from([-1, True, 1.0, None, "3"]))
+
+
+@given(st.fixed_dictionaries({
+    "id": st.one_of(st.text(max_size=6), st.just("p\ud800")),
+    "source": st.sampled_from(["ACL", "arxiv", "PubMed", "other", "x", 3]),
+    "venue": st.one_of(st.text(max_size=6), st.just("V\udfff")),
+    "year": st.one_of(st.integers(2010, 2030), st.just(1899), st.just(None)),
+    "counts": st.dictionaries(COUNT_KEYS, COUNT_VALUES, max_size=6),
+}))
+@settings(max_examples=400, deadline=None)
+def test_corpus_line_is_the_record_line(raw):
+    """Ingest encodes a fetched paper's line straight from the checked
+    fields: the bytes, or the error, of the PaperRecord path."""
+    assert outcome(corpus_line, raw) == \
+        outcome(lambda r: record_to_json(validate_record(r)), raw)
+
+
+@given(st.text(min_size=1, max_size=6), st.text(max_size=6),
+       st.integers(2000, 2010),
+       st.dictionaries(st.integers(2010, 2030).map(str),
+                       st.integers(0, 2 ** 64 + 2), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_corpus_line_sorts_the_years(paper_id, venue, year, counts):
+    """Valid fetched papers, their years in any order."""
+    raw = {"id": paper_id, "source": "ACL", "venue": venue, "year": year,
+           "counts": counts}
+    assert corpus_line(raw) == record_to_json(validate_record(raw))

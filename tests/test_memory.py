@@ -16,6 +16,12 @@ perfbench/gen.py as tests/test_thread_count.py makes it).
   correlates, the cohort's 8 count years.  Those years are a run of the
   cohort's matrix, which it reads in place; a stacked copy of them would
   put the ratio past 1.  Measured 0.008; the bound is 0.05.
+- predict_cohort and both prediction boxplots (the T=30 design, as
+  `citegauge report` builds it): their traced peak over the bytes of one
+  int64 count row.  The predictions are one per (venue, early) cell and
+  the boxplots read them with the cell sizes, so the peak follows the 1502
+  cells, not the 14000 papers.  Measured 1.19 (4.24 with one prediction
+  and one group code per paper, sorted per group); the bound adds 0.31.
 
 Each measure runs after a warm-up on the fixture, so that modules numpy
 imports on first use are not counted.
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from citegauge import cli, metrics, report, triage
+from citegauge import cli, metrics, model, report, triage
 from citegauge.corpus import load_cohort
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,6 +41,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LOAD_PEAK_BOUND = 1.45
 TRIAGE_TRANSIENT_BOUND = 2.25
 YEAR_CORRELATION_PEAK_BOUND = 0.05
+BOXPLOT_PEAK_BOUND = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +111,25 @@ def test_year_correlation_reads_the_counts_in_place(wide_corpus):
     assert len(table.entries) == 8
     assert peak / cohort.counts.nbytes <= YEAR_CORRELATION_PEAK_BOUND, (
         peak, cohort.counts.nbytes)
+
+
+def test_prediction_boxplots_read_the_cells(wide_corpus):
+    cohort = load_cohort(wide_corpus, 2016)
+    design = model.build_design_matrix(cohort, T=cli.BOXPLOT_T)
+    fitted = model.fit_ols(design, model.percentile_transform(cohort, 2020))
+    early = [f"{level:02d}" for level in (0, *design.early_levels)]
+    venues = (design.reference_venue, *design.venue_levels)
+
+    def boxplots():
+        predictions = model.predict_cohort(fitted, design)
+        return (model.boxplot_aggregate(predictions, design.cell_counts,
+                                        design.cell_early, early),
+                model.boxplot_aggregate(predictions, design.cell_counts,
+                                        design.cell_venue, venues,
+                                        sort_by_median=True))
+
+    boxplots()   # numpy's first-use allocations are not the stage's
+    (by_early, by_venue), _, peak = traced(boxplots)
+    assert sum(r.n for r in by_early) == sum(r.n for r in by_venue) == 14000
+    row = cohort.counts_in(2017).nbytes
+    assert peak / row <= BOXPLOT_PEAK_BOUND, (peak, row)

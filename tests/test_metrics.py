@@ -10,9 +10,14 @@ from citegauge import errors
 from citegauge.corpus import filter_cohort
 from citegauge.metrics import (
     DEGENERATE,
+    OTHER_VENUES_LABEL,
+    GroupStats,
+    _count_stats,
+    _run_stats,
     group_by_early_threshold,
     group_by_venue,
     h_index,
+    pool_venue_rows,
     venue_correlation_table,
     year_correlation_matrix,
 )
@@ -22,6 +27,7 @@ from conftest import (
     exact_pearson,
     make_cohort,
     random_cohort,
+    venues_of,
     random_records,
 )
 
@@ -152,6 +158,72 @@ class TestGroupByVenue:
         cohort = random_cohort(rng, 60, venues=("A", "B", "C", "D", "E"))
         rows = group_by_venue(cohort, min_size=10)
         assert sum(r.n for r in rows) == len(cohort)
+
+
+def numpy_stats(counts, label="", threshold=None):
+    """A group's row as numpy's own reductions give it on the float64
+    counts, with the brute-force h-index."""
+    values = np.array(counts, dtype=np.int64).astype(np.float64)
+    return GroupStats(label=label, threshold=threshold,
+                      h=h_index_oracle(counts),
+                      median=float(np.median(values)),
+                      mu=float(np.mean(values)), sigma=float(np.std(values)),
+                      n=len(counts))
+
+
+#: Counts with ties, and counts where float64 rounds (near 2**53) and
+#: where the squared deviations are huge (near 2**62).
+COUNTS = st.one_of(st.integers(0, 4), st.integers(0, 10 ** 6),
+                   st.integers(2 ** 53 - 3, 2 ** 53 + 3),
+                   st.integers(2 ** 62 - 3, 2 ** 62 + 3))
+
+
+class TestRunStatsOracle:
+    """The grouped kernel against numpy's reductions on each group alone;
+    repr tells -0.0 from 0.0, so the rows match bit for bit."""
+
+    @given(st.lists(st.lists(COUNTS, min_size=1, max_size=12), min_size=1,
+                    max_size=8))
+    @example([[7]])
+    @example([[3, 3]])
+    @example([[1, 2, 3], [5, 0, 0, 9], [2 ** 53 + 1, 2 ** 53 + 3]])
+    @example([[2 ** 62 + 3, 0, 2 ** 62 - 3, 1], [4]])
+    @settings(max_examples=300, deadline=None)
+    def test_each_run_is_numpy_stats_of_its_counts(self, groups):
+        counts = np.array([c for group in groups for c in group], np.int64)
+        sizes = np.array([len(group) for group in groups])
+        labels = [f"g{i}" for i in range(len(groups))]
+        rows = _run_stats(counts, sizes, labels, range(len(groups)))
+        expected = [numpy_stats(group, label, i)
+                    for i, (group, label) in enumerate(zip(groups, labels))]
+        assert repr(rows) == repr(expected)
+        assert repr(rows) == repr(
+            [_count_stats(np.array(group, np.int64), label, i)
+             for i, (group, label) in enumerate(zip(groups, labels))])
+
+    @given(st.lists(st.tuples(st.sampled_from("ABCDE"), COUNTS), min_size=1,
+                    max_size=40),
+           st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_group_by_venue_is_numpy_stats_per_venue(self, papers, min_size):
+        cohort = make_cohort([{2020: c} for _, c in papers],
+                             venues=[v for v, _ in papers])
+        by_venue = {}   # first appearance, in id order within a venue
+        for venue, count in zip(venues_of(cohort),
+                                cohort.counts_in(2020).tolist()):
+            by_venue.setdefault(venue, []).append(count)
+        kept = sorted((numpy_stats(counts, venue)
+                       for venue, counts in by_venue.items()
+                       if len(counts) >= min_size),
+                      key=lambda r: (-r.mu, r.label))
+        pooled = [c for counts in by_venue.values() if len(counts) < min_size
+                  for c in counts]
+        expected = kept + ([numpy_stats(pooled, OTHER_VENUES_LABEL)]
+                           if pooled else [])
+        rows = group_by_venue(cohort, min_size)
+        assert repr(rows) == repr(expected)
+        assert repr(pool_venue_rows(cohort, group_by_venue(cohort),
+                                    min_size)) == repr(rows)
 
 
 def pair_r(x, y):

@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegauge import errors
 from citegauge.corpus import filter_cohort
 from citegauge.model import (
     MISC_VENUE,
+    BoxplotRow,
     FittedModel,
     anova_decompose,
     boxplot_aggregate,
@@ -243,7 +244,7 @@ class TestFitOls:
         design = build_design_matrix(cohort, T=3, min_venue_size=1)
         frame = percentile_transform(cohort, 2020)
         fitted = fit_ols(design, frame)
-        predictions = predict_cohort(fitted, design)
+        predictions = predict_cohort(fitted, design)[design.row_cell]
         assert predictions.mean() == pytest.approx(
             np.mean(frame.percentiles), abs=1e-9)
 
@@ -253,7 +254,7 @@ class TestFitOls:
         fitted = fit_ols(design, frame)
         beta = normal_equations_oracle(design.X, np.array(frame.percentiles))
         solver_fitted = design.X @ beta
-        reconstructed = predict_cohort(fitted, design)
+        reconstructed = predict_cohort(fitted, design)[design.row_cell]
         assert np.allclose(reconstructed, solver_fitted, atol=1e-10)
 
     def test_row_order_independence(self):
@@ -352,19 +353,19 @@ class TestAnova:
 
 class TestBoxplotAggregate:
     def test_five_numbers_linear_interpolation(self):
-        rows = boxplot_aggregate([1, 2, 3, 4, 5], [0] * 5, ["g"])
+        rows = boxplot_aggregate([1, 2, 3, 4, 5], [1] * 5, [0] * 5, ["g"])
         r = rows[0]
         assert (r.minimum, r.q1, r.median, r.q3, r.maximum) == (1, 2, 3, 4, 5)
         assert r.n == 5
 
     def test_single_value(self):
-        r = boxplot_aggregate([7.5], [0], ["g"])[0]
+        r = boxplot_aggregate([7.5], [1], [0], ["g"])[0]
         assert r.minimum == r.q1 == r.median == r.q3 == r.maximum == 7.5
 
     def test_sorted_by_median_descending(self):
         values = [40, 40, 60, 60]
         groups = ["low", "low", "high", "high"]
-        rows = boxplot_aggregate(values, *group_codes(groups),
+        rows = boxplot_aggregate(values, [1] * 4, *group_codes(groups),
                                  sort_by_median=True)
         assert [r.label for r in rows] == ["high", "low"]
 
@@ -374,33 +375,98 @@ class TestBoxplotAggregate:
             n = rng.randint(1, 50)
             values = [rng.uniform(0, 100) for _ in range(n)]
             groups = [rng.choice("abc") for _ in range(n)]
-            rows = boxplot_aggregate(values, *group_codes(groups))
+            rows = boxplot_aggregate(values, [1] * n, *group_codes(groups))
             for r in rows:
                 assert r.minimum <= r.q1 <= r.median <= r.q3 <= r.maximum
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            boxplot_aggregate([], [], [])
+            boxplot_aggregate([], [], [], [])
 
     def test_group_without_values_gets_no_row(self):
-        rows = boxplot_aggregate([1.0, 2.0, 3.0], [2, 0, 2], ["b", "a", "c"])
+        rows = boxplot_aggregate([1.0, 2.0, 3.0], [1, 1, 1], [2, 0, 2],
+                                 ["b", "a", "c"])
         assert [(r.label, r.n) for r in rows] == [("b", 1), ("c", 2)]
 
     def test_rows_in_code_order_not_label_order(self):
-        rows = boxplot_aggregate([4.0, 3.0, 2.0, 1.0], [3, 2, 1, 0],
+        rows = boxplot_aggregate([4.0, 3.0, 2.0, 1.0], [1] * 4, [3, 2, 1, 0],
                                  ["2", "10", "11", "100"])
         assert [(r.label, r.median) for r in rows] == [
             ("2", 1.0), ("10", 2.0), ("11", 3.0), ("100", 4.0)]
 
     def test_equal_labels_keep_code_order(self):
-        rows = boxplot_aggregate([5.0, 1.0], [0, 1], ["3", "3"])
+        rows = boxplot_aggregate([5.0, 1.0], [1, 1], [0, 1], ["3", "3"])
         assert [r.median for r in rows] == [5.0, 1.0]
 
     @pytest.mark.parametrize("codes", [[0, 2], [-1, 0]])
     def test_codes_outside_labels(self, codes):
         with pytest.raises(ValueError):
-            boxplot_aggregate([1.0, 2.0], codes, ["a", "b"])
+            boxplot_aggregate([1.0, 2.0], [1, 1], codes, ["a", "b"])
 
     def test_length_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
-            boxplot_aggregate([1.0, 2.0], [0], ["a"])
+            boxplot_aggregate([1.0, 2.0], [1, 1], [0], ["a"])
+
+
+#: Cell values with repeats; + 0.0 turns -0.0 into 0.0, whose tie with 0.0
+#: np.percentile's partition may break either way.
+CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 25.0, 50.5, 1 / 3]),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: x + 0.0))
+
+
+class TestBoxplotCells:
+    """Each cell's value stands for its rows: the rows are np.percentile's,
+    min's and max's of the values repeated by size, bit for bit."""
+
+    @given(st.lists(st.tuples(st.integers(0, 3), CELL_VALUES,
+                              st.integers(1, 4)), min_size=1, max_size=10),
+           st.booleans())
+    @example([(0, 5.0, 1)], False)
+    @example([(0, 5.0, 1), (0, 1.0, 1)], False)
+    @example([(1, 2.0, 2), (1, 1 / 3, 1), (1, 7.0, 1)], False)
+    @example([(0, 1.0, 3), (2, 1.0, 1), (0, 25.0, 2), (2, 50.5, 4)], True)
+    @settings(max_examples=400, deadline=None)
+    def test_cells_are_np_percentile_of_their_rows(self, cells, by_median):
+        labels = ["d", "c", "b", "a"]
+        codes, values, sizes = zip(*cells)
+        expected = []
+        for code, label in enumerate(labels):
+            data = np.repeat([v for c, v, _ in cells if c == code],
+                             [size for c, _, size in cells if c == code])
+            if len(data):
+                q1, median, q3 = np.percentile(data, [25, 50, 75])
+                expected.append(BoxplotRow(
+                    label, float(data.min()), float(q1), float(median),
+                    float(q3), float(data.max()), len(data)))
+        if by_median:
+            expected.sort(key=lambda r: (-r.median, r.label))
+        rows = boxplot_aggregate(values, sizes, codes, labels, by_median)
+        assert repr(rows) == repr(expected)
+
+    def test_sizes_below_one(self):
+        with pytest.raises(ValueError):
+            boxplot_aggregate([1.0, 2.0], [1, 0], [0, 0], ["a"])
+
+    def test_sizes_length_mismatch(self):
+        with pytest.raises(errors.DimensionMismatch):
+            boxplot_aggregate([1.0, 2.0], [1], [0, 0], ["a"])
+
+    def test_design_cells_give_the_rows_boxplots(self):
+        """The report's path: per-cell predictions and cell sizes give the
+        rows of the per-row predictions."""
+        rng = random.Random(21)
+        cohort = random_cohort(rng, 300, venues=("A", "B", "C", "D"),
+                               max_count=40)
+        design = build_design_matrix(cohort, T=30, min_venue_size=1)
+        fitted = fit_ols(design, percentile_transform(cohort, 2020))
+        cells = predict_cohort(fitted, design)
+        rows = cells[design.row_cell]
+        for codes, labels in (
+                (design.cell_early, [str(k) for k in (0, *design.early_levels)]),
+                (design.cell_venue, (design.reference_venue,
+                                     *design.venue_levels))):
+            assert boxplot_aggregate(cells, design.cell_counts, codes,
+                                     labels) == \
+                boxplot_aggregate(rows, np.ones(len(rows), np.int64),
+                                  codes[design.row_cell], labels)
