@@ -12,16 +12,21 @@ the cohort's ids, an int venue code per paper with the distinct venue
 names, and a years x papers count matrix.  The file is read in blocks of
 ``_BLOCK`` lines.  A block's lines are decoded with ``orjson`` and meet
 one accept test together (``_accepted_block``), made of C-level passes
-over the block: a sum of the lines' key counts proves each line's key set,
-a str join of each str column its types, its counts check is one subset
-test of the union of the count keys of each publication year's lines
-against the canonical year keys from that year on, one ``orjson``
-re-encode of the block's count values proves each a non-negative int, one
-count of the block's colons proves that no key repeats (with a second
-chance for colons in the ids and venues of a block with no backslash),
-and the ids go into the set of those seen with one update, taken out
-again if the block repeats one.  A block that this refuses is replayed
-line by line (``_replay``) through the per-line accept test
+over the block: one getter map per corpus key builds the block's columns
+and proves each line a dict that holds the corpus keys, a sum of the
+lines' key counts proves each line's key set, a str join of each str
+column its types, the one pass that lists the count values flat proves
+each line's counts a dict, its counts check is one subset test of the
+union of the count keys of each publication year's lines against the
+canonical year keys from that year on, one ``orjson`` re-encode of the
+count values proves each a non-negative int, one numpy count of the
+colons among the block's UTF-8 bytes proves that no key repeats (with a
+second chance for colons in the ids and venues of a block with no
+backslash), and the ids go into the set of those seen with one update,
+taken out again if the block repeats one.  A line's source stays the
+name it holds, as the cohort keeps no source; only a source filter and
+``load_corpus`` map names to ``Source``.  A block that this refuses is
+replayed line by line (``_replay``) through the per-line accept test
 (``_accepted``) and the same colon count, second chance included, made
 for the line; a line that they refuse is decoded again by the reference
 decoder, stdlib ``json`` with a hook that refuses a repeated key, and
@@ -100,8 +105,10 @@ class Source(str, Enum):
 
 #: A lowercased source name costs the accept test one dict lookup.
 _SOURCES = {member.value.lower(): member for member in Source}
-_INT_ONLY, _DICT_ONLY = {int}, {dict}
-_FIELDS = itemgetter("id", "source", "venue", "year", "counts")
+_INT_ONLY = {int}
+#: One getter per column of a block, in (ids, sources, venues, pub_years,
+#: counts) order.
+_GETTERS = tuple(map(itemgetter, ("id", "source", "venue", "year", "counts")))
 #: The place values of the four digits of a year.
 _PLACES = np.array([1000, 100, 10, 1], dtype=np.int16)
 _SCALARS = {str, int, float, bool, type(None)}
@@ -336,7 +343,9 @@ def _validated_lines(lines: Iterable[str], strict: bool,
     _BLOCK lines at a time, in line order: the (ids, sources, venues,
     pub_years, counts) columns, and the block's count values flat in entry
     order if the columns hold every line of a block the accept test took
-    whole, else None.
+    whole, else None.  A line's source is the name it holds, in any case,
+    if the accept test took its block whole, else a Source; both are a
+    str, and _SOURCES maps either, lowercased, to its Source.
 
     Every line is validated, kept or not, and the first invalid line or
     duplicate id raises, naming its line.  A block's lines are decoded with
@@ -360,7 +369,13 @@ def _validated_lines(lines: Iterable[str], strict: bool,
         block, values = _block_columns(block_lines, first, strict, seen)
         if not block:
             continue
-        keep = None if every_source else [*map(sources.__contains__, block[1])]
+        keep = None
+        if not every_source:
+            # a source is its name on an accepted block's lines and a Source
+            # on a replayed one's, so each is mapped before the test
+            kept = {name: _SOURCES[name.lower()] in sources
+                    for name in {*block[1]}}
+            keep = [*map(kept.__getitem__, block[1])]
         if pub_year is not None:
             in_year = map(eq, block[3], repeat(pub_year))
             keep = [*in_year] if keep is None else [*map(and_, keep, in_year)]
@@ -401,17 +416,22 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     """(columns, values) of a block of decoded lines if each line passes the
     accept test, carries the repeated-key certificate and holds an id that
     no line before it does, else None: the (ids, sources, venues,
-    pub_years, counts) columns and the count values flat in entry order.
-    seen holds the ids of the lines before the block, and then, if the
-    block is accepted, those of the block too.
+    pub_years, counts) columns, with each source as the name its line
+    holds, and the count values flat in entry order.  seen holds the ids of
+    the lines before the block, and then, if the block is accepted, those
+    of the block too.
 
     The test is _accepted's, made with C-level passes over the whole block.
-    The key sets: each line holds every corpus key, or _FIELDS raises
-    KeyError, so a block whose lines hold 5n keys in all holds exactly the
-    corpus keys on each line; a lenient load checks the other keys of a
-    block with more (_scalar_extras).  Then a str join of each str column,
-    which raises TypeError on any other value, type sets of the other
-    columns, one source lookup per distinct source string, and for each
+    The columns come from one getter map per corpus key, which raises
+    TypeError on a line that is not a dict (of the values orjson gives,
+    only a dict takes a str subscript) and KeyError on a line short of a
+    corpus key; so a block whose lines hold 5n keys in all holds exactly
+    the corpus keys on each line, and a lenient load checks the other keys
+    of a block with more (_scalar_extras).  Then a str join of each str
+    column and one dict.values pass over the counts, flat, which raise
+    TypeError on a value that is not a str and on counts that are not a
+    dict; a type set of the publication years, as {*years} would merge
+    2016.0 into 2016; one source lookup per distinct source name; for each
     distinct publication year its range check and one subset test of the
     union of its lines' count keys, the lines grouped by year in one pass;
     then one re-encode of the count values (_non_negative_ints).
@@ -419,40 +439,43 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     The repeated-key certificate: each key in a line's text is followed by
     one ':' outside strings, so each line has at least as many colons as
     its value has keys, and the block's colons add up to its keys only if
-    no line repeats a key.  A block with more colons has a second chance if
-    its text holds no backslash: each decoded string is then its text, so
-    the colons add up to the keys plus the colons of the decoded ids and
-    venues (and, in a lenient load, of the other keys' names and string
-    values) only if no line repeats a key, whose separator and dropped
-    value add colons to the text alone.  A backslash may spell a colon as
-    an escape, so such a block is replayed.
+    no line repeats a key.  The colons are counted with one numpy pass
+    over the block's UTF-8 bytes, which hold one b':' per colon, as no
+    byte of a longer character is ASCII; the encode cannot fail, as orjson
+    has refused any block that holds a lone surrogate.  A block with more
+    colons has a second chance if its bytes hold no backslash: each decoded
+    string is then its text, so the colons add up to the keys plus the
+    colons of the decoded ids and venues (and, in a lenient load, of the
+    other keys' names and string values) only if no line repeats a key,
+    whose separator and dropped value add colons to the text alone.  A
+    backslash may spell a colon as an escape, so such a block is replayed.
 
     The ids: none may be in seen, and adding them must grow seen by one per
     line; if it grows by less, a line repeats an id of the block, and as
     none was in seen before, taking them all out again restores it.
     """
-    if not {*map(type, raws)} <= _DICT_ONLY:
+    try:
+        columns = [[*map(getter, raws)] for getter in _GETTERS]
+    except (KeyError, TypeError):
         return None
     keys = sum(map(len, raws))
     if keys != len(CORPUS_KEYS) * len(raws) and (
             strict or not all(map(_scalar_extras, raws))):
         return None
-    try:
-        columns = [*zip(*map(_FIELDS, raws))]
-    except KeyError:
-        return None
     ids, names, venues, years, counts = columns
-    try:  # a join raises TypeError on a value that is not a str
+    # a join raises TypeError on a value that is not a str, and dict.values
+    # on counts that are not a dict; the values pass comes before the key
+    # union, which would take a list of year strings
+    try:
         for column in ids, names, venues:
             "".join(column)
+        values = [*chain.from_iterable(map(dict.values, counts))]
     except TypeError:
         return None
-    if not (all(ids) and {*map(type, years)} <= _INT_ONLY
-            and {*map(type, counts)} <= _DICT_ONLY):
+    if not (all(ids) and {*map(type, years)} <= _INT_ONLY):
         return None
-    source_of = {name: _SOURCES.get(name.lower()) for name in {*names}}
     pub_years = {*years}
-    if None in source_of.values() \
+    if not {*map(str.lower, {*names})} <= _SOURCES.keys() \
             or not YEAR_MIN <= min(pub_years) <= max(pub_years) <= YEAR_MAX:
         return None
     if len(pub_years) == 1:
@@ -464,12 +487,12 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     for year, group in groups.items():
         if not set().union(*group) <= _year_keys(year).keys():
             return None
-    values = [*chain.from_iterable(map(dict.values, counts))]
     if not _non_negative_ints(values):
         return None
-    text = "".join(texts)
-    colons = text.count(":") - keys - len(values)
-    if colons and ("\\" in text or colons != _string_colons(
+    data = "".join(texts).encode()
+    colons = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(":")) \
+        - keys - len(values)
+    if colons and (b"\\" in data or colons != _string_colons(
             raws, ids, venues, strict)):
         return None
     if not seen.isdisjoint(ids):
@@ -479,7 +502,6 @@ def _accepted_block(texts: list[str], raws: list, strict: bool,
     if len(seen) != before + len(ids):
         seen.difference_update(ids)
         return None
-    columns[1] = [*map(source_of.__getitem__, names)]
     return columns, values
 
 
@@ -502,7 +524,7 @@ def _non_negative_ints(values: list) -> bool:
         return False
 
 
-def _string_colons(raws: list, ids: tuple, venues: tuple, strict: bool) -> int:
+def _string_colons(raws: list, ids: list, venues: list, strict: bool) -> int:
     """The colons of the decoded ids and venues of a block's lines and, in
     a lenient load, of the names and string values of their other keys."""
     strings = [*ids, *venues]
@@ -549,7 +571,7 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
         if fields is not None:
             colons = line.count(":") - len(raw) - len(fields[4])
             if colons and ("\\" in line or colons != _string_colons(
-                    [raw], (fields[0],), (fields[2],), strict)):
+                    [raw], [fields[0]], [fields[2]], strict)):
                 fields = None
         if fields is None:
             try:
@@ -568,9 +590,10 @@ def _replay(lines: list[str], first: int, raws: list | None, strict: bool,
 def load_corpus(path, strict: bool = True) -> list[PaperRecord]:
     """Load a JSONL corpus file; rejects duplicate ids and invalid lines."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return [_record(*fields)
+        return [_record(paper_id, Source.parse(source), venue, pub_year,
+                        counts)
                 for block, _ in _validated_lines(handle, strict)
-                for fields in zip(*block)]
+                for paper_id, source, venue, pub_year, counts in zip(*block)]
 
 
 def load_cohort(path, pub_year: int, sources: Iterable[Source] | None = None,

@@ -12,10 +12,10 @@ no tolerance (_collinear_early).  Residual sums of squares are summed over
 the row residuals, as cell sums would lose precision to cancellation, and
 no sum goes through BLAS, whose digits depend on its thread count.
 
-Predictions have one path, predict_codes: one FittedModel.predict call per
-distinct (venue, clipped early level) pair, so the boxplots (predict_cohort,
-one value per cell) and triage --model (gathered per row) read the same
-table and each value is bit for bit a predict call.  A prediction is
+Every prediction is bit for bit a FittedModel.predict call, one per
+distinct (venue, clipped early level) pair: the boxplots take one per
+design cell (predict_cohort), and triage --model one per distinct pair of
+its rows, gathered per row (predict_codes).  A prediction is
 constant within a cell, so boxplot_aggregate takes the cell values with
 the cell sizes and finds each quartile's rows by the running cell size:
 no per-row pass, and the numbers are np.percentile's of the rows.
@@ -460,10 +460,16 @@ def predict_codes(model: FittedModel, venue_names: Sequence[str],
 
 def predict_cohort(model: FittedModel, design: DesignMatrix) -> np.ndarray:
     """Model predictions for every design cell, one predict call per cell;
-    row i's prediction is entry design.row_cell[i]."""
-    early = np.array((0, *design.early_levels), np.int64)[design.cell_early]
-    return predict_codes(model, (design.reference_venue, *design.venue_levels),
-                         design.cell_venue, early)
+    row i's prediction is entry design.row_cell[i].
+
+    The cells are distinct (venue, early level) pairs already, so unlike
+    predict_codes this finds no distinct pairs first."""
+    names = (design.reference_venue, *design.venue_levels)
+    levels = (0, *design.early_levels)
+    return np.fromiter(map(model.predict,
+                           map(names.__getitem__, design.cell_venue.tolist()),
+                           map(levels.__getitem__, design.cell_early.tolist())),
+                       float, count=len(design.cell_counts))
 
 
 #: The quartiles of a boxplot, as np.percentile takes them from [25, 50, 75].

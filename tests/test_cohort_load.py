@@ -514,6 +514,13 @@ LINE_KINDS = {
     "before publication": {"year": PUB_YEAR + 1,
                            "counts": {str(PUB_YEAR): 1}},
     "duplicate": {},
+    # counts that are not an object, one a list of year keys that a test
+    # of their keys alone would take, and years that are not an int
+    "counts list": {"counts": [str(PUB_YEAR + 1)]},
+    "counts str": {"counts": str(PUB_YEAR + 1)},
+    "counts int": {"counts": 7},
+    "float year": {"year": float(PUB_YEAR)},
+    "bool year": {"year": True},
 }
 #: Kinds of line given as their bytes.
 TEXT_KINDS = {"blank": b"  ", "bad json": b'{"id": "x", "source": }',
@@ -523,6 +530,10 @@ TEXT_KINDS = {"blank": b"  ", "bad json": b'{"id": "x", "source": }',
                                 b'"counts": {}}',
               "repeated key": b'{"id": "x", "source": "ACL", "venue": "V", '
                               b'"year": 2016, "counts": {}, "venue": "W"}',
+              # lines that are JSON but not an object
+              "array line": b'["id", "source", "venue", "year", "counts"]',
+              "str line": b'"p"',
+              "number line": b"7",
               "missing key": b'{"id": "m", "source": "ACL", "venue": "V", '
                              b'"year": 2016}',
               # the dropped venue's colons and its separator are the text's
@@ -546,6 +557,21 @@ def kinds_corpus(kinds):
         raw |= change(raw) if callable(change) else change
         lines.append(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
     return b"\n".join(lines) + b"\n"
+
+
+#: Kinds that the block test refuses because a getter or dict.values
+#: raises TypeError, or because of the years' type set.
+NOT_THE_TYPE = ["array line", "str line", "number line", "counts list",
+                "counts str", "counts int", "float year", "bool year"]
+
+
+def with_one_bad_line_in_a_valid_block(test):
+    """An example for each kind of NOT_THE_TYPE as the middle line of a
+    block of 3 between blocks of valid lines."""
+    for kind in reversed(NOT_THE_TYPE):
+        test = example(kinds=["valid"] * 4 + [kind] + ["valid"] * 4,
+                       block=3, strict=True)(test)
+    return test
 
 
 def oracle_outcome(path, data, strict, sources=None):
@@ -620,6 +646,7 @@ def oracle_outcome(path, data, strict, sources=None):
 # the second of the pair, not the first
 @example(kinds=["valid", "valid", "valid", "valid", "duplicate", "valid"],
          block=3, strict=True)
+@with_one_bad_line_in_a_valid_block
 def test_blocks_load_as_per_record_path(kinds, block, strict, tmp_path):
     """With blocks of 2 and 3 lines, every block boundary meets a line of
     each kind: load_cohort, and load_corpus with filter_cohort, give the
@@ -636,6 +663,31 @@ def test_blocks_load_as_per_record_path(kinds, block, strict, tmp_path):
                            sources=sources) == expected
             assert outcome(via_records, path, sources, strict, None) \
                 == expected
+
+
+@pytest.mark.parametrize("block", [2, 256])
+def test_lines_end_with_any_newline(block, tmp_path, monkeypatch):
+    """The corpus is read as text with universal newlines: its lines ended
+    by "\n", "\r\n" or a bare "\r" give one cohort, and a bad line after
+    lines ended by a bare "\r" fails naming its line, as after "\n"."""
+    monkeypatch.setattr(corpus, "_BLOCK", block)
+    path = tmp_path / "c.jsonl"
+
+    def outcomes(kinds):
+        lines = kinds_corpus(kinds).splitlines()
+        loaded = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(end.join(lines) + end)
+            loaded.append(outcome(lambda: full_columns(
+                load_cohort(path, PUB_YEAR))))
+        return loaded
+
+    valid = outcomes(["valid", "other year", "colon", "valid", "non-ascii"])
+    assert valid[0][0] == "ok" and len(valid[0][1][0][1]) == 4
+    assert valid[1] == valid[0] and valid[2] == valid[0]
+    bad = outcomes(["valid"] * 3 + ["negative", "valid"])
+    assert bad[0][0] == "error" and bad[0][2].startswith("line 4: ")
+    assert bad[1] == bad[0] and bad[2] == bad[0]
 
 
 # --- the benchmark's corpora take the fast path ---------------------------------
